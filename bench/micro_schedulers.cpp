@@ -1,7 +1,8 @@
 // Microbenchmarks of full online simulations: events processed per second
-// for each scheduler, and the O(N^2)-ish growth of the PQ family vs MRIS's
-// knapsack-dominated cost (Sec 5.3: MRIS is O(N^3/eps) worst case but each
-// iteration touches only the pending set).
+// for each scheduler as N grows.  The PQ family's scan costs O(queue * R)
+// per event plus O(M * R) per commit (DESIGN.md, "PQ scan"); MRIS's cost is
+// knapsack-dominated (Sec 5.3: O(N^3/eps) worst case, but each iteration
+// touches only the pending set).
 #include <benchmark/benchmark.h>
 
 #include "exp/runner.hpp"

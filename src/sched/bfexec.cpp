@@ -13,10 +13,11 @@ void BfExecScheduler::on_arrival(EngineContext& ctx, JobId job) {
   if (ctx.earliest_start(job) > now) return;  // retry-gated; re-fires later
   MachineId best = kInvalidMachine;
   double best_norm = std::numeric_limits<double>::infinity();
+  std::vector<double> avail(static_cast<std::size_t>(ctx.num_resources()));
   for (MachineId m = 0; m < ctx.num_machines(); ++m) {
     if (!ctx.machine_up(m)) continue;
     if (!ctx.can_start(job, m, now)) continue;
-    const std::vector<double> avail = ctx.cluster().available(m, now);
+    ctx.cluster().available_into(m, now, avail);
     double norm2 = 0.0;
     for (double a : avail) norm2 += a * a;
     if (norm2 < best_norm) {
@@ -42,7 +43,8 @@ void BfExecScheduler::on_machine_up(EngineContext& ctx, MachineId machine) {
 void BfExecScheduler::drain(EngineContext& ctx, MachineId machine) {
   const Time now = ctx.now();
   if (!ctx.machine_up(machine)) return;
-  std::vector<double> avail = ctx.cluster().available(machine, now);
+  std::vector<double> avail(static_cast<std::size_t>(ctx.num_resources()));
+  ctx.cluster().available_into(machine, now, avail);
   for (;;) {
     JobId shortest = kInvalidJob;
     for (JobId id : ctx.pending()) {

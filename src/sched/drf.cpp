@@ -54,10 +54,14 @@ void DrfScheduler::allocate(EngineContext& ctx) {
   const int M = ctx.num_machines();
   const double m = static_cast<double>(M);
 
-  std::vector<std::vector<double>> avail(static_cast<std::size_t>(M));
+  // Free capacity at now, one R-strided row per machine.
+  const auto R = static_cast<std::size_t>(ctx.num_resources());
+  std::vector<double> avail(static_cast<std::size_t>(M) * R);
+  const auto row = [&](MachineId machine) {
+    return std::span(avail).subspan(static_cast<std::size_t>(machine) * R, R);
+  };
   for (MachineId machine = 0; machine < M; ++machine) {
-    avail[static_cast<std::size_t>(machine)] =
-        ctx.cluster().available(machine, now);
+    ctx.cluster().available_into(machine, now, row(machine));
   }
 
   for (;;) {
@@ -83,10 +87,7 @@ void DrfScheduler::allocate(EngineContext& ctx) {
       const Job& j = ctx.job(id);
       for (MachineId machine = 0; machine < M; ++machine) {
         if (!ctx.machine_up(machine)) continue;
-        if (!fits_available(avail[static_cast<std::size_t>(machine)],
-                            j.demand)) {
-          continue;
-        }
+        if (!fits_available(row(machine), j.demand)) continue;
         if (!ctx.can_start(id, machine, now)) continue;
         best_tenant = tenant;
         best_job = id;
@@ -105,7 +106,7 @@ void DrfScheduler::allocate(EngineContext& ctx) {
             .try_emplace(best_tenant,
                          std::vector<double>(j.demand.size(), 0.0))
             .first->second;
-    auto& machine_avail = avail[static_cast<std::size_t>(best_machine)];
+    const std::span<double> machine_avail = row(best_machine);
     for (std::size_t l = 0; l < j.demand.size(); ++l) {
       alloc[l] += j.demand[l] / m;
       machine_avail[l] = std::max(0.0, machine_avail[l] - j.demand[l]);

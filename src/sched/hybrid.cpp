@@ -7,8 +7,10 @@ double HybridScheduler::cluster_utilization(const EngineContext& ctx,
   double used = 0.0;
   const int M = ctx.num_machines();
   const int R = ctx.num_resources();
+  std::vector<double> avail(static_cast<std::size_t>(R));
   for (MachineId m = 0; m < M; ++m) {
-    for (double a : ctx.cluster().available(m, t)) used += 1.0 - a;
+    ctx.cluster().available_into(m, t, avail);
+    for (double a : avail) used += 1.0 - a;
   }
   return used / (static_cast<double>(M) * static_cast<double>(R));
 }

@@ -6,8 +6,14 @@
 // shows this class is Omega(N)-competitive standalone; MRIS reuses it as an
 // offline makespan subroutine (Section 5.2), available here as
 // offline_pq_schedule().
+//
+// The online scan costs O(queue * R) reads of cached keys and demand rows
+// per event plus O(M * R) per commit: a job whose demand exceeds, on some
+// resource, the largest free capacity of any up machine is skipped before
+// the machine loop.  That prefilter is exact (DESIGN.md, "PQ scan").
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sched/heuristics.hpp"
@@ -29,7 +35,8 @@ class PriorityQueueScheduler : public OnlineScheduler {
   void on_machine_up(EngineContext& ctx, MachineId machine) override;
 
   // Durability hooks (docs/RECOVERY.md): the sorted pending queue is the
-  // only mutable state; CA-PQ adds nothing mutable and inherits these.
+  // only mutable state (keys, demand rows and membership derive from it);
+  // CA-PQ adds nothing mutable and inherits these.
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
 
@@ -43,14 +50,36 @@ class PriorityQueueScheduler : public OnlineScheduler {
   void enqueue(EngineContext& ctx, JobId job);
 
   Heuristic heuristic_;
-  std::vector<JobId> queue_;  ///< pending jobs, sorted by heuristic key
+
+ private:
+  struct Entry {
+    double key;  ///< heuristic key, computed once at enqueue
+    JobId id;
+  };
+
+  /// After restore_state() the queue holds ids only: recomputes keys,
+  /// demand rows and membership from `ctx` (no-op otherwise).
+  void rebuild_if_stale(const EngineContext& ctx);
+
+  /// Per-resource max of free capacity over up machines (-inf if none).
+  void refresh_max_free(std::size_t resources);
+
+  std::vector<Entry> queue_;    ///< pending jobs, sorted by (key, id)
+  std::vector<double> demand_;  ///< R-strided demand rows, parallel to queue_
+  std::vector<char> queued_;    ///< membership of queue_, by job id
+  bool stale_ = false;          ///< keys/demand_/queued_ need a rebuild
+
+  // Per-event scratch, reused across scans.
+  std::vector<double> free_;      ///< M x R free capacity at now
+  std::vector<char> up_;          ///< machine_up() per machine
+  std::vector<double> max_free_;  ///< per-resource max of free_ over up_
 };
 
 /// True when `demand` fits within the `available` capacity vector
 /// (tolerance matches the cluster's).  A cheap necessary condition used to
 /// prefilter placement attempts before the full calendar query.
-bool fits_available(const std::vector<double>& available,
-                    const std::vector<double>& demand);
+bool fits_available(std::span<const double> available,
+                    std::span<const double> demand);
 
 /// Offline PQ list scheduling with backfilling (MRIS's subroutine): jobs
 /// are sorted by `heuristic` (their releases are treated as zero) and each

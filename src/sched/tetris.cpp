@@ -27,9 +27,10 @@ void TetrisScheduler::pack(EngineContext& ctx) {
   for (JobId id : ctx.pending()) {
     v_max = std::max(v_max, ctx.job(id).volume());
   }
+  std::vector<double> avail(static_cast<std::size_t>(ctx.num_resources()));
   for (MachineId m = 0; m < ctx.num_machines(); ++m) {
     if (!ctx.machine_up(m)) continue;
-    std::vector<double> avail = ctx.cluster().available(m, now);
+    ctx.cluster().available_into(m, now, avail);
     for (;;) {
       JobId best = kInvalidJob;
       double best_score = -std::numeric_limits<double>::infinity();

@@ -107,10 +107,6 @@ void Cluster::prune_machine_before(MachineId m, Time t) {
   machines_.at(static_cast<std::size_t>(m)).prune_before(t);
 }
 
-std::vector<double> Cluster::available(MachineId m, Time t) const {
-  return machine(m).available_at(t);
-}
-
 void Cluster::available_into(MachineId m, Time t,
                              std::span<double> out) const {
   machine(m).available_at(t, out);

@@ -78,10 +78,7 @@ class Cluster {
   /// each shard's machines on the shard's own drain cadence.
   void prune_machine_before(MachineId m, Time t);
 
-  /// Remaining capacity vector of machine `m` at time t.
-  std::vector<double> available(MachineId m, Time t) const;
-
-  /// Allocation-free variant of available(): writes into `out`
+  /// Remaining capacity of machine `m` at time t, written into `out`
   /// (size == num_resources()).
   void available_into(MachineId m, Time t, std::span<double> out) const;
 

@@ -1,0 +1,513 @@
+// The PRIORITY-QUEUE scan against a straightforward reference.
+//
+// PriorityQueueScheduler caches each queued job's heuristic key and demand
+// row and skips, before its machine loop, every job that exceeds the
+// largest free capacity of any up machine on some resource.  ReferencePq
+// below is the scan without any of that: keys recomputed per comparison,
+// linear membership search, every queued job probed against every
+// machine.  The two must agree byte for byte (schedule, attempts, event
+// log), and the production scan's context reads per engine event must not
+// grow with the backlog.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "sched/capq.hpp"
+#include "sched/pq.hpp"
+#include "sim/engine.hpp"
+#include "sim/faults.hpp"
+#include "sim/recovery/state_io.hpp"
+#include "testkit/generators.hpp"
+#include "trace/generator.hpp"
+#include "trace/workload.hpp"
+
+namespace mris {
+namespace {
+
+/// The plain PQ scan, kept only as an oracle.  With `collect_until` set it
+/// is CA-PQ: it collects silently until that time, then scans like PQ.
+class ReferencePq : public OnlineScheduler {
+ public:
+  explicit ReferencePq(Heuristic h,
+                       std::optional<Time> collect_until = std::nullopt)
+      : heuristic_(h), collect_until_(collect_until) {}
+
+  std::string name() const override { return "reference-PQ"; }
+
+  void on_start(EngineContext& ctx) override {
+    if (collect_until_) ctx.schedule_wakeup(*collect_until_);
+  }
+  void on_arrival(EngineContext& ctx, JobId job) override {
+    enqueue(ctx, job);
+    if (active(ctx)) scan(ctx);
+  }
+  void on_completion(EngineContext& ctx, JobId, MachineId) override {
+    if (active(ctx)) scan(ctx);
+  }
+  void on_wakeup(EngineContext& ctx) override {
+    if (active(ctx)) scan(ctx);
+  }
+  void on_machine_up(EngineContext& ctx, MachineId) override {
+    if (active(ctx)) scan(ctx);
+  }
+  void save_state(recovery::StateWriter& w) const override {
+    w.vec_i32(queue_);
+  }
+  void restore_state(recovery::StateReader& r) override {
+    queue_ = r.vec_i32();
+  }
+
+ private:
+  bool active(const EngineContext& ctx) const {
+    return !collect_until_ || ctx.now() >= *collect_until_;
+  }
+
+  void enqueue(EngineContext& ctx, JobId job) {
+    if (std::find(queue_.begin(), queue_.end(), job) != queue_.end()) return;
+    const double key = heuristic_key(heuristic_, ctx.job(job));
+    const auto pos = std::lower_bound(
+        queue_.begin(), queue_.end(), job, [&](JobId a, JobId b) {
+          const double ka = heuristic_key(heuristic_, ctx.job(a));
+          const double kb =
+              (b == job) ? key : heuristic_key(heuristic_, ctx.job(b));
+          if (ka != kb) return ka < kb;
+          return a < b;
+        });
+    queue_.insert(pos, job);
+  }
+
+  void scan(EngineContext& ctx) {
+    const Time now = ctx.now();
+    const int M = ctx.num_machines();
+    std::vector<std::vector<double>> available(static_cast<std::size_t>(M));
+    for (MachineId m = 0; m < M; ++m) {
+      auto& a = available[static_cast<std::size_t>(m)];
+      a.resize(static_cast<std::size_t>(ctx.num_resources()));
+      ctx.cluster().available_into(m, now, a);
+    }
+    std::size_t write = 0;
+    for (std::size_t read = 0; read < queue_.size(); ++read) {
+      const JobId id = queue_[read];
+      const Job& job = ctx.job(id);
+      bool committed = false;
+      if (ctx.earliest_start(id) <= now) {
+        for (MachineId m = 0; m < M; ++m) {
+          if (!ctx.machine_up(m)) continue;
+          auto& avail = available[static_cast<std::size_t>(m)];
+          if (!fits_available(avail, job.demand)) continue;
+          if (!ctx.can_start(id, m, now)) continue;
+          if (!ctx.try_commit(id, m, now)) continue;
+          for (std::size_t l = 0; l < avail.size(); ++l) {
+            avail[l] = std::max(0.0, avail[l] - job.demand[l]);
+          }
+          committed = true;
+          break;
+        }
+      }
+      if (!committed) queue_[write++] = id;
+    }
+    queue_.resize(write);
+  }
+
+  Heuristic heuristic_;
+  std::optional<Time> collect_until_;
+  std::vector<JobId> queue_;
+};
+
+/// "" when the runs agree exactly, else the first difference.
+std::string diff_runs(const RunResult& a, const RunResult& b) {
+  if (a.num_events != b.num_events) return "event counts differ";
+  if (a.schedule.num_jobs() != b.schedule.num_jobs()) return "job counts";
+  for (std::size_t i = 0; i < a.schedule.num_jobs(); ++i) {
+    const Assignment& x = a.schedule.assignment(static_cast<JobId>(i));
+    const Assignment& y = b.schedule.assignment(static_cast<JobId>(i));
+    if (x.machine != y.machine || x.start != y.start) {
+      return "job " + std::to_string(i) + " placed differently";
+    }
+  }
+  if (a.attempts.size() != b.attempts.size()) return "attempt counts differ";
+  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
+    const Attempt& x = a.attempts[i];
+    const Attempt& y = b.attempts[i];
+    if (x.job != y.job || x.machine != y.machine || x.start != y.start ||
+        x.end != y.end || x.outcome != y.outcome || x.restore != y.restore ||
+        x.progress_in != y.progress_in || x.progress_out != y.progress_out) {
+      return "attempt " + std::to_string(i) + " differs";
+    }
+  }
+  if (a.log.size() != b.log.size()) return "event logs differ in length";
+  for (std::size_t i = 0; i < a.log.size(); ++i) {
+    const EventRecord& x = a.log[i];
+    const EventRecord& y = b.log[i];
+    if (x.kind != y.kind || x.t != y.t || x.job != y.job ||
+        x.machine != y.machine || x.start != y.start) {
+      return "event " + std::to_string(i) + " differs";
+    }
+  }
+  return {};
+}
+
+RunResult run(const Instance& inst, OnlineScheduler& s,
+              const FaultPlan* plan) {
+  RunOptions opts;
+  opts.record_events = true;
+  opts.faults = plan;
+  return run_online(inst, s, opts);
+}
+
+Time last_release(const Instance& inst) {
+  Time t = 0.0;
+  for (const Job& j : inst.jobs()) t = std::max(t, j.release);
+  return t;
+}
+
+/// Fault-free, outages only, outages + stragglers + injected failures with
+/// retry backoff, and the same under periodic checkpointing.
+std::vector<std::optional<FaultPlan>> fault_plans(const Instance& inst,
+                                                  double time_scale,
+                                                  std::uint64_t seed) {
+  std::vector<std::optional<FaultPlan>> plans{std::nullopt};
+  FaultSpec spec;
+  spec.mtbf = 40.0 * time_scale;
+  spec.mttr = 5.0 * time_scale;
+  spec.min_outage = 1e-3 * time_scale;
+  plans.push_back(make_fault_plan(spec, inst, seed));
+  spec.straggler_prob = 0.1;
+  spec.failure_prob = 0.1;
+  spec.retry_backoff = 2.0 * time_scale;
+  plans.push_back(make_fault_plan(spec, inst, seed));
+  spec.checkpoint =
+      CheckpointPolicy::Periodic(2.0 * time_scale, 0.25 * time_scale);
+  plans.push_back(make_fault_plan(spec, inst, seed));
+  return plans;
+}
+
+/// Every heuristic plus CA-PQ, under every fault plan.
+void expect_matches_reference(const Instance& inst, double time_scale,
+                              std::uint64_t seed, const std::string& what) {
+  for (const auto& plan : fault_plans(inst, time_scale, seed)) {
+    const FaultPlan* p = plan ? &*plan : nullptr;
+    const std::string where =
+        what + (p ? " faults(" + std::to_string(p->outages.size()) +
+                        " outages, backoff " +
+                        std::to_string(p->retry_backoff) +
+                        (p->checkpoint.enabled() ? ", checkpoints)" : ")")
+                  : " fault-free");
+    for (Heuristic h : all_heuristics()) {
+      ReferencePq ref(h);
+      PriorityQueueScheduler pq(h);
+      EXPECT_EQ("", diff_runs(run(inst, ref, p), run(inst, pq, p)))
+          << where << " PQ-" << heuristic_name(h);
+    }
+    const Time t = last_release(inst);
+    ReferencePq ref(Heuristic::kWsjf, t);
+    CollectAllPqScheduler capq(t, Heuristic::kWsjf);
+    EXPECT_EQ("", diff_runs(run(inst, ref, p), run(inst, capq, p)))
+        << where << " CA-PQ";
+  }
+}
+
+Instance azure_like(std::size_t jobs, int machines, std::uint64_t seed) {
+  trace::GeneratorConfig cfg;
+  cfg.num_jobs = jobs;
+  cfg.seed = seed;
+  return trace::to_instance(
+      trace::merge_storage(trace::generate_azure_like(cfg)), machines);
+}
+
+TEST(PqScanTest, MatchesReferenceOnEveryTestkitFamily) {
+  for (testkit::Family family : testkit::all_families()) {
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+      testkit::GenConfig cfg;
+      cfg.num_jobs = 64;
+      const Instance inst = testkit::make_family_instance(family, cfg, seed);
+      expect_matches_reference(inst, 1.0, seed,
+                               std::string(testkit::family_name(family)) +
+                                   " seed " + std::to_string(seed));
+    }
+  }
+}
+
+TEST(PqScanTest, MatchesReferenceOnAnAzureLikeBacklog) {
+  // Minimum p_j is 1 time unit (30 s): the fault scale keeps outages at
+  // hours, like the fault_degradation bench.
+  const Instance inst = azure_like(1500, 20, 11);
+  expect_matches_reference(inst, 50.0, 5, "azure-like");
+}
+
+TEST(PqScanTest, StreamedRunMatchesBatchReference) {
+  // StreamEngine appends jobs one admission at a time, so the membership
+  // bitmap grows during the run.
+  for (testkit::Family family :
+       {testkit::Family::kMixed, testkit::Family::kKnapsackTies,
+        testkit::Family::kNearCapacity, testkit::Family::kUlpBoundary}) {
+    testkit::GenConfig cfg;
+    cfg.num_jobs = 96;
+    const Instance raw = testkit::make_family_instance(family, cfg, 7);
+    std::vector<Job> ordered = raw.jobs();
+    std::stable_sort(
+        ordered.begin(), ordered.end(),
+        [](const Job& a, const Job& b) { return a.release < b.release; });
+    for (std::size_t i = 0; i < ordered.size(); ++i) {
+      ordered[i].id = static_cast<JobId>(i);
+    }
+    const Instance inst(ordered, raw.num_machines(), raw.num_resources());
+    for (auto& plan : fault_plans(inst, 1.0, 7)) {
+      if (plan) plan->stretch.clear();  // a stream has no per-job table
+      const FaultPlan* p = plan ? &*plan : nullptr;
+      ReferencePq ref(Heuristic::kWsjf);
+      const RunResult batch = run(inst, ref, p);
+
+      RunOptions opts;
+      opts.record_events = true;
+      opts.faults = p;
+      Instance grow(std::vector<Job>{}, inst.num_machines(),
+                    inst.num_resources());
+      PriorityQueueScheduler pq(Heuristic::kWsjf);
+      StreamEngine engine(grow, pq, opts);
+      engine.start();
+      for (const Job& j : ordered) {
+        engine.run_until_release(j.release);
+        engine.admit(j);
+      }
+      EXPECT_EQ("", diff_runs(batch, engine.finish()))
+          << testkit::family_name(family) << (p ? " with faults" : "");
+    }
+  }
+}
+
+// ---- scan cost --------------------------------------------------------
+
+/// Forwards to the engine's context, counting the cheap reads a scheduler
+/// makes (the set perfbench's traced run reports as sched.ctx_reads).
+class CountingContext : public EngineContext {
+ public:
+  CountingContext(EngineContext& inner, std::uint64_t& reads)
+      : inner_(inner), reads_(reads) {}
+
+  Time now() const override { return inner_.now(); }
+  int num_machines() const override { return inner_.num_machines(); }
+  int num_resources() const override { return inner_.num_resources(); }
+  std::size_t num_jobs() const override { return inner_.num_jobs(); }
+  const Job& job(JobId id) const override {
+    ++reads_;
+    return inner_.job(id);
+  }
+  const std::vector<JobId>& pending() const override {
+    ++reads_;
+    return inner_.pending();
+  }
+  const Cluster& cluster() const override {
+    ++reads_;
+    return inner_.cluster();
+  }
+  bool can_start(JobId id, MachineId m, Time start) const override {
+    return inner_.can_start(id, m, start);
+  }
+  Time earliest_fit_on(JobId id, MachineId m, Time t) const override {
+    return inner_.earliest_fit_on(id, m, t);
+  }
+  Time earliest_fit(JobId id, Time t, MachineId& best) const override {
+    return inner_.earliest_fit(id, t, best);
+  }
+  void commit(JobId id, MachineId m, Time start) override {
+    inner_.commit(id, m, start);
+  }
+  bool try_commit(JobId id, MachineId m, Time start) override {
+    return inner_.try_commit(id, m, start);
+  }
+  void schedule_wakeup(Time t) override { inner_.schedule_wakeup(t); }
+  int retry_count(JobId id) const override {
+    ++reads_;
+    return inner_.retry_count(id);
+  }
+  Time earliest_start(JobId id) const override {
+    ++reads_;
+    return inner_.earliest_start(id);
+  }
+  bool machine_up(MachineId m) const override {
+    ++reads_;
+    return inner_.machine_up(m);
+  }
+  Time checkpointed_progress(JobId id) const override {
+    ++reads_;
+    return inner_.checkpointed_progress(id);
+  }
+
+ private:
+  EngineContext& inner_;
+  std::uint64_t& reads_;
+};
+
+/// Hands `inner` a CountingContext and tracks the pending high-water mark.
+class CountingScheduler : public OnlineScheduler {
+ public:
+  explicit CountingScheduler(OnlineScheduler& inner) : inner_(inner) {}
+
+  std::string name() const override { return inner_.name(); }
+  void on_start(EngineContext& ctx) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_start(c);
+  }
+  void on_arrival(EngineContext& ctx, JobId job) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_arrival(c, job);
+  }
+  void on_completion(EngineContext& ctx, JobId job, MachineId m) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_completion(c, job, m);
+  }
+  void on_wakeup(EngineContext& ctx) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_wakeup(c);
+  }
+  void on_machine_down(EngineContext& ctx, MachineId m) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_machine_down(c, m);
+  }
+  void on_machine_up(EngineContext& ctx, MachineId m) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_machine_up(c, m);
+  }
+  void on_retry_ready(EngineContext& ctx, JobId job) override {
+    CountingContext c = wrap(ctx);
+    inner_.on_retry_ready(c, job);
+  }
+
+  std::uint64_t reads = 0;
+  std::size_t pending_hwm = 0;
+
+ private:
+  CountingContext wrap(EngineContext& ctx) {
+    pending_hwm = std::max(pending_hwm, ctx.pending().size());
+    return CountingContext(ctx, reads);
+  }
+
+  OnlineScheduler& inner_;
+};
+
+struct ScanCost {
+  double reads_per_event;
+  std::size_t pending_hwm;
+};
+
+template <typename Scheduler>
+ScanCost scan_cost(std::size_t jobs) {
+  const Instance inst = azure_like(jobs, 20, 3);
+  Scheduler pq(Heuristic::kWsjf);
+  CountingScheduler counting(pq);
+  const RunResult r = run_online(inst, counting);
+  return {static_cast<double>(counting.reads) /
+              static_cast<double>(r.num_events),
+          counting.pending_hwm};
+}
+
+TEST(PqScanTest, ContextReadsPerEventDoNotGrowWithTheBacklog) {
+  // The Azure-like window is fixed, so doubling N doubles the load and
+  // the backlog grows much faster than N.
+  constexpr std::size_t kN = 6000;
+  const ScanCost small = scan_cost<PriorityQueueScheduler>(kN);
+  const ScanCost large = scan_cost<PriorityQueueScheduler>(2 * kN);
+  ASSERT_GE(static_cast<double>(large.pending_hwm),
+            1.5 * static_cast<double>(small.pending_hwm))
+      << "the workload must grow the backlog for this guard to mean anything";
+  EXPECT_LT(large.reads_per_event, 1.5 * small.reads_per_event)
+      << small.reads_per_event << " reads/event at N=" << kN << " vs "
+      << large.reads_per_event << " at 2N (pending high-water "
+      << small.pending_hwm << " -> " << large.pending_hwm << ")";
+
+  // The guard discriminates: the reference scan reads every queued job
+  // per event, so one doubling of this workload (N/2 -> N, which keeps the
+  // reference fast) already breaks the bound.
+  const ScanCost ref_small = scan_cost<ReferencePq>(kN / 2);
+  const ScanCost ref_large = scan_cost<ReferencePq>(kN);
+  EXPECT_GE(ref_large.reads_per_event, 1.5 * ref_small.reads_per_event);
+}
+
+// ---- resume ---------------------------------------------------------------
+
+/// Runs one PQ until just before its `cut`-th arrival callback, then moves
+/// its state into a fresh PQ through save_state/restore_state, which takes
+/// that arrival (an enqueue before any scan) and everything after.  Also
+/// records the saved payload and, for comparison, the snapshot format that
+/// existing state dirs hold: the queued ids in heuristic order, as a
+/// vec_i32.
+class HandoverPq : public OnlineScheduler {
+ public:
+  HandoverPq(Heuristic h, std::size_t cut)
+      : heuristic_(h), first_(h), second_(h), cut_(cut) {}
+
+  std::string name() const override { return first_.name(); }
+  void on_arrival(EngineContext& ctx, JobId job) override {
+    if (++arrivals_ == cut_) handover(ctx, job);
+    active().on_arrival(ctx, job);
+  }
+  void on_completion(EngineContext& ctx, JobId job, MachineId m) override {
+    active().on_completion(ctx, job, m);
+  }
+  void on_machine_up(EngineContext& ctx, MachineId m) override {
+    active().on_machine_up(ctx, m);
+  }
+
+  std::string saved;     ///< first_'s payload at the cut
+  std::string expected;  ///< vec_i32 of the pending ids in heuristic order
+  std::size_t queued_at_cut = 0;
+
+ private:
+  OnlineScheduler& active() {
+    return handed_over_ ? static_cast<OnlineScheduler&>(second_) : first_;
+  }
+
+  void handover(EngineContext& ctx, JobId arriving) {
+    recovery::StateWriter w;
+    first_.save_state(w);
+    saved = w.take();
+    recovery::StateReader r(saved);
+    second_.restore_state(r);
+    handed_over_ = true;
+
+    // The arriving job is pending but not yet queued.
+    std::vector<JobId> ids;
+    for (JobId id : ctx.pending()) {
+      if (id != arriving) ids.push_back(id);
+    }
+    sort_jobs(ids, heuristic_,
+              [&](JobId id) -> const Job& { return ctx.job(id); });
+    recovery::StateWriter e;
+    e.vec_i32(ids);
+    expected = e.take();
+    queued_at_cut = ids.size();
+  }
+
+  Heuristic heuristic_;
+  PriorityQueueScheduler first_;
+  PriorityQueueScheduler second_;
+  std::size_t cut_;
+  std::size_t arrivals_ = 0;
+  bool handed_over_ = false;
+};
+
+TEST(PqScanTest, ResumeWithAnArrivalFirstIsByteIdentical) {
+  const Instance inst = azure_like(6000, 20, 4);
+  PriorityQueueScheduler plain(Heuristic::kWsjf);
+  const RunResult reference = run(inst, plain, nullptr);
+
+  std::size_t mid_backlog = 0;
+  for (std::size_t cut = 500; cut < inst.num_jobs(); cut += 500) {
+    HandoverPq handover(Heuristic::kWsjf, cut);
+    EXPECT_EQ("", diff_runs(reference, run(inst, handover, nullptr)))
+        << "cut at arrival " << cut;
+    // Fault-free, every pending job is queued, so the payload must be
+    // exactly the heuristic-ordered pending ids: old state dirs resume.
+    EXPECT_EQ(handover.expected, handover.saved) << "cut at arrival " << cut;
+    if (handover.queued_at_cut >= 10) ++mid_backlog;
+  }
+  EXPECT_GE(mid_backlog, 3u) << "too few cuts landed inside a backlog";
+}
+
+}  // namespace
+}  // namespace mris

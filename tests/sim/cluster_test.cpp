@@ -63,8 +63,9 @@ TEST(ClusterTest, EarliestFitPicksLeastLoadedMachine) {
 TEST(ClusterTest, AvailableReflectsPerMachineState) {
   Cluster c(2, 2);
   c.reserve(make_job(0, 2.0, {0.25, 0.5}), 1, 0.0);
-  const auto a0 = c.available(0, 1.0);
-  const auto a1 = c.available(1, 1.0);
+  std::vector<double> a0(2), a1(2);
+  c.available_into(0, 1.0, a0);
+  c.available_into(1, 1.0, a1);
   EXPECT_DOUBLE_EQ(a0[0], 1.0);
   EXPECT_DOUBLE_EQ(a1[0], 0.75);
   EXPECT_DOUBLE_EQ(a1[1], 0.5);
