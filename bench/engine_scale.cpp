@@ -1,23 +1,20 @@
-// Engine-scale benchmark: the sharded epoch/barrier engine (sim/shard.hpp,
-// docs/SHARDING.md) against the classic single-loop engine on a
-// million-job epoch-batched trace — the workload shape the MRIS algorithm
-// actually produces (arrivals stream in continuously, placements happen in
-// gamma_k wakeup batches against a deep pending backlog).
+// Engine-scale benchmark: the event engine on a million-job epoch-batched
+// trace — the workload shape the MRIS algorithm actually produces
+// (arrivals stream in continuously, placements happen in gamma_k wakeup
+// batches against a deep pending backlog).
 //
-// What the sharded engine wins on this shape, threads aside:
-//   * arrivals live in a sorted flat array behind a cursor instead of
-//     churning a binary heap with 10^6 entries (log N per event);
-//   * completions live in small per-shard heaps;
-//   * the pending queue uses O(1) lazy removal instead of an O(P) erase
-//     per commit — against a multi-thousand-job backlog the single-loop
-//     engine pays ~P element moves per placement;
-//   * per-shard calendar pruning and arena-allocated notification
-//     payloads keep the hot loop allocation-free.
+// Two engine data structures carry this shape:
+//   * arrivals live in a release-sorted flat array behind a cursor
+//     instead of churning a binary heap with 10^6 entries;
+//   * a commit clears a flag instead of erasing from the pending list, so
+//     a sweep over a multi-thousand-job backlog costs O(P) once, not
+//     O(P) per placement.
 //
-// Every row is validated: placements must be byte-identical (checksummed)
-// across the single-loop engine and EVERY (shards, threads) configuration
-// — the bench FAILS (exit code) on any divergence.  Wall-clock numbers
-// are informational; CI never asserts on them.
+// Each trace runs twice: as a batch (run_online) and streamed through
+// StreamEngine one admission at a time, the daemon's drive pattern.  The
+// streamed placements must be byte-identical (checksummed) to the batch
+// ones — the bench FAILS (exit code) on any divergence.  Wall-clock
+// numbers are informational; CI never asserts on them.
 // Results go to results/BENCH_engine_scale.json.
 #include <chrono>
 #include <cstdint>
@@ -117,51 +114,69 @@ std::uint64_t schedule_checksum(const Schedule& s) {
 
 struct Row {
   std::string name;
-  std::string engine;
-  int shards = 0;
-  int threads = 1;
+  std::string mode;
   std::size_t jobs = 0;
   double wall_ms = 0.0;
   double jobs_per_sec = 0.0;
+  std::uint64_t checksum = 0;
   bool identical = true;
-  double speedup = 1.0;
 };
 
-Row run_row(const std::string& name, const Instance& inst,
-            OnlineScheduler& sched, int shards, int threads,
-            std::uint64_t baseline_sum, double baseline_ms,
-            std::uint64_t* sum_out = nullptr) {
-  RunOptions opt;
-  opt.shards = shards;
-  opt.threads = threads;
+template <class Run>
+Row time_row(const std::string& name, const std::string& mode,
+             std::size_t jobs, Run&& run) {
   const auto t0 = std::chrono::steady_clock::now();
-  const RunResult r = run_online(inst, sched, opt);
+  const RunResult r = run();
   const auto t1 = std::chrono::steady_clock::now();
   Row row;
   row.name = name;
-  row.engine = shards > 0 ? "sharded" : "single-loop";
-  row.shards = shards;
-  row.threads = threads;
-  row.jobs = inst.num_jobs();
-  row.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  row.jobs_per_sec =
-      static_cast<double>(inst.num_jobs()) / (row.wall_ms / 1000.0);
-  const std::uint64_t sum = schedule_checksum(r.schedule);
-  if (sum_out != nullptr) *sum_out = sum;
-  row.identical = baseline_sum == 0 || sum == baseline_sum;
-  row.speedup = baseline_ms > 0.0 ? baseline_ms / row.wall_ms : 1.0;
-  std::printf("%-14s engine=%-11s S=%d T=%d jobs=%-8zu %9.1f ms  "
-              "%10.0f jobs/s  speedup=%5.2fx  placements %s\n",
-              row.name.c_str(), row.engine.c_str(), row.shards, row.threads,
-              row.jobs, row.wall_ms, row.jobs_per_sec, row.speedup,
-              row.identical ? "IDENTICAL" : "DIVERGED");
+  row.mode = mode;
+  row.jobs = jobs;
+  row.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  row.jobs_per_sec = static_cast<double>(jobs) / (row.wall_ms / 1000.0);
+  row.checksum = schedule_checksum(r.schedule);
   return row;
+}
+
+/// Runs `inst` as a batch and as an admission stream, each with a fresh
+/// scheduler from `make`, and appends both rows; the streamed row is
+/// identical iff its checksum equals the batch row's.  The instance's ids
+/// are already in release order, which is the order the stream admits.
+template <class Make>
+void run_pair(const std::string& name, const Instance& inst, Make&& make,
+              std::vector<Row>& rows) {
+  auto batch_sched = make();
+  const Row batch = time_row(name, "batch", inst.num_jobs(), [&] {
+    return run_online(inst, batch_sched);
+  });
+  auto stream_sched = make();
+  const auto stream = [&] {
+    Instance grow(std::vector<Job>{}, inst.num_machines(),
+                  inst.num_resources());
+    StreamEngine engine(grow, stream_sched);
+    engine.start();
+    for (const Job& j : inst.jobs()) {
+      engine.run_until_release(j.release);
+      engine.admit(j);
+    }
+    return engine.finish();
+  };
+  Row streamed =
+      time_row(name + "-streamed", "streamed", inst.num_jobs(), stream);
+  streamed.identical = streamed.checksum == batch.checksum;
+  for (const Row& row : {batch, streamed}) {
+    std::printf("%-21s jobs=%-8zu %9.1f ms  %10.0f jobs/s  checksum=%016llx"
+                "  %s\n",
+                row.name.c_str(), row.jobs, row.wall_ms, row.jobs_per_sec,
+                static_cast<unsigned long long>(row.checksum),
+                row.identical ? "IDENTICAL" : "DIVERGED");
+    rows.push_back(row);
+  }
 }
 
 int run() {
   print_header("engine_scale",
-               "sharded epoch/barrier engine vs single event loop");
+               "event engine on a 1M-job stream, batch vs streamed");
 
   std::vector<Row> rows;
 
@@ -169,8 +184,7 @@ int run() {
   // Delta matches the gamma_k spacing of Algorithm 1 at this time scale
   // (epochs double geometrically, so mature epochs are tens of time units
   // wide): ~2000 jobs/time-unit x Delta = a 32k-job backlog per wakeup,
-  // which is where the single-loop engine's O(P)-per-commit pending erase
-  // turns quadratic while the sharded engine's lazy removal stays O(1).
+  // where an O(P) pending erase per commit would turn quadratic.
   constexpr Time kDelta = 16.0;
   const std::size_t jobs = scaled(1000000);
   const Instance inst =
@@ -178,35 +192,13 @@ int run() {
                       util::bench_seed() ^ 0xe5ca1eull);
   std::printf("stream workload: %zu jobs / 64 machines / R=2\n",
               inst.num_jobs());
+  run_pair("epoch-greedy", inst, [] { return EpochGreedy(kDelta); }, rows);
 
-  EpochGreedy base_sched(kDelta);
-  std::uint64_t base_sum = 0;
-  const Row legacy =
-      run_row("legacy", inst, base_sched, 0, 1, 0, 0.0, &base_sum);
-  rows.push_back(legacy);
-  for (const auto& [shards, threads] :
-       {std::pair{1, 1}, {2, 1}, {4, 1}, {8, 1}, {8, 2}, {8, 4}}) {
-    EpochGreedy s(kDelta);
-    rows.push_back(run_row("sharded-" + std::to_string(shards) + "x" +
-                               std::to_string(threads),
-                           inst, s, shards, threads, base_sum,
-                           legacy.wall_ms));
-  }
-
-  // --- MRIS row: the paper's scheduler on a smaller trace -----------------
+  // --- MRIS rows: the paper's scheduler on a smaller trace ----------------
   const Instance mris_inst = stream_instance(
       scaled(20000), /*machines=*/16, /*span=*/200.0,
       util::bench_seed() ^ 0x3715ull);
-  MrisScheduler mris_legacy;
-  std::uint64_t mris_sum = 0;
-  const Row mris_base = run_row("mris-legacy", mris_inst, mris_legacy, 0, 1,
-                                0, 0.0, &mris_sum);
-  rows.push_back(mris_base);
-  {
-    MrisScheduler sharded;
-    rows.push_back(run_row("mris-8x2", mris_inst, sharded, 8, 2, mris_sum,
-                           mris_base.wall_ms));
-  }
+  run_pair("mris", mris_inst, [] { return MrisScheduler(); }, rows);
 
   const std::string path = results_json_path("engine_scale");
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -225,12 +217,11 @@ int run() {
       const Row& r = rows[i];
       std::fprintf(
           f,
-          "    {\"name\": \"%s\", \"engine\": \"%s\", \"shards\": %d, "
-          "\"threads\": %d, \"jobs\": %zu, \"wall_ms\": %.1f, "
-          "\"jobs_per_sec\": %.0f, \"speedup_vs_legacy\": %.2f, "
-          "\"identical\": %s}%s\n",
-          r.name.c_str(), r.engine.c_str(), r.shards, r.threads, r.jobs,
-          r.wall_ms, r.jobs_per_sec, r.speedup,
+          "    {\"name\": \"%s\", \"mode\": \"%s\", \"jobs\": %zu, "
+          "\"wall_ms\": %.1f, \"jobs_per_sec\": %.0f, "
+          "\"checksum\": \"%016llx\", \"identical\": %s}%s\n",
+          r.name.c_str(), r.mode.c_str(), r.jobs, r.wall_ms, r.jobs_per_sec,
+          static_cast<unsigned long long>(r.checksum),
           r.identical ? "true" : "false", i + 1 < rows.size() ? "," : "");
     }
     std::fputs("  ]\n}\n", f);
@@ -240,8 +231,7 @@ int run() {
 
   for (const Row& r : rows) {
     if (!r.identical) {
-      std::printf("FAIL: %s diverged from the single-loop engine\n",
-                  r.name.c_str());
+      std::printf("FAIL: %s diverged from its batch run\n", r.name.c_str());
       return 1;
     }
   }

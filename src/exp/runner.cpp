@@ -44,16 +44,13 @@ EvalResult metrics_from_attempts(const Instance& inst,
 
 EvalResult evaluate_impl(const Instance& inst, const SchedulerSpec& spec,
                          Schedule& schedule_out, const FaultPlan* faults,
-                         const recovery::RecoveryOptions* recovery,
-                         const EngineConfig& engine) {
+                         const recovery::RecoveryOptions* recovery) {
   const std::unique_ptr<OnlineScheduler> scheduler =
       make_scheduler(spec, inst);
   RunOptions options;
   const bool faulty = faults != nullptr && !faults->empty();
   if (faulty) options.faults = faults;
   options.recovery = recovery;
-  options.shards = engine.shards;
-  options.threads = engine.threads;
   RunResult run = run_online(inst, *scheduler, options);
 
   EvalResult r;
@@ -105,10 +102,9 @@ EvalResult evaluate_with_schedule(const Instance& inst,
                                   const SchedulerSpec& spec,
                                   Schedule& schedule_out,
                                   const FaultPlan* faults,
-                                  const recovery::RecoveryOptions* recovery,
-                                  const EngineConfig& engine) {
+                                  const recovery::RecoveryOptions* recovery) {
   try {
-    return evaluate_impl(inst, spec, schedule_out, faults, recovery, engine);
+    return evaluate_impl(inst, spec, schedule_out, faults, recovery);
   } catch (const std::exception& e) {
     EvalResult r;
     r.num_jobs = inst.num_jobs();
@@ -120,10 +116,9 @@ EvalResult evaluate_with_schedule(const Instance& inst,
 
 EvalResult evaluate(const Instance& inst, const SchedulerSpec& spec,
                     const FaultPlan* faults,
-                    const recovery::RecoveryOptions* recovery,
-                    const EngineConfig& engine) {
+                    const recovery::RecoveryOptions* recovery) {
   Schedule ignored;
-  return evaluate_with_schedule(inst, spec, ignored, faults, recovery, engine);
+  return evaluate_with_schedule(inst, spec, ignored, faults, recovery);
 }
 
 PointResult replicate(

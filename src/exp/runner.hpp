@@ -54,27 +54,16 @@ struct EvalResult {
 /// fault path and is checked with validate_fault_run().  A non-null
 /// `recovery` attaches the durability subsystem (snapshots + write-ahead
 /// journal, docs/RECOVERY.md) — including resume when it asks for it.
-/// Engine selection for evaluate(): shards == 0 runs the classic
-/// single-loop engine; shards >= 1 the sharded epoch/barrier engine with
-/// `threads` Phase A workers (sim/shard.hpp, docs/SHARDING.md).  Results
-/// never depend on `threads`.
-struct EngineConfig {
-  int shards = 0;
-  int threads = 1;
-};
-
 EvalResult evaluate(const Instance& inst, const SchedulerSpec& spec,
                     const FaultPlan* faults = nullptr,
-                    const recovery::RecoveryOptions* recovery = nullptr,
-                    const EngineConfig& engine = {});
+                    const recovery::RecoveryOptions* recovery = nullptr);
 
 /// Like evaluate() but also hands back the schedule (for CDFs / Gantt).
 /// On failure the schedule is left untouched.
 EvalResult evaluate_with_schedule(
     const Instance& inst, const SchedulerSpec& spec, Schedule& schedule_out,
     const FaultPlan* faults = nullptr,
-    const recovery::RecoveryOptions* recovery = nullptr,
-    const EngineConfig& engine = {});
+    const recovery::RecoveryOptions* recovery = nullptr);
 
 /// Aggregated metrics of one (scheduler, parameter) data point.  Means are
 /// taken over successful runs only; failed_runs counts the rest.

@@ -103,10 +103,6 @@ void Cluster::prune_before(Time t) {
   for (auto& m : machines_) m.prune_before(t);
 }
 
-void Cluster::prune_machine_before(MachineId m, Time t) {
-  machines_.at(static_cast<std::size_t>(m)).prune_before(t);
-}
-
 void Cluster::available_into(MachineId m, Time t,
                              std::span<double> out) const {
   machine(m).available_at(t, out);

@@ -74,10 +74,6 @@ class Cluster {
   /// at or after t are unaffected; queries before t become invalid.
   void prune_before(Time t);
 
-  /// prune_before() for a single machine — the sharded engine compacts
-  /// each shard's machines on the shard's own drain cadence.
-  void prune_machine_before(MachineId m, Time t);
-
   /// Remaining capacity of machine `m` at time t, written into `out`
   /// (size == num_resources()).
   void available_into(MachineId m, Time t, std::span<double> out) const;

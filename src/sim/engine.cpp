@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <set>
 #include <stdexcept>
 
@@ -14,7 +13,6 @@
 #include "sim/recovery/journal.hpp"
 #include "sim/recovery/snapshot.hpp"
 #include "sim/recovery/state_io.hpp"
-#include "sim/shard.hpp"
 #include "util/contracts.hpp"
 
 namespace mris {
@@ -110,9 +108,10 @@ class Engine final : public EngineContext {
       : inst_(inst),
         scheduler_(scheduler),
         options_(options),
-        streaming_(streaming),
         cluster_(inst.num_machines(), inst.num_resources()),
         schedule_(inst.num_jobs()),
+        streaming_(streaming),
+        in_pending_(inst.num_jobs(), 0),
         released_(inst.num_jobs(), false),
         committed_(inst.num_jobs(), false),
         retries_(inst.num_jobs(), 0),
@@ -134,21 +133,26 @@ class Engine final : public EngineContext {
 
   /// Fault validation, recovery setup, and fresh-run seeding; returns true
   /// when engine state was restored from a snapshot.  run() calls this too.
-  bool prepare() MRIS_REQUIRES(shard_mutex_);
+  bool prepare();
 
   /// Processes the next event.  Returns false — consuming nothing — when
-  /// the queue is empty or (with `bounded`) the next event's key is at or
+  /// no event is left or (with `bounded`) the next event's key is at or
   /// past (stop, kArrival), the slot an arrival at `stop` would occupy.
-  bool step(Time stop, bool bounded) MRIS_REQUIRES(shard_mutex_);
+  bool step(Time stop, bool bounded);
 
   /// Final feasibility checks + result assembly (the run() postlude).
-  RunResult finalize() MRIS_REQUIRES(shard_mutex_);
+  RunResult finalize();
+
+  /// Throws std::logic_error unless an arrival at `release` may be
+  /// admitted next: releases must be non-decreasing across admissions, and
+  /// the arrival key must not precede the last processed event key —
+  /// events must stay non-decreasing, or the run is not replayable.
+  void check_admissible(Time release) const;
 
   /// Admits job `id` of the (externally grown) instance mid-run: extends
-  /// every per-job array and schedules the arrival.  The arrival key must
-  /// not precede the last processed event key — events must stay
-  /// non-decreasing, or the run is not replayable.
-  void admit(JobId id) MRIS_REQUIRES(shard_mutex_);
+  /// every per-job array and schedules the arrival (check_admissible
+  /// first).
+  void admit(JobId id);
 
   void idle() { scheduler_.on_idle(*this); }
 
@@ -157,10 +161,7 @@ class Engine final : public EngineContext {
   std::size_t replay_remaining() const noexcept {
     return verify_tail_.size() - verify_pos_;
   }
-  const recovery::RecoveryStats& stats() const noexcept
-      MRIS_REQUIRES(shard_mutex_) {
-    return rec_stats_;
-  }
+  const recovery::RecoveryStats& stats() const noexcept { return rec_stats_; }
 
   // EngineContext -----------------------------------------------------
   Time now() const override { return now_; }
@@ -183,7 +184,8 @@ class Engine final : public EngineContext {
     return faults_ ? effective_[static_cast<std::size_t>(id)] : inst_.job(id);
   }
 
-  const std::vector<JobId>& pending() const override MRIS_REQUIRES(shard_mutex_) {
+  const std::vector<JobId>& pending() const override {
+    compact_pending();
     return pending_;
   }
   const Cluster& cluster() const override { return cluster_; }
@@ -225,7 +227,7 @@ class Engine final : public EngineContext {
     return commit_impl(id, m, start, /*throwing=*/false);
   }
 
-  void schedule_wakeup(Time t) override MRIS_REQUIRES(shard_mutex_) {
+  void schedule_wakeup(Time t) override {
     if (t < now_ - 1e-9) {
       throw std::logic_error("schedule_wakeup: time in the past");
     }
@@ -264,7 +266,60 @@ class Engine final : public EngineContext {
     Time progress_in;   ///< checkpointed progress resumed from
   };
 
-  void push(Event e) MRIS_REQUIRES(shard_mutex_) { queue_.push(e); }
+  void push(Event e) { queue_.push(e); }
+
+  /// True when the next event in (t, kind, seq) order is the arrival under
+  /// the cursor rather than the heap's top.  No heap event is an arrival,
+  /// so the two never tie.
+  bool next_is_arrival() const {
+    return arrivals_cursor_ < arrivals_.size() &&
+           (queue_.empty() ||
+            EventLater{}(queue_.top(), arrivals_[arrivals_cursor_]));
+  }
+
+  /// Puts arrivals_ in (t, seq) order, the order the heap pops events of
+  /// one kind in.
+  void sort_arrivals() {
+    std::sort(arrivals_.begin(), arrivals_.end(),
+              [](const Event& a, const Event& b) {
+                return EventLater{}(b, a);
+              });
+  }
+
+  bool drained() const {
+    return queue_.empty() && arrivals_cursor_ == arrivals_.size();
+  }
+
+  /// Consumes the arrival under the cursor.  The consumed prefix is
+  /// dropped once it is larger than the rest, so the move cost amortizes
+  /// to O(1) per arrival and a daemon holds only its unconsumed backlog.
+  void pop_arrival() {
+    if (++arrivals_cursor_ > arrivals_.size() / 2) {
+      arrivals_.erase(arrivals_.begin(),
+                      arrivals_.begin() +
+                          static_cast<std::ptrdiff_t>(arrivals_cursor_));
+      arrivals_cursor_ = 0;
+    }
+  }
+
+  /// Drops the entries of jobs committed since the last compaction.
+  /// Stable, so pending_ ends up exactly as an erase at each commit would
+  /// have left it.
+  void compact_pending() const {
+    if (pending_dead_ == 0) return;
+    std::erase_if(pending_, [this](JobId id) {
+      return in_pending_[static_cast<std::size_t>(id)] == 0;
+    });
+    pending_dead_ = 0;
+  }
+
+  /// Appends a requeued job.  It may still have a dead entry from its
+  /// commit, which must go first or the job would be listed twice.
+  void add_pending(JobId id) {
+    compact_pending();
+    pending_.push_back(id);
+    in_pending_[static_cast<std::size_t>(id)] = 1;
+  }
 
   /// Advances job `id`'s checkpointed progress to `done` (a salvaged grid
   /// mark) and re-sizes its effective view for the next attempt.
@@ -283,8 +338,7 @@ class Engine final : public EngineContext {
                 "effective processing of a resumed job must stay positive");
   }
 
-  bool commit_impl(JobId id, MachineId m, Time start, bool throwing)
-      MRIS_REQUIRES(shard_mutex_) {
+  bool commit_impl(JobId id, MachineId m, Time start, bool throwing) {
     if (id < 0 || static_cast<std::size_t>(id) >= inst_.num_jobs() ||
         !released_[static_cast<std::size_t>(id)]) {
       if (throwing) job(id);  // throws the canonical visibility error
@@ -340,8 +394,10 @@ class Engine final : public EngineContext {
                 "commit must leave the job assigned in the schedule");
     record({EventRecord::Kind::kCommit, now_, id, m, start});
     committed_[static_cast<std::size_t>(id)] = true;
-    pending_.erase(std::remove(pending_.begin(), pending_.end(), id),
-                   pending_.end());
+    MRIS_INVARIANT(in_pending_[static_cast<std::size_t>(id)],
+                   "a committable job must have a live pending entry");
+    in_pending_[static_cast<std::size_t>(id)] = 0;
+    if (2 * ++pending_dead_ > pending_.size()) compact_pending();
     if (faults_) {
       auto& lv = live_[static_cast<std::size_t>(m)];
       MRIS_INVARIANT(std::none_of(lv.begin(), lv.end(),
@@ -362,8 +418,7 @@ class Engine final : public EngineContext {
   /// the retry counter and exponential-backoff gate.  The caller notifies
   /// the scheduler; a gated job instead gets a kRetryReady event at its
   /// gate, which default-forwards to on_arrival.
-  void requeue(JobId id, MachineId lost_machine, bool count_retry)
-      MRIS_REQUIRES(shard_mutex_) {
+  void requeue(JobId id, MachineId lost_machine, bool count_retry) {
     const std::size_t i = static_cast<std::size_t>(id);
     MRIS_EXPECT(committed_[i],
                 "requeue of a job without a committed reservation");
@@ -378,7 +433,7 @@ class Engine final : public EngineContext {
       }
     }
     gate_[i] = gate;
-    pending_.push_back(id);
+    add_pending(id);
     record({EventRecord::Kind::kRequeue, now_, id, lost_machine, 0.0});
     if (gate > now_ + 1e-12) {
       push({gate, EventKind::kRetryReady, seq_++, id, lost_machine});
@@ -397,7 +452,7 @@ class Engine final : public EngineContext {
   /// The journal is the authoritative record stream — a resumed run that
   /// re-derives a different record than the journal holds is corrupt or
   /// nondeterministic, and aborts loudly rather than completing wrong.
-  void record(const EventRecord& rec) MRIS_REQUIRES(shard_mutex_) {
+  void record(const EventRecord& rec) {
     if (options_.record_events) log_.push_back(rec);
     // The streaming daemon's metric sinks: unbuffered, so they re-fire
     // during a resume's journal-tail replay and the sink output of a
@@ -477,8 +532,7 @@ class Engine final : public EngineContext {
   /// Serializes the complete engine state at an event boundary: clock,
   /// event queue, job/scheduling flags, fault-recovery state, machine
   /// timelines, the schedule, and the scheduler's own state.
-  void save_engine_state(recovery::StateWriter& w) const
-      MRIS_REQUIRES(shard_mutex_) {
+  void save_engine_state(recovery::StateWriter& w) const {
     // Streaming payloads lead with the admitted-job count: a resuming
     // daemon must rebuild the instance prefix from its admission journal
     // *before* the engine can restore (every per-job array below is sized
@@ -489,13 +543,15 @@ class Engine final : public EngineContext {
     w.u64(processed_);
     w.u64(remaining_);
     w.i32(completions_since_prune_);
+    // One event block: the heap, then the unconsumed arrivals.
     const std::vector<Event>& heap = QueuePeek::container(queue_);
-    w.u64(heap.size());
+    const std::size_t unconsumed = arrivals_.size() - arrivals_cursor_;
+    w.u64(heap.size() + unconsumed);
     // The queue is the largest block in a snapshot (a fault plan
     // pre-schedules every outage event), so each event is staged in a
     // stack buffer and appended in one call rather than six.
-    w.reserve(heap.size() * 33);
-    for (const Event& e : heap) {
+    w.reserve((heap.size() + unconsumed) * 33);
+    const auto put_event = [&w](const Event& e) {
       char b[33];
       put_f64(b + 0, e.t);
       b[8] = static_cast<char>(e.kind);
@@ -504,7 +560,12 @@ class Engine final : public EngineContext {
       put_u32(b + 21, static_cast<std::uint32_t>(e.machine));
       put_u64(b + 25, e.aux);
       w.raw(b, sizeof b);
+    };
+    for (const Event& e : heap) put_event(e);
+    for (std::size_t i = arrivals_cursor_; i < arrivals_.size(); ++i) {
+      put_event(arrivals_[i]);
     }
+    compact_pending();
     w.vec_i32(pending_);
     w.vec_char(released_);
     w.vec_char(committed_);
@@ -574,8 +635,7 @@ class Engine final : public EngineContext {
     w.str(sw.data());
   }
 
-  void restore_engine_state(recovery::StateReader& r)
-      MRIS_REQUIRES(shard_mutex_) {
+  void restore_engine_state(recovery::StateReader& r) {
     if (streaming_ && r.u64() != inst_.num_jobs()) {
       throw std::runtime_error(
           "recovery: instance prefix does not match the snapshot's "
@@ -588,6 +648,8 @@ class Engine final : public EngineContext {
     completions_since_prune_ = r.i32();
     const std::uint64_t qn = r.u64();
     queue_ = decltype(queue_)();
+    arrivals_.clear();
+    arrivals_cursor_ = 0;
     for (std::uint64_t i = 0; i < qn; ++i) {
       Event e{};
       e.t = r.f64();
@@ -600,14 +662,27 @@ class Engine final : public EngineContext {
       e.job = r.i32();
       e.machine = r.i32();
       e.aux = r.u64();
-      queue_.push(e);
+      if (e.kind == EventKind::kArrival) {
+        arrivals_.push_back(e);
+      } else {
+        queue_.push(e);
+      }
     }
+    sort_arrivals();
     pending_ = r.vec_i32();
+    pending_dead_ = 0;
     released_ = r.vec_char();
     committed_ = r.vec_char();
     if (released_.size() != inst_.num_jobs() ||
         committed_.size() != inst_.num_jobs()) {
       throw std::runtime_error("recovery: snapshot job count mismatch");
+    }
+    in_pending_.assign(inst_.num_jobs(), 0);
+    for (JobId id : pending_) {
+      if (id < 0 || static_cast<std::size_t>(id) >= inst_.num_jobs()) {
+        throw std::runtime_error("recovery: bad pending job id in snapshot");
+      }
+      in_pending_[static_cast<std::size_t>(id)] = 1;
     }
     wakeups_.clear();
     for (double t : r.vec_f64()) wakeups_.insert(t);
@@ -734,7 +809,7 @@ class Engine final : public EngineContext {
 
   /// Initializes the durability layer; returns true when engine state was
   /// restored from a snapshot (the caller then skips fresh-run seeding).
-  bool setup_recovery() MRIS_REQUIRES(shard_mutex_) {
+  bool setup_recovery() {
     rec_ = options_.recovery;
     MRIS_EXPECT(!rec_->journal_path.empty() || !rec_->snapshot_path.empty(),
                 "RecoveryOptions needs a journal path or a snapshot path");
@@ -818,7 +893,7 @@ class Engine final : public EngineContext {
 
   /// Takes a snapshot when the cadence says one is due.  The journal is
   /// synced first so the snapshot's cut is covered by durable records.
-  void maybe_snapshot(bool was_wakeup) MRIS_REQUIRES(shard_mutex_) {
+  void maybe_snapshot(bool was_wakeup) {
     if (snapstore_ == nullptr || snapstore_->dead()) return;
     const bool due =
         (rec_->snapshot_at_wakeups && was_wakeup) ||
@@ -838,7 +913,7 @@ class Engine final : public EngineContext {
   /// Keeps the degradation-ladder flags current: snapshots failing with a
   /// live journal is journal-only mode; losing the last configured
   /// mechanism is in-memory mode.  Either way the run keeps scheduling.
-  void note_degradation() MRIS_REQUIRES(shard_mutex_) {
+  void note_degradation() {
     const bool snap_failed = snapstore_ != nullptr && snapstore_->dead();
     const bool jrnl_alive = journal_ != nullptr && !journal_->dead();
     const bool jrnl_failed = journal_ != nullptr && !jrnl_alive;
@@ -876,29 +951,30 @@ class Engine final : public EngineContext {
   Time now_ = 0.0;
   std::uint64_t seq_ = 0;
 
-  /// Shard lock for the state below.  The engine is single-threaded today,
-  /// so nothing contends on it yet; the sharded engine (ROADMAP) will run
-  /// shards on the ThreadPool and take it around event-queue and
-  /// durability mutations.  Annotating now lets mris_analyze (and clang's
-  /// -Wthread-safety under MRIS_CLANG_THREAD_SAFETY) enforce the
-  /// discipline before the concurrency lands.
-  std::mutex shard_mutex_;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_
-      MRIS_GUARDED_BY(shard_mutex_);
-  std::vector<JobId> pending_ MRIS_GUARDED_BY(shard_mutex_);
+  /// Every non-arrival event.  Arrivals never enter the heap: they sit in
+  /// arrivals_, sorted by (t, seq), and next_is_arrival() merges the two.
+  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  /// Unconsumed arrivals from arrivals_cursor_ on; the consumed prefix is
+  /// trimmed once it outgrows the rest (pop_arrival).
+  std::vector<Event> arrivals_;
+  std::size_t arrivals_cursor_ = 0;
+  /// Released-but-uncommitted jobs in release order, plus dead entries of
+  /// jobs committed since the last compact_pending().  Readers only ever
+  /// see the compacted list.
+  mutable std::vector<JobId> pending_;
+  mutable std::size_t pending_dead_ = 0;
+  std::vector<char> in_pending_;  ///< per job: has a live pending_ entry
   std::vector<char> released_;
   std::vector<char> committed_;
-  std::set<Time> wakeups_ MRIS_GUARDED_BY(shard_mutex_);
+  std::set<Time> wakeups_;
   std::size_t processed_ = 0;
   std::size_t remaining_ = 0;  ///< jobs not yet completed
 
   // Durability state (inert without RunOptions::recovery).
   const recovery::RecoveryOptions* rec_ = nullptr;
-  recovery::RecoveryStats rec_stats_ MRIS_GUARDED_BY(shard_mutex_);
-  std::unique_ptr<recovery::JournalWriter> journal_
-      MRIS_PT_GUARDED_BY(shard_mutex_);
-  std::unique_ptr<recovery::SnapshotStore> snapstore_
-      MRIS_PT_GUARDED_BY(shard_mutex_);
+  recovery::RecoveryStats rec_stats_;
+  std::unique_ptr<recovery::JournalWriter> journal_;
+  std::unique_ptr<recovery::SnapshotStore> snapstore_;
   recovery::StateWriter snap_writer_;  ///< reused buffer, capacity persists
   std::uint64_t fingerprint_ = 0;
   std::uint64_t records_emitted_ = 0;  ///< position in the record stream
@@ -921,7 +997,7 @@ class Engine final : public EngineContext {
   std::vector<std::vector<LiveRes>> live_;  ///< per machine, commit order
 };
 
-bool Engine::prepare() MRIS_REQUIRES(shard_mutex_) {
+bool Engine::prepare() {
   if (options_.faults) {
     options_.faults->validate(inst_.num_machines(), inst_.num_jobs());
     if (streaming_ && !options_.faults->stretch.empty()) {
@@ -957,13 +1033,15 @@ bool Engine::prepare() MRIS_REQUIRES(shard_mutex_) {
     if (faults_) effective_ = inst_.jobs();
     remaining_ = inst_.num_jobs();
 
-    // Seed arrival events (streaming runs admit them one at a time
-    // instead, through admit()).
+    // Seed arrival events, each taking its seq in id order as it did when
+    // arrivals went through the heap (streaming runs admit them one at a
+    // time instead, through admit()).
     if (!streaming_) {
-      for (std::size_t i = 0; i < inst_.num_jobs(); ++i) {
-        const Job& j = inst_.jobs()[i];
-        push({j.release, EventKind::kArrival, seq_++, j.id});
+      arrivals_.reserve(inst_.num_jobs());
+      for (const Job& j : inst_.jobs()) {
+        arrivals_.push_back({j.release, EventKind::kArrival, seq_++, j.id});
       }
+      sort_arrivals();
     }
     // Seed crash/repair events.  Capacity is blocked only when a crash is
     // *processed*, so calendars never leak future outages to schedulers.
@@ -980,25 +1058,40 @@ bool Engine::prepare() MRIS_REQUIRES(shard_mutex_) {
   return restored_;
 }
 
-void Engine::admit(JobId id) MRIS_REQUIRES(shard_mutex_) {
+void Engine::check_admissible(Time release) const {
   MRIS_EXPECT(streaming_, "admit() is only valid on a streaming engine");
+  // arrivals_ must stay sorted by (t, seq); seq grows with every admission,
+  // so releases must not decrease.  Once every admitted arrival has been
+  // consumed (and trimmed), the frontier check below covers this.
+  if (!arrivals_.empty() && release < arrivals_.back().t) {
+    throw std::logic_error(
+        "admit: release " + std::to_string(release) +
+        " precedes the last admitted release " +
+        std::to_string(arrivals_.back().t) +
+        " (admissions must be in non-decreasing release order)");
+  }
+  // An arrival whose key precedes the last processed event's key would
+  // rewrite already-processed history — the stream must deliver frames in
+  // release order, ahead of the simulation frontier.
+  if (release < last_t_ ||
+      (release == last_t_ && EventKind::kArrival < last_kind_)) {
+    throw std::logic_error(
+        "admit: release " + std::to_string(release) +
+        " lies in the already-processed past (frontier t=" +
+        std::to_string(last_t_) + ")");
+  }
+}
+
+void Engine::admit(JobId id) {
   if (id < 0 || static_cast<std::size_t>(id) >= inst_.num_jobs() ||
       static_cast<std::size_t>(id) != released_.size()) {
     throw std::logic_error(
         "admit: job id must be the next unadmitted instance index");
   }
   const Job& j = inst_.job(id);
-  // An arrival whose key precedes the last processed event's key would
-  // rewrite already-processed history — the stream must deliver frames in
-  // release order, ahead of the simulation frontier.
-  if (j.release < last_t_ ||
-      (j.release == last_t_ && EventKind::kArrival < last_kind_)) {
-    throw std::logic_error(
-        "admit: release " + std::to_string(j.release) +
-        " lies in the already-processed past (frontier t=" +
-        std::to_string(last_t_) + ")");
-  }
+  check_admissible(j.release);
   schedule_.append();
+  in_pending_.push_back(0);
   released_.push_back(0);
   committed_.push_back(0);
   retries_.push_back(0);
@@ -1008,30 +1101,33 @@ void Engine::admit(JobId id) MRIS_REQUIRES(shard_mutex_) {
   epoch_.push_back(0);
   if (faults_) effective_.push_back(j);
   ++remaining_;
-  push({j.release, EventKind::kArrival, seq_++, id});
+  arrivals_.push_back({j.release, EventKind::kArrival, seq_++, id});
 }
 
-RunResult Engine::run() MRIS_REQUIRES(shard_mutex_) {
+RunResult Engine::run() {
   prepare();
   while (step(0.0, /*bounded=*/false)) {
   }
   return finalize();
 }
 
-bool Engine::step(Time stop, bool bounded) MRIS_REQUIRES(shard_mutex_) {
-  if (queue_.empty()) return false;
-  if (bounded) {
-    const Event& top = queue_.top();
-    // Stop at the first event that would sort at/after an arrival at
-    // `stop` — exactly where a batch engine would interleave it.
-    if (!(top.t < stop ||
-          (top.t == stop && top.kind < EventKind::kArrival))) {
-      return false;
-    }
+bool Engine::step(Time stop, bool bounded) {
+  if (drained()) return false;
+  const bool arrival = next_is_arrival();
+  const Event& next = arrival ? arrivals_[arrivals_cursor_] : queue_.top();
+  // Stop at the first event that would sort at/after an arrival at `stop`
+  // — exactly where a batch engine would interleave it.
+  if (bounded &&
+      !(next.t < stop || (next.t == stop && next.kind < EventKind::kArrival))) {
+    return false;
   }
   {
-    const Event e = queue_.top();
-    queue_.pop();
+    const Event e = next;
+    if (arrival) {
+      pop_arrival();
+    } else {
+      queue_.pop();
+    }
     MRIS_INVARIANT(e.t >= now_ - 1e-9,
                    "events must be non-decreasing in time");
     now_ = std::max(now_, e.t);
@@ -1103,8 +1199,10 @@ bool Engine::step(Time stop, bool bounded) MRIS_REQUIRES(shard_mutex_) {
     }
     switch (e.kind) {
       case EventKind::kArrival:
+        // A fresh id has never been in pending_, so no compaction first.
         released_[static_cast<std::size_t>(e.job)] = true;
         pending_.push_back(e.job);
+        in_pending_[static_cast<std::size_t>(e.job)] = 1;
         scheduler_.on_arrival(*this, e.job);
         break;
       case EventKind::kCompletion: {
@@ -1246,7 +1344,7 @@ bool Engine::step(Time stop, bool bounded) MRIS_REQUIRES(shard_mutex_) {
         scheduler_.on_retry_ready(*this, e.job);
         break;
     }
-    if (queue_.empty() && remaining_ > 0) {
+    if (drained() && remaining_ > 0) {
       throw std::runtime_error(
           "run_online: scheduler '" + scheduler_.name() + "' deadlocked: " +
           std::to_string(remaining_) +
@@ -1267,7 +1365,7 @@ bool Engine::step(Time stop, bool bounded) MRIS_REQUIRES(shard_mutex_) {
   return true;
 }
 
-RunResult Engine::finalize() MRIS_REQUIRES(shard_mutex_) {
+RunResult Engine::finalize() {
   if (!schedule_.complete()) {
     throw std::runtime_error("run_online: schedule incomplete after run");
   }
@@ -1308,9 +1406,6 @@ const char* event_kind_name(EventRecord::Kind kind) {
 
 RunResult run_online(const Instance& inst, OnlineScheduler& scheduler,
                      const RunOptions& options) {
-  if (options.shards > 0) {
-    return run_online_sharded(inst, scheduler, options);
-  }
   Engine engine(inst, scheduler, options);
   return engine.run();
 }
@@ -1337,15 +1432,8 @@ struct StreamEngine::Impl {
 };
 
 StreamEngine::StreamEngine(Instance& inst, OnlineScheduler& scheduler,
-                           const RunOptions& options) {
-  if (options.shards != 0) {
-    // The sharded engine drains whole epochs at barriers; an admission
-    // stream needs the single-loop engine's event-granular frontier.
-    throw std::invalid_argument(
-        "StreamEngine: streaming admission requires shards == 0");
-  }
-  impl_ = std::make_unique<Impl>(inst, scheduler, options);
-}
+                           const RunOptions& options)
+    : impl_(std::make_unique<Impl>(inst, scheduler, options)) {}
 
 StreamEngine::~StreamEngine() = default;
 
@@ -1363,6 +1451,8 @@ bool StreamEngine::resumed_from_snapshot() const {
 
 JobId StreamEngine::admit(const Job& job) {
   impl_->require_live("admit");
+  // Checked before the append, so a rejected job never enters the store.
+  impl_->engine.check_admissible(job.release);
   const JobId id = impl_->inst.append(job);
   impl_->engine.admit(id);
   return id;

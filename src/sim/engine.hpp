@@ -225,19 +225,6 @@ struct RunOptions {
   /// zero-overhead default path.  See sim/recovery/options.hpp.
   const recovery::RecoveryOptions* recovery = nullptr;
 
-  /// Number of machine shards.  0 (the default) selects the classic
-  /// single-loop engine; >= 1 selects the sharded epoch/barrier engine
-  /// (sim/shard.hpp, docs/SHARDING.md), clamped to the machine count.
-  /// Determinism: same seed + same shard count => byte-identical results
-  /// for ANY `threads` value; fault-free runs are additionally identical
-  /// across shard counts.  Crash-point injection requires shards == 0.
-  int shards = 0;
-
-  /// Worker threads for the sharded engine's Phase A drains (ignored when
-  /// shards == 0; 1 = drain inline on the calling thread).  Never affects
-  /// results — only wall-clock time.
-  int threads = 1;
-
   /// Completions between committed-horizon calendar prunes
   /// (Cluster::prune_before).  Pruning only discards capacity history the
   /// engine already refuses to commit into (below now), so the cadence
@@ -277,10 +264,10 @@ RunResult run_online(const Instance& inst, OnlineScheduler& scheduler,
 /// downstream event order follows inductively.  The streaming-equivalence
 /// testkit oracle checks this end to end, faults and checkpointing included.
 ///
-/// Restrictions vs run_online(): shards must be 0, and a fault plan must
-/// not carry per-job stretch factors (a per-job table needs the full job
-/// set upfront; outages, injected failures and checkpoint policies are
-/// all supported).  With RunOptions::recovery the snapshot payload is
+/// Restriction vs run_online(): a fault plan must not carry per-job
+/// stretch factors (a per-job table needs the full job set upfront;
+/// outages, injected failures and checkpoint policies are all
+/// supported).  With RunOptions::recovery the snapshot payload is
 /// prefixed with the admitted-job count so a resuming daemon can rebuild
 /// the instance prefix before restoring (serve/daemon.hpp drives this).
 class StreamEngine {

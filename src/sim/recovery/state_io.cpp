@@ -160,14 +160,24 @@ std::string StateReader::str() {
   return std::string(p, static_cast<std::size_t>(n));
 }
 
-std::vector<double> StateReader::vec_f64() {
+std::size_t StateReader::count(std::size_t width, const char* what) {
   const std::uint64_t n = u64();
-  if (n * 8 > data_.size() - pos_) {
-    throw std::runtime_error("recovery: truncated f64 vector in state");
+  // Divide rather than multiply: n * width wraps for a corrupt huge n.
+  if (n > remaining() / width) {
+    throw std::runtime_error(std::string("recovery: truncated ") + what +
+                             " vector in state");
   }
-  std::vector<double> v(static_cast<std::size_t>(n));
+  return static_cast<std::size_t>(n);
+}
+
+// The n == 0 guards skip memcpy into an empty vector's null data(), which
+// is undefined behavior even for a zero-byte copy.
+
+std::vector<double> StateReader::vec_f64() {
+  const std::size_t n = count(8, "f64");
+  std::vector<double> v(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(v.data(), take(static_cast<std::size_t>(n) * 8), n * 8);
+    if (n > 0) std::memcpy(v.data(), take(n * 8), n * 8);
   } else {
     for (auto& x : v) x = f64();
   }
@@ -175,13 +185,10 @@ std::vector<double> StateReader::vec_f64() {
 }
 
 std::vector<std::int32_t> StateReader::vec_i32() {
-  const std::uint64_t n = u64();
-  if (n * 4 > data_.size() - pos_) {
-    throw std::runtime_error("recovery: truncated i32 vector in state");
-  }
-  std::vector<std::int32_t> v(static_cast<std::size_t>(n));
+  const std::size_t n = count(4, "i32");
+  std::vector<std::int32_t> v(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(v.data(), take(static_cast<std::size_t>(n) * 4), n * 4);
+    if (n > 0) std::memcpy(v.data(), take(n * 4), n * 4);
   } else {
     for (auto& x : v) x = i32();
   }
@@ -189,13 +196,10 @@ std::vector<std::int32_t> StateReader::vec_i32() {
 }
 
 std::vector<std::uint64_t> StateReader::vec_u64() {
-  const std::uint64_t n = u64();
-  if (n * 8 > data_.size() - pos_) {
-    throw std::runtime_error("recovery: truncated u64 vector in state");
-  }
-  std::vector<std::uint64_t> v(static_cast<std::size_t>(n));
+  const std::size_t n = count(8, "u64");
+  std::vector<std::uint64_t> v(n);
   if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(v.data(), take(static_cast<std::size_t>(n) * 8), n * 8);
+    if (n > 0) std::memcpy(v.data(), take(n * 8), n * 8);
   } else {
     for (auto& x : v) x = u64();
   }

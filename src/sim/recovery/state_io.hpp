@@ -104,6 +104,10 @@ class StateReader {
   /// Advances past `n` bytes; throws std::runtime_error on underflow.
   const char* take(std::size_t n);
 
+  /// Reads a vector's element count and checks that that many elements of
+  /// `width` bytes remain; throws std::runtime_error naming `what` if not.
+  std::size_t count(std::size_t width, const char* what);
+
   std::string_view data_;
   std::size_t pos_ = 0;
 };

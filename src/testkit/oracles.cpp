@@ -461,42 +461,6 @@ OracleResult ratio_makespan(const Instance& inst,
   return {};
 }
 
-// ---- shard equivalence ---------------------------------------------------
-
-/// Metamorphic oracle for the sharded engine (docs/SHARDING.md): on a
-/// fault-free run, the machine partition is unobservable — 1 shard and N
-/// shards must produce the exact same schedule, for any scheduler.
-OracleResult shard_equivalence(const Instance& inst,
-                               const exp::SchedulerSpec& spec,
-                               const Params&) {
-  if (inst.num_jobs() == 0 || inst.num_machines() == 0) return {};
-  exp::EngineConfig one;
-  one.shards = 1;
-  Schedule s_one;
-  const exp::EvalResult r_one =
-      exp::evaluate_with_schedule(inst, spec, s_one, nullptr, nullptr, one);
-  if (r_one.failed) return fail("1-shard run failed: " + r_one.error);
-  exp::EngineConfig many;
-  many.shards = std::min(4, inst.num_machines());
-  many.threads = 2;
-  Schedule s_many;
-  const exp::EvalResult r_many =
-      exp::evaluate_with_schedule(inst, spec, s_many, nullptr, nullptr, many);
-  if (r_many.failed) return fail("N-shard run failed: " + r_many.error);
-  for (std::size_t i = 0; i < inst.num_jobs(); ++i) {
-    const Assignment& a = s_one.assignment(static_cast<JobId>(i));
-    const Assignment& b = s_many.assignment(static_cast<JobId>(i));
-    if (a.machine != b.machine || a.start != b.start) {
-      return fail("job " + std::to_string(i) + " placed at (m" +
-                  std::to_string(a.machine) + ", t" + fmt(a.start) +
-                  ") with 1 shard but (m" + std::to_string(b.machine) +
-                  ", t" + fmt(b.start) + ") with " +
-                  std::to_string(many.shards) + " shards");
-    }
-  }
-  return {};
-}
-
 // ---- SIMD dispatch identity ----------------------------------------------
 
 /// Differential oracle for the SIMD kernel layer (DESIGN.md §"SIMD
@@ -511,19 +475,18 @@ OracleResult simd_identity(const Instance& inst,
   if (inst.num_jobs() == 0 || inst.num_machines() == 0) return {};
   namespace simd = util::simd;
   const simd::Level before = simd::active_level();
-  const exp::EngineConfig config;
   simd::set_level(simd::Level::kScalar);
   Schedule s_scalar;
-  const exp::EvalResult r_scalar = exp::evaluate_with_schedule(
-      inst, spec, s_scalar, nullptr, nullptr, config);
+  const exp::EvalResult r_scalar =
+      exp::evaluate_with_schedule(inst, spec, s_scalar);
   if (r_scalar.failed) {
     simd::set_level(before);
     return fail("scalar-dispatch run failed: " + r_scalar.error);
   }
   const bool vectorized = simd::set_level(simd::Level::kAvx2);
   Schedule s_vector;
-  const exp::EvalResult r_vector = exp::evaluate_with_schedule(
-      inst, spec, s_vector, nullptr, nullptr, config);
+  const exp::EvalResult r_vector =
+      exp::evaluate_with_schedule(inst, spec, s_vector);
   simd::set_level(before);
   if (r_vector.failed) {
     return fail(std::string(vectorized ? "avx2" : "scalar") +
@@ -597,9 +560,7 @@ std::string diff_runs(const RunResult& a, const RunResult& b,
 /// attempts.  Machine outages, injected failures and checkpoint policies
 /// all ride along (per-job straggler stretch tables are cleared — a
 /// per-job table needs the full job set upfront, which a stream by
-/// definition lacks).  On fault-free instances the batch side additionally
-/// runs sharded, so streamed placements are pinned across shard counts
-/// through the shard-equivalence guarantee.  The engine's idle hook fires
+/// definition lacks).  The engine's idle hook fires
 /// between every admission, proving on_idle cannot leak into decisions.
 OracleResult streaming_equivalence(const Instance& inst,
                                    const exp::SchedulerSpec& spec,
@@ -642,26 +603,6 @@ OracleResult streaming_equivalence(const Instance& inst,
 
   const std::string diff = diff_runs(batch, stream, batch_inst.num_jobs());
   if (!diff.empty()) return fail("stream vs batch: " + diff);
-
-  if (plan.empty() && batch_inst.num_jobs() > 0) {
-    exp::EngineConfig sharded;
-    sharded.shards = std::min(4, batch_inst.num_machines());
-    sharded.threads = 2;
-    Schedule s_sharded;
-    const exp::EvalResult r = exp::evaluate_with_schedule(
-        batch_inst, spec, s_sharded, nullptr, nullptr, sharded);
-    if (r.failed) return fail("sharded batch run failed: " + r.error);
-    for (std::size_t i = 0; i < batch_inst.num_jobs(); ++i) {
-      const auto id = static_cast<JobId>(i);
-      const Assignment& x = stream.schedule.assignment(id);
-      const Assignment& y = s_sharded.assignment(id);
-      if (x.machine != y.machine || x.start != y.start) {
-        return fail("job " + std::to_string(i) +
-                    " diverges between the stream and the " +
-                    std::to_string(sharded.shards) + "-shard batch run");
-      }
-    }
-  }
   return {};
 }
 
@@ -714,7 +655,6 @@ OracleCatalog OracleCatalog::standard() {
   catalog.add("job-removal", job_removal);
   catalog.add("ratio-awct", ratio_awct);
   catalog.add("ratio-makespan", ratio_makespan);
-  catalog.add("shard-equivalence", shard_equivalence);
   catalog.add("simd-identity", simd_identity);
   catalog.add("streaming-equivalence", streaming_equivalence);
   return catalog;

@@ -46,8 +46,6 @@
 //                              empirical test than against OPT)
 //   ratio-makespan             MRIS only: makespan <= 8R(1+eps) *
 //                              makespan_lower_bound (Lemma 6.9)
-//   shard-equivalence          fault-free runs: 1 shard and N shards place
-//                              every job identically (docs/SHARDING.md)
 //   simd-identity              scalar-dispatch and AVX2-dispatch runs place
 //                              every job bit-identically (DESIGN.md §"SIMD
 //                              kernels"; trivial when AVX2 is unavailable)
@@ -59,8 +57,7 @@
 //                              placements, attempts; outages/injected
 //                              failures/checkpointing via the usual fault
 //                              params (straggler stretch cleared: per-job
-//                              tables need the full job set), plus a
-//                              sharded-batch cross-check when fault-free
+//                              tables need the full job set)
 //
 // The fixture catalog adds deliberately broken oracles (used to prove the
 // shrinker and replay pipeline can actually catch, minimize and reproduce

@@ -87,8 +87,8 @@ void contract_failed(const char* kind, const char* condition,
 
 // --- thread-safety annotations ---------------------------------------------
 //
-// Clang-style capability annotations for state the sharded engine will
-// share across ThreadPool workers.  They are contracts in the same spirit
+// Clang-style capability annotations for state shared across ThreadPool
+// workers.  They are contracts in the same spirit
 // as MRIS_EXPECT: a field declared MRIS_GUARDED_BY(m) documents — and lets
 // tooling enforce — that `m` must be held to touch it.
 //

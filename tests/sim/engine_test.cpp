@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/metrics.hpp"
 
 namespace mris {
@@ -305,6 +307,128 @@ TEST(EngineFaultOrderingTest, WakeupAtCrashInstantObservesOutage) {
   opts.faults = &plan;
   run_online(inst, sched, opts);
   EXPECT_TRUE(sched.saw_down);  // the crash at t=2 precedes the wakeup
+}
+
+// --- Lazy pending removal -------------------------------------------------
+
+/// Every wakeup commits every other pending job, walking the list back to
+/// front — so commits land out of pending order and part of the backlog
+/// survives each sweep.  At the start of every callback, i.e. after every
+/// event, it checks pending() against `model`, which an on_record hook
+/// maintains the eager way: arrival and requeue append, commit erases.
+/// It reads pending() nowhere else, so the dead entries a sweep leaves
+/// behind survive until the next event — which may requeue the same job.
+class BackwardSweeper : public OnlineScheduler {
+ public:
+  explicit BackwardSweeper(const std::vector<JobId>& model) : model_(model) {}
+  std::string name() const override { return "backward-sweeper"; }
+
+  void on_start(EngineContext& ctx) override { arm(ctx); }
+  void on_arrival(EngineContext& ctx, JobId) override {
+    check(ctx);
+    arm(ctx);
+  }
+  void on_completion(EngineContext& ctx, JobId, MachineId) override {
+    check(ctx);
+  }
+  void on_machine_down(EngineContext& ctx, MachineId) override { check(ctx); }
+  void on_machine_up(EngineContext& ctx, MachineId) override { check(ctx); }
+  void on_wakeup(EngineContext& ctx) override {
+    armed_ = false;
+    check(ctx);
+    const std::vector<JobId> batch = ctx.pending();
+    std::size_t committed = 0;
+    for (std::size_t k = batch.size(); k-- > 0;) {
+      if ((batch.size() - 1 - k) % 2 != 0) continue;
+      const JobId id = batch[k];
+      MachineId m = kInvalidMachine;
+      const Time s = ctx.earliest_fit(id, ctx.earliest_start(id), m);
+      if (ctx.try_commit(id, m, s)) {
+        ++committed;
+        if (id != batch.front()) ++out_of_order_commits;
+      }
+    }
+    if (committed < batch.size()) arm(ctx);
+  }
+
+  int out_of_order_commits = 0;
+  int checks = 0;
+
+ private:
+  void arm(EngineContext& ctx) {
+    if (armed_) return;
+    ctx.schedule_wakeup(ctx.now() + 0.5);
+    armed_ = true;
+  }
+  void check(EngineContext& ctx) {
+    ++checks;
+    ASSERT_EQ(ctx.pending(), model_) << "t=" << ctx.now();
+  }
+
+  const std::vector<JobId>& model_;
+  bool armed_ = false;
+};
+
+TEST(EngineTest, LazyPendingMatchesEagerEraseUnderCommitsAndRequeues) {
+  // A burst at t=0, then a trickle.  The first sweep (t=0.5) starts jobs
+  // on machine 0, and the outage at t=1 kills or cancels them before any
+  // other event reads pending(); injected failures requeue more later.
+  InstanceBuilder b(2, 1);
+  for (int i = 0; i < 24; ++i) {
+    const Time release = i < 16 ? 0.0 : 3.0 + 0.2 * (i - 16);
+    b.add(release, 1.0 + 0.25 * (i % 3), 1.0, {0.3 + 0.1 * (i % 4)});
+  }
+  const Instance inst = b.build();
+  FaultPlan plan;
+  plan.outages = {{0, 1.0, 2.0}, {1, 4.1, 4.6}};
+  plan.failure_prob = 0.3;
+  plan.seed = 5;
+  std::vector<JobId> model;
+  int requeues = 0;
+  RunOptions opts;
+  opts.faults = &plan;
+  opts.on_record = [&](const EventRecord& rec) {
+    switch (rec.kind) {
+      case EventRecord::Kind::kArrival:
+        model.push_back(rec.job);
+        break;
+      case EventRecord::Kind::kRequeue:
+        ++requeues;
+        model.push_back(rec.job);
+        break;
+      case EventRecord::Kind::kCommit:
+        model.erase(std::find(model.begin(), model.end(), rec.job));
+        break;
+      default:
+        break;
+    }
+  };
+  BackwardSweeper sched(model);
+  const RunResult r = run_online(inst, sched, opts);
+  EXPECT_TRUE(r.schedule.complete());
+  EXPECT_TRUE(model.empty());
+  EXPECT_GT(requeues, 0);
+  EXPECT_GT(sched.out_of_order_commits, 0);
+  EXPECT_GT(sched.checks, 50);
+}
+
+// --- Streaming admission order ------------------------------------------
+
+TEST(StreamEngineTest, AdmitRejectsDecreasingRelease) {
+  const Instance jobs = InstanceBuilder(1, 1)
+                            .add(10.0, 1.0, 1.0, {0.5})
+                            .add(5.0, 1.0, 1.0, {0.5})
+                            .build();
+  Instance grow(std::vector<Job>{}, 1, 1);
+  GreedyReserver sched;
+  StreamEngine engine(grow, sched);
+  engine.start();
+  engine.admit(jobs.job(0));
+  // Nothing is processed yet, so only the admission order catches this.
+  EXPECT_THROW(engine.admit(jobs.job(1)), std::logic_error);
+  EXPECT_EQ(engine.jobs_admitted(), 1u);  // the rejected job was not stored
+  const RunResult r = engine.finish();
+  EXPECT_TRUE(r.schedule.complete());
 }
 
 }  // namespace

@@ -108,6 +108,36 @@ TEST(StateIoTest, VectorWithImpossibleLengthThrowsNotAllocates) {
   EXPECT_THROW(r.vec_f64(), std::runtime_error);
 }
 
+TEST(StateIoTest, EmptyVectorsRoundTrip) {
+  StateWriter w;
+  w.vec_f64({});
+  w.vec_i32({});
+  w.vec_u64({});
+  w.vec_char({});
+  StateReader r(w.data());
+  EXPECT_TRUE(r.vec_f64().empty());
+  EXPECT_TRUE(r.vec_i32().empty());
+  EXPECT_TRUE(r.vec_u64().empty());
+  EXPECT_TRUE(r.vec_char().empty());
+  EXPECT_TRUE(r.done());
+}
+
+TEST(StateIoTest, LengthThatWrapsWhenScaledIsTruncation) {
+  // 2^62 elements of 4 or 8 bytes wraps a 64-bit byte count to 0; the
+  // reader must still report truncation, not try to allocate.
+  for (int type = 0; type < 3; ++type) {
+    StateWriter w;
+    w.u64(std::uint64_t{1} << 62);
+    w.u64(0);  // a few bytes of "payload"
+    StateReader r(w.data());
+    EXPECT_THROW(type == 0   ? (void)r.vec_i32()
+                 : type == 1 ? (void)r.vec_f64()
+                             : (void)r.vec_u64(),
+                 std::runtime_error)
+        << "type " << type;
+  }
+}
+
 TEST(StateIoTest, FingerprintSeparatesInputs) {
   recovery::Fingerprint a, b;
   a.mix("mris").mix(std::uint64_t{1});

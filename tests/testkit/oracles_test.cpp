@@ -88,10 +88,9 @@ TEST(OraclesTest, CatalogNamesAreCompleteAndSorted) {
       "fault-replay-determinism", "job-removal",
       "machine-augmentation", "ratio-awct",
       "ratio-makespan",       "resource-permutation",
-      "shard-equivalence",    "simd-identity",
-      "streaming-equivalence", "time-scaling",
-      "validator-clean",      "validator-clean-faults",
-      "weight-scaling"};
+      "simd-identity",        "streaming-equivalence",
+      "time-scaling",         "validator-clean",
+      "validator-clean-faults", "weight-scaling"};
   EXPECT_EQ(names, expected);
   // Fixtures extend, never replace.
   const auto with = OracleCatalog::with_fixtures().names();

@@ -79,8 +79,8 @@ void scan_keyword_globals(const SourceFile& file, Reporter& reporter) {
         t.line, "ts-global",
         "mutable " + t.text + " '" + name +
             "' has no MRIS_GUARDED_BY annotation: shared mutable state "
-            "must name its guard (or be const/atomic) before the sharded "
-            "engine runs on the pool");
+            "must name its guard (or be const/atomic), since pool workers "
+            "may touch it concurrently");
   }
 }
 

@@ -1,8 +1,7 @@
 // Pass 3: thread-safety discipline.
 //
-// The sharded engine (ROADMAP) will run engine shards on the ThreadPool,
-// so shared mutable state must be declared *as* shared before the
-// concurrency lands.  src/util/contracts.hpp provides Clang-style
+// Work submitted to util::ThreadPool runs concurrently, so shared mutable
+// state must be declared *as* shared.  src/util/contracts.hpp provides Clang-style
 // annotation macros — MRIS_GUARDED_BY(m), MRIS_PT_GUARDED_BY(m),
 // MRIS_REQUIRES(m) — that expand to the native attributes only under
 // `-DMRIS_CLANG_THREAD_SAFETY` with clang, and to nothing otherwise.

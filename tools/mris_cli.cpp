@@ -50,8 +50,6 @@ int usage() {
       "  stats      characterize a workload (load factor, distributions)\n"
       "  simulate   run one scheduler online; print metrics\n"
       "             --scheduler NAME [--gantt] [--out-schedule F]\n"
-      "             engine: --shards S [--threads T] (sharded epoch/barrier\n"
-      "             engine, docs/SHARDING.md; results never depend on T)\n"
       "             durability: --state-dir D [--snapshot-every N]\n"
       "             [--resume-from D] (snapshot + write-ahead journal in D)\n"
       "  compare    run the full paper lineup (+ DRF, HYBRID) side by side\n"
@@ -182,13 +180,9 @@ int cmd_simulate(const util::Flags& flags) {
     (void)flags.get_int("snapshot-every", 0);  // meaningless without a dir
   }
 
-  exp::EngineConfig engine;
-  engine.shards = static_cast<int>(flags.get_int("shards", 0));
-  engine.threads = static_cast<int>(flags.get_int("threads", 1));
-
   Schedule sched;
   const exp::EvalResult r = exp::evaluate_with_schedule(
-      inst, spec, sched, nullptr, durable ? &rec : nullptr, engine);
+      inst, spec, sched, nullptr, durable ? &rec : nullptr);
   std::printf("scheduler:     %s\n", spec.display_name().c_str());
   std::printf("jobs/machines: %zu / %d\n", r.num_jobs, machines);
   std::printf("AWCT:          %s\n", exp::format_num(r.awct).c_str());
@@ -231,8 +225,6 @@ int cmd_simulate(const util::Flags& flags) {
     auto scheduler = exp::make_scheduler(spec, inst);
     RunOptions run_opts;
     run_opts.record_events = true;
-    run_opts.shards = engine.shards;
-    run_opts.threads = engine.threads;
     const RunResult rr = run_online(inst, *scheduler, run_opts);
     std::ofstream log_file(log_path);
     if (!log_file) {
