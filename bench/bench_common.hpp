@@ -148,54 +148,16 @@ inline void json_array(std::FILE* f, const std::vector<double>& xs) {
   std::fputc(']', f);
 }
 
-/// Active SIMD dispatch level at bench time ("scalar"/"avx2") — stamped
-/// into every BENCH_*.json provenance block; perf-trajectory rows are only
-/// comparable across machines when the kernel path is recorded next to the
-/// compiler and flags.  Constant for a given (build, CPU, MRIS_SIMD_LEVEL)
-/// triple, so seeded double runs still produce byte-identical JSON.
-inline const char* simd_level_name() {
-  return util::simd::level_name(util::simd::active_level());
-}
-
-/// The shared provenance object (git SHA, compiler, flags, SIMD dispatch
-/// level), without surrounding whitespace — every BENCH_*.json writer
-/// embeds exactly this, so the block never drifts between benches.
+/// The shared provenance object (git SHA, compiler, flags, and "simd": the
+/// path dp_relax runs on this CPU, "avx2" or "scalar"), without
+/// surrounding whitespace — every BENCH_*.json writer embeds exactly this,
+/// so the block never drifts between benches.
 inline std::string provenance_json() {
   return std::string("\"provenance\": {\"git_sha\": \"") +
          json_escape(MRIS_BENCH_GIT_SHA) + "\", \"compiler\": \"" +
          json_escape(MRIS_BENCH_COMPILER) + "\", \"flags\": \"" +
          json_escape(MRIS_BENCH_FLAGS) + "\", \"simd\": \"" +
-         simd_level_name() + "\"}";
-}
-
-/// Extracts the raw text of a top-level `"name": [ ... ]` section from an
-/// existing JSON results file ("" when the file or section is absent).
-/// micro_profile and micro_kernels co-own results/BENCH_profile.json: each
-/// rewrites the file but splices the other's section back in through this,
-/// so running either never discards the other's rows.
-inline std::string read_json_section(const std::string& path,
-                                     const std::string& name) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return "";
-  std::string text;
-  char buf[4096];
-  for (std::size_t got; (got = std::fread(buf, 1, sizeof buf, f)) > 0;) {
-    text.append(buf, got);
-  }
-  std::fclose(f);
-  const std::string key = "\"" + name + "\":";
-  const std::size_t at = text.find(key);
-  if (at == std::string::npos) return "";
-  const std::size_t open = text.find('[', at + key.size());
-  if (open == std::string::npos) return "";
-  int depth = 0;
-  for (std::size_t i = open; i < text.size(); ++i) {
-    if (text[i] == '[') ++depth;
-    if (text[i] == ']' && --depth == 0) {
-      return text.substr(open, i - open + 1);
-    }
-  }
-  return "";
+         util::simd::dp_relax_path() + "\"}";
 }
 
 /// Writes the per-bench JSON summary (schema 2): bench name, seed/reps/

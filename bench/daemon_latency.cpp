@@ -5,10 +5,9 @@
 // grows for the whole run and every admission pays the worst-case
 // bookkeeping cost.
 //
-// Arms: MRIS plain, MRIS + incremental CADP (sched/mris.hpp `incremental`),
-// both again with full durability (write-ahead admission journal + engine
-// snapshots, fsync per admission), and PQ-WSJF as the cheap-decision
-// baseline.  Each arm runs MRIS_REPS times; decisions/sec is the best rep,
+// Arms: MRIS plain, MRIS again with full durability (write-ahead
+// admission journal + engine snapshots, fsync per admission), and PQ-WSJF
+// as the cheap-decision baseline.  Each arm runs MRIS_REPS times; decisions/sec is the best rep,
 // latency percentiles come from that rep's per-admission samples.
 //
 // Every row is cross-checked against a batch run_online() of the identical
@@ -170,9 +169,7 @@ int run() {
 
   std::vector<ArmResult> results;
   results.push_back(run_arm("mris_plain", inst, "mris", false));
-  results.push_back(run_arm("mris_inc_plain", inst, "mris-inc", false));
   results.push_back(run_arm("mris_durable", inst, "mris", true));
-  results.push_back(run_arm("mris_inc_durable", inst, "mris-inc", true));
   results.push_back(run_arm("pq_wsjf_plain", inst, "pq-wsjf", false));
 
   const std::string path = bench::results_json_path("daemon");

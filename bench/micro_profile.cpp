@@ -322,9 +322,6 @@ int run() {
       run_workload("fault_churn", fault_churn_ops(scaled(12000), seed + 2)));
 
   const std::string path = results_json_path("profile");
-  // micro_kernels co-owns this file: splice its per-kernel rows back in so
-  // running the workload bench never discards the kernel trajectory.
-  const std::string kernels = read_json_section(path, "kernels");
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f != nullptr) {
     std::fprintf(f,
@@ -347,11 +344,7 @@ int run() {
                    r.legacy_ms / r.rewrite_ms, r.identical ? "true" : "false",
                    i + 1 < results.size() ? "," : "");
     }
-    std::fputs("  ]", f);
-    if (!kernels.empty()) {
-      std::fprintf(f, ",\n  \"kernels\": %s", kernels.c_str());
-    }
-    std::fputs("\n}\n", f);
+    std::fputs("  ]\n}\n", f);
     std::fclose(f);
     std::printf("json summary written to %s\n", path.c_str());
   }

@@ -24,9 +24,9 @@ time — series whose name is the prefix or starts with "<prefix>:":
     ./scripts/plot_results.py --metric XOVER-AWCT \
         results/results_fault_degradation.csv
 
-`BENCH_profile.json` carries per-workload and per-kernel speedup rows
-(micro_profile's `workloads`, micro_kernels' `kernels`) instead of x/y
-series; those files render as a horizontal speedup bar chart.
+`BENCH_profile.json` carries per-workload speedup rows (micro_profile's
+`workloads`) instead of x/y series; those files render as a horizontal
+speedup bar chart.
 """
 import argparse
 import collections
@@ -74,17 +74,10 @@ def load_series_json(path):
 
 def speedup_rows(doc):
     """Extracts (label, speedup) rows from a BENCH file that carries
-    per-workload / per-kernel timing rows instead of x/y series
-    (BENCH_profile.json: micro_profile's `workloads` vs LegacyProfile,
-    micro_kernels' `kernels` scalar vs SIMD dispatch)."""
-    rows = []
-    for w in doc.get("workloads", []):
-        if "speedup" in w:
-            rows.append(("workload:" + w["name"], w["speedup"]))
-    for k in doc.get("kernels", []):
-        prefix = "e2e:" if k.get("kind") == "end_to_end" else "kernel:"
-        rows.append((prefix + k["name"], k["speedup"]))
-    return rows
+    per-workload timing rows instead of x/y series (BENCH_profile.json:
+    micro_profile's `workloads` vs LegacyProfile)."""
+    return [(w["name"], w["speedup"]) for w in doc.get("workloads", [])
+            if "speedup" in w]
 
 
 def plot_speedup_bars(path, rows, args, plt):
@@ -92,10 +85,7 @@ def plot_speedup_bars(path, rows, args, plt):
     labels = [name for name, _ in rows]
     values = [v for _, v in rows]
     pos = range(len(rows))
-    colors = ["tab:blue" if l.startswith("workload:") else
-              "tab:green" if l.startswith("kernel:") else "tab:orange"
-              for l in labels]
-    ax.barh(pos, values, color=colors)
+    ax.barh(pos, values, color="tab:blue")
     ax.axvline(1.0, color="black", linewidth=0.8)
     ax.set_yticks(list(pos), labels=labels, fontsize=8)
     ax.invert_yaxis()

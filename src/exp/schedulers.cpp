@@ -19,7 +19,6 @@ std::string SchedulerSpec::display_name() const {
       if (mris.subroutine == MrisConfig::Subroutine::kEventScan) {
         n += "-evscan";
       }
-      if (mris.incremental) n += "-inc";
       return n;
     }
     case SchedulerKind::kPq:
@@ -152,11 +151,6 @@ SchedulerSpec parse_scheduler_spec(const std::string& name) {
     s.mris.subroutine = MrisConfig::Subroutine::kEventScan;
     return s;
   }
-  if (lower == "mris-inc") {
-    SchedulerSpec s = SchedulerSpec::Mris();
-    s.mris.incremental = true;
-    return s;
-  }
   if (lower == "tetris") return SchedulerSpec::Tetris();
   if (lower == "bfexec" || lower == "bf-exec") return SchedulerSpec::BfExec();
   if (lower == "drf") return SchedulerSpec::Drf();
@@ -171,7 +165,7 @@ SchedulerSpec parse_scheduler_spec(const std::string& name) {
   }
   throw std::invalid_argument(
       "unknown scheduler '" + name +
-      "' (valid: mris, mris-greedy, mris-nobf, mris-evscan, mris-inc, "
+      "' (valid: mris, mris-greedy, mris-nobf, mris-evscan, "
       "pq[-heur], capq[-heur], tetris, bfexec, drf, hybrid)");
 }
 

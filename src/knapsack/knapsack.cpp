@@ -45,16 +45,15 @@ std::vector<double> dp_table(const std::vector<Item>& items,
                              std::size_t lo, std::size_t hi,
                              std::int64_t cap) {
   std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1);
-  const util::simd::Kernels& k = util::simd::active();
   for (std::size_t i = lo; i < hi; ++i) {
     const std::int64_t s = sizes[i];
     const double p = items[i].profit;
     if (s > cap || p <= 0.0) continue;
     // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
     // c = cap..s over the contiguous pooled row; bit-identical to the
-    // scalar compare-and-store loop (see util/simd.hpp dp_relax).
-    k.dp_relax(dp.data(), static_cast<std::size_t>(cap),
-               static_cast<std::size_t>(s), p);
+    // scalar compare-and-store loop (see util/simd.hpp).
+    util::simd::dp_relax(dp.data(), static_cast<std::size_t>(cap),
+                         static_cast<std::size_t>(s), p);
   }
   return dp;
 }
@@ -386,20 +385,6 @@ const char* backend_name(Backend backend) {
       return "GREEDY";
   }
   return "?";
-}
-
-void reserve_dp_rows(std::size_t cells, std::size_t rows) {
-  auto& pool = dp_pool();
-  while (pool.size() < rows) pool.emplace_back();
-  for (std::size_t i = 0; i < rows; ++i) {
-    if (pool[i].capacity() < cells) pool[i].reserve(cells);
-  }
-}
-
-std::size_t pooled_dp_row_capacity() {
-  std::size_t cap = 0;
-  for (const auto& row : dp_pool()) cap = std::max(cap, row.capacity());
-  return cap;
 }
 
 }  // namespace mris::knapsack

@@ -81,17 +81,4 @@ Selection solve_constraint_approx(Backend backend,
 /// Human-readable backend name ("CADP" / "GREEDY").
 const char* backend_name(Backend backend);
 
-/// Pre-grows the calling thread's pooled DP rows (the free-list behind
-/// solve_cadp's Hirschberg recursion) so that at least `rows` rows of
-/// `cells` doubles each exist with capacity already allocated.  Purely a
-/// performance hook for streaming admission (knapsack/incremental.hpp):
-/// growing the rows as jobs *arrive* moves the reallocation off the
-/// wakeup's decision path.  Never affects results — pooled row contents
-/// are fully overwritten by every solve.
-void reserve_dp_rows(std::size_t cells, std::size_t rows);
-
-/// Largest capacity (in doubles) among the calling thread's pooled DP rows
-/// (0 when the pool is empty).  Observability for tests and benches.
-std::size_t pooled_dp_row_capacity();
-
 }  // namespace mris::knapsack

@@ -29,7 +29,6 @@ std::string MrisScheduler::name() const {
   if (config_.subroutine == MrisConfig::Subroutine::kEventScan) {
     n += ",evscan";
   }
-  if (config_.incremental) n += ",inc";
   return n + ")";
 }
 
@@ -56,12 +55,12 @@ void MrisScheduler::on_arrival(EngineContext& ctx, JobId /*job*/) {
   // If wakeups went quiet (no pending work at the last gamma_k), resume the
   // geometric series at the first boundary not before now.
   if (!armed_) arm(ctx, ctx.now());
-  if (config_.incremental && config_.backend == knapsack::Backend::kCadp) {
-    inc_.note_arrival(ctx.pending().size(), config_.eps);
-  }
 }
 
-void MrisScheduler::build_candidates(EngineContext& ctx, double gamma_k) {
+void MrisScheduler::on_wakeup(EngineContext& ctx) {
+  const double gamma_k = gamma(k_);
+  ++k_;
+
   // J_k: released, unscheduled jobs with p_j <= gamma_k (Alg. 1 line 3).
   // Everything in pending() already has r_j <= now.
   // Under checkpoint/partial-restart, ctx.job() is the *effective* view: a
@@ -78,32 +77,6 @@ void MrisScheduler::build_candidates(EngineContext& ctx, double gamma_k) {
       items_.push_back({j.volume(), j.weight, id});
     }
   }
-}
-
-void MrisScheduler::on_idle(EngineContext& ctx) {
-  // Streaming-only hook: speculatively solve the armed wakeup's knapsack
-  // while the daemon waits for the next admission frame.  Touches only the
-  // per-wakeup scratch vectors (cleared at every wakeup) and the inc_ memo
-  // (a pure cache), so observable decisions are unchanged — if an arrival
-  // lands before gamma_k fires, the memo simply misses and the wakeup
-  // falls back to a from-scratch solve.
-  if (!config_.incremental || config_.backend != knapsack::Backend::kCadp) {
-    return;
-  }
-  if (!armed_) return;
-  const double gamma_k = gamma(k_);
-  build_candidates(ctx, gamma_k);
-  if (items_.empty()) return;
-  const double zeta = static_cast<double>(ctx.num_resources()) *
-                      static_cast<double>(ctx.num_machines()) * gamma_k;
-  inc_.prepare(items_, zeta, config_.eps);
-}
-
-void MrisScheduler::on_wakeup(EngineContext& ctx) {
-  const double gamma_k = gamma(k_);
-  ++k_;
-
-  build_candidates(ctx, gamma_k);
 
   if (!candidates_.empty()) {
     ++stats_.iterations;
@@ -113,12 +86,8 @@ void MrisScheduler::on_wakeup(EngineContext& ctx) {
     const double zeta =
         static_cast<double>(ctx.num_resources()) *
         static_cast<double>(ctx.num_machines()) * gamma_k;
-    const bool use_inc =
-        config_.incremental && config_.backend == knapsack::Backend::kCadp;
-    const knapsack::Selection sel =
-        use_inc ? inc_.solve(items_, zeta, config_.eps)
-                : knapsack::solve_constraint_approx(config_.backend, items_,
-                                                    zeta, config_.eps);
+    const knapsack::Selection sel = knapsack::solve_constraint_approx(
+        config_.backend, items_, zeta, config_.eps);
 
     if (!sel.tags.empty()) {
       stats_.max_interval_volume =
@@ -175,7 +144,6 @@ void MrisScheduler::restore_state(recovery::StateReader& r) {
   k_ = r.u64();
   armed_ = r.u8() != 0;
   frontier_ = r.f64();
-  inc_.invalidate();  // the memo is a pure cache; start cold after restore
 }
 
 }  // namespace mris

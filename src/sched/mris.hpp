@@ -20,7 +20,6 @@
 
 #include <cstddef>
 
-#include "knapsack/incremental.hpp"
 #include "knapsack/knapsack.hpp"
 #include "sched/heuristics.hpp"
 #include "sim/engine.hpp"
@@ -57,13 +56,6 @@ struct MrisConfig {
     kEventScan,    ///< the literal Sec 5.2 event-time scan
   };
   Subroutine subroutine = Subroutine::kEarliestFit;
-
-  /// Incremental CADP (knapsack/incremental.hpp): memoize the wakeup
-  /// knapsack, pre-solve it during streaming idle time (on_idle), and grow
-  /// the pooled DP rows as jobs arrive.  Byte-identical selections to the
-  /// from-scratch solve — a pure decision-latency optimization for the
-  /// daemon (docs/DAEMON.md); only meaningful with the CADP backend.
-  bool incremental = false;
 };
 
 /// Run statistics for diagnostics and ablation benches.
@@ -83,11 +75,6 @@ class MrisScheduler : public OnlineScheduler {
   void on_start(EngineContext& ctx) override;
   void on_arrival(EngineContext& ctx, JobId job) override;
   void on_wakeup(EngineContext& ctx) override;
-  void on_idle(EngineContext& ctx) override;
-
-  const knapsack::IncrementalStats& incremental_stats() const noexcept {
-    return inc_.stats();
-  }
 
   const MrisConfig& config() const noexcept { return config_; }
   const MrisStats& stats() const noexcept { return stats_; }
@@ -110,11 +97,6 @@ class MrisScheduler : public OnlineScheduler {
   /// Arms the next wakeup at the first gamma_k >= t.
   void arm(EngineContext& ctx, Time t);
 
-  /// Rebuilds candidates_/items_ = J_k for boundary gamma_k (pending jobs
-  /// with p_j <= gamma_k).  Shared by on_wakeup and the speculative
-  /// on_idle pre-solve so both stage bit-identical knapsack inputs.
-  void build_candidates(EngineContext& ctx, double gamma_k);
-
   MrisConfig config_;
   MrisStats stats_;
   std::size_t k_ = 0;       ///< next interval index to fire
@@ -127,10 +109,6 @@ class MrisScheduler : public OnlineScheduler {
   std::vector<JobId> candidates_;
   std::vector<knapsack::Item> items_;
   std::vector<JobId> batch_;
-
-  /// Memoizing/speculative CADP wrapper (config_.incremental).  Pure
-  /// cache: never serialized, invalidated on restore.
-  knapsack::IncrementalCadp inc_;
 };
 
 }  // namespace mris

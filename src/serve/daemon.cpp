@@ -223,9 +223,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
       decoder.feed(std::string_view(buf, static_cast<std::size_t>(got)));
     }
     if (got <= 0 || in.eof()) eof = true;
-    bool decoded_any = false;
     while (decoder.next(frame)) {
-      decoded_any = true;
       ++result.frames;
       if (frame.kind != kFrameJob) continue;  // Hello/End carry no admission
       if (frame.job.seq < already) {
@@ -248,11 +246,6 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
               .count());
       if (options.on_admit) options.on_admit(inst.num_jobs());
     }
-    // Genuinely idle (no frame arrived this read): free compute time for
-    // the scheduler (MRIS pre-solves the armed interval's knapsack here).
-    // Never fired while frames are backed up — speculation must not steal
-    // wall-clock from the admission path under overload.
-    if (!decoded_any && !eof) engine.idle();
   }
   decoder.finish();
 

@@ -154,8 +154,6 @@ class Engine final : public EngineContext {
   /// first).
   void admit(JobId id);
 
-  void idle() { scheduler_.on_idle(*this); }
-
   bool restored() const noexcept { return restored_; }
   std::size_t events_processed() const noexcept { return processed_; }
   std::size_t replay_remaining() const noexcept {
@@ -1470,11 +1468,6 @@ RunResult StreamEngine::finish() {
   while (impl_->engine.step(0.0, /*bounded=*/false)) {
   }
   return impl_->engine.finalize();
-}
-
-void StreamEngine::idle() {
-  impl_->require_live("idle");
-  impl_->engine.idle();
 }
 
 Time StreamEngine::now() const { return impl_->engine.now(); }

@@ -86,13 +86,7 @@ class OnlineScheduler {
     on_arrival(ctx, job);
   }
 
-  /// The streaming driver (StreamEngine::idle, docs/DAEMON.md) has no frame
-  /// to feed and no event to process: free compute time.  A scheduler may
-  /// use it to warm caches for the *next* decision (MRIS pre-solves the
-  /// armed interval's knapsack, sched/mris.hpp), but MUST NOT change any
-  /// observable decision state — batch runs never call this, and streaming
-  /// runs must stay byte-identical to batch (the streaming-equivalence
-  /// oracle enforces exactly that).
+  /// Never called in-tree; kept only for perfbench's TracedScheduler.
   virtual void on_idle(EngineContext& /*ctx*/) {}
 
   // Durability hooks (docs/RECOVERY.md).  Whole-engine snapshots embed the
@@ -304,10 +298,6 @@ class StreamEngine {
   /// Drains all remaining events and finishes the run (final feasibility
   /// checks included).  The engine is spent afterwards.
   RunResult finish();
-
-  /// Forwards to OnlineScheduler::on_idle — the daemon calls this when its
-  /// frame source has nothing to deliver yet.
-  void idle();
 
   Time now() const;
   std::size_t jobs_admitted() const;    ///< == inst.num_jobs()

@@ -7,7 +7,6 @@
 
 #include "sim/recovery/state_io.hpp"
 #include "util/contracts.hpp"
-#include "util/simd.hpp"
 
 namespace mris {
 
@@ -18,17 +17,19 @@ namespace {
 /// genuine double-booking, not floating-point dust.
 constexpr double kContractSlack = 1e-6;
 
+/// Tiny negative residues above this threshold (exclusive) are clamped to
+/// zero by release — the floating-point-dust rule.
+constexpr double kDustThreshold = -1e-12;
+
 }  // namespace
 
 ResourceProfile::ResourceProfile(int num_resources)
     : num_resources_(num_resources),
-      stride_(util::simd::padded_stride(
-          static_cast<std::size_t>(num_resources))) {
+      width_(static_cast<std::size_t>(num_resources)) {
   times_.push_back(0.0);
-  usage_.assign(stride_, 0.0);
+  usage_.assign(width_, 0.0);
   headroom_.push_back(1.0);
-  scratch_.assign(stride_, 0.0);
-  demand_scratch_.assign(stride_, 0.0);
+  scratch_.assign(width_, 0.0);
 }
 
 std::size_t ResourceProfile::segment_of(Time t) const {
@@ -62,7 +63,7 @@ std::size_t ResourceProfile::segment_of(Time t) const {
 }
 
 double ResourceProfile::usage_at(Time t, int resource) const {
-  return usage_[segment_of(t) * stride_ + static_cast<std::size_t>(resource)];
+  return usage_[segment_of(t) * width_ + static_cast<std::size_t>(resource)];
 }
 
 std::vector<double> ResourceProfile::available_at(Time t) const {
@@ -74,7 +75,7 @@ std::vector<double> ResourceProfile::available_at(Time t) const {
 void ResourceProfile::available_at(Time t, std::span<double> out) const {
   MRIS_EXPECT(out.size() == static_cast<std::size_t>(num_resources_),
               "available_at: output dimension != machine resource dimension");
-  const double* row = usage_.data() + segment_of(t) * stride_;
+  const double* row = usage_.data() + segment_of(t) * width_;
   for (std::size_t l = 0; l < out.size(); ++l) {
     out[l] = std::max(0.0, 1.0 - row[l]);
   }
@@ -91,24 +92,12 @@ bool ResourceProfile::fits(Time start, Time duration,
   for (const double d : demand) dmax = std::max(dmax, d);
   const std::size_t n = times_.size();
   const std::size_t R = demand.size();
-  const util::simd::Kernels& k = util::simd::active();
   for (std::size_t i = segment_of(start); i < n; ++i) {
     if (times_[i] >= end) break;
-    if (dmax <= headroom_[i]) {
-      // Skippable run: hop to the first segment that ends it — either the
-      // window is exhausted (every remaining segment fits) or a segment's
-      // headroom is below dmax, the only kind where the R-wide check can
-      // fail.  Skipped segments provably fit; candidates still get the
-      // exact scalar tolerance check below, so the vector compare never
-      // decides the outcome.  Dense-conflict regions never reach the
-      // kernel call: a conflicting segment falls straight through to the
-      // row check, two scalar compares per segment, exactly the pre-SIMD
-      // loop.
-      i += k.first_conflict(times_.data() + i, headroom_.data() + i, n - i,
-                            end, dmax);
-      if (i >= n || times_[i] >= end) break;
-    }
-    const double* row = usage_.data() + i * stride_;
+    // dmax <= headroom bounds every resource within 1: the segment fits
+    // without the R-wide check.
+    if (dmax <= headroom_[i]) continue;
+    const double* row = usage_.data() + i * R;
     for (std::size_t l = 0; l < R; ++l) {
       if (row[l] + demand[l] > 1.0 + tolerance) return false;
     }
@@ -128,21 +117,14 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
   const std::size_t n = times_.size();
   const std::size_t R = demand.size();
   Time end = s + duration;
-  const util::simd::Kernels& k = util::simd::active();
   // One resumable forward pass: a conflict at segment i pushes the
   // candidate start to times_[i+1], and scanning continues at i+1 — never
-  // re-searching the breakpoint list from scratch.  The fused kernel hops
-  // across skippable runs; a conflicting segment falls straight through to
-  // the row check without an indirect call, so near-capacity regions cost
-  // exactly the pre-SIMD two compares per segment (see fits()).
+  // re-searching the breakpoint list from scratch.  Segments whose
+  // headroom covers dmax are skipped with one compare (see fits()).
   for (std::size_t i = segment_of(s); i < n; ++i) {
     if (times_[i] >= end) break;
-    if (dmax <= headroom_[i]) {
-      i += k.first_conflict(times_.data() + i, headroom_.data() + i, n - i,
-                            end, dmax);
-      if (i >= n || times_[i] >= end) break;
-    }
-    const double* row = usage_.data() + i * stride_;
+    if (dmax <= headroom_[i]) continue;
+    const double* row = usage_.data() + i * R;
     bool violated = false;
     for (std::size_t l = 0; l < R; ++l) {
       if (row[l] + demand[l] > 1.0 + tolerance) {
@@ -164,44 +146,34 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
 std::size_t ResourceProfile::ensure_breakpoint(Time t) {
   const std::size_t i = segment_of(t);
   if (times_[i] == t) return i;
-  // Split segment i at t; the new segment inherits segment i's usage
-  // (padding lanes ride along — they are 0.0 in every row).
+  // Split segment i at t; the new segment inherits segment i's usage.
   times_.insert(times_.begin() + static_cast<std::ptrdiff_t>(i) + 1, t);
   // Stage the row in scratch_: inserting a range of usage_ into itself is
   // undefined once the vector reallocates.
-  std::copy_n(usage_.begin() + static_cast<std::ptrdiff_t>(i * stride_),
-              stride_, scratch_.begin());
+  std::copy_n(usage_.begin() + static_cast<std::ptrdiff_t>(i * width_),
+              width_, scratch_.begin());
   usage_.insert(
-      usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * stride_),
+      usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * width_),
       scratch_.begin(), scratch_.end());
   headroom_.insert(headroom_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
                    headroom_[i]);
   return i + 1;
 }
 
-void ResourceProfile::refresh_headroom(const util::simd::Kernels& k,
-                                       std::size_t first, std::size_t last) {
-  // Padding lanes are 0.0 and the scalar reference folds from 0.0, so the
-  // stride-wide max IS the R-wide max.
-  k.min_headroom(usage_.data() + first * stride_, last - first, stride_,
-                 headroom_.data() + first);
-}
-
-const double* ResourceProfile::padded_demand(std::span<const double> demand) {
-  std::copy(demand.begin(), demand.end(), demand_scratch_.begin());
-  return demand_scratch_.data();
-}
-
 std::pair<std::size_t, std::size_t> ResourceProfile::add(
     Time start, Time end, std::span<const double> demand) {
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);  // exclusive segment
-  const util::simd::Kernels& k = util::simd::active();
-  const double* d = padded_demand(demand);
+  // Each mutated row's headroom is recomputed in the same pass.
   for (std::size_t i = first; i < last; ++i) {
-    k.add_row(usage_.data() + i * stride_, d, stride_);
+    double* row = usage_.data() + i * width_;
+    double m = 0.0;
+    for (std::size_t l = 0; l < width_; ++l) {
+      row[l] += demand[l];
+      m = std::max(m, row[l]);
+    }
+    headroom_[i] = 1.0 - m;
   }
-  refresh_headroom(k, first, last);
   return {first, last};
 }
 
@@ -213,7 +185,7 @@ void ResourceProfile::reserve(Time start, Time duration,
   const auto [first, last] = add(start, start + duration, demand);
   const std::size_t R = demand.size();
   for (std::size_t i = first; i < last; ++i) {
-    const double* row = usage_.data() + i * stride_;
+    const double* row = usage_.data() + i * R;
     for (std::size_t l = 0; l < R; ++l) {
       MRIS_ENSURE(row[l] <= 1.0 + kContractSlack,
                   "reserve: per-resource usage exceeds capacity 1 "
@@ -251,37 +223,41 @@ void ResourceProfile::release_until(Time start, Time end,
   if (!(end > start)) return;
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);
-  const util::simd::Kernels& k = util::simd::active();
-  const double* d = padded_demand(demand);
   for (std::size_t i = first; i < last; ++i) {
-    const bool ok =
-        k.sub_clamp_row(usage_.data() + i * stride_, d, stride_,
-                        kContractSlack);
+    double* row = usage_.data() + i * width_;
+    bool ok = true;
+    double m = 0.0;
+    for (std::size_t l = 0; l < width_; ++l) {
+      row[l] -= demand[l];
+      if (row[l] < -kContractSlack) ok = false;
+      // Clamp floating-point dust to +0.0 (rows are compared bitwise by
+      // coalesce_range).
+      if (row[l] < 0.0 && row[l] > kDustThreshold) row[l] = 0.0;
+      m = std::max(m, row[l]);
+    }
+    headroom_[i] = 1.0 - m;
     MRIS_INVARIANT(ok,
                    "release: usage went negative (released a demand that "
                    "was never reserved)");
     static_cast<void>(ok);
   }
-  refresh_headroom(k, first, last);
   coalesce_range(first, last + 1);
 }
 
 void ResourceProfile::coalesce_range(std::size_t lo, std::size_t hi) {
   // Merge segment i into i-1 wherever their usage rows are bitwise equal;
   // the profile as a function of time is unchanged.  Scan high-to-low so
-  // erasures do not shift the indices still to visit.  Comparing R entries
-  // suffices: padding lanes are 0.0 in every row.
-  const std::size_t R = static_cast<std::size_t>(num_resources_);
+  // erasures do not shift the indices still to visit.
   lo = std::max<std::size_t>(lo, 1);
   hi = std::min(hi, times_.size() - 1);
   for (std::size_t i = hi; i >= lo; --i) {
-    const double* prev = usage_.data() + (i - 1) * stride_;
-    const double* cur = usage_.data() + i * stride_;
-    if (!std::equal(cur, cur + R, prev)) continue;
+    const double* prev = usage_.data() + (i - 1) * width_;
+    const double* cur = usage_.data() + i * width_;
+    if (!std::equal(cur, cur + width_, prev)) continue;
     times_.erase(times_.begin() + static_cast<std::ptrdiff_t>(i));
     usage_.erase(
-        usage_.begin() + static_cast<std::ptrdiff_t>(i * stride_),
-        usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * stride_));
+        usage_.begin() + static_cast<std::ptrdiff_t>(i * width_),
+        usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * width_));
     headroom_.erase(headroom_.begin() + static_cast<std::ptrdiff_t>(i));
   }
   if (hint_ >= times_.size()) hint_ = 0;
@@ -294,14 +270,14 @@ void ResourceProfile::prune_before(Time t) {
   // Flatten the committed past: the leading segment takes over the usage of
   // the segment containing t, and every breakpoint in (0, times_[i]] goes
   // away.  Queries at or after times_[i] are untouched.
-  std::copy_n(usage_.begin() + static_cast<std::ptrdiff_t>(i * stride_),
-              stride_, usage_.begin());
+  std::copy_n(usage_.begin() + static_cast<std::ptrdiff_t>(i * width_),
+              width_, usage_.begin());
   headroom_[0] = headroom_[i];
   times_.erase(times_.begin() + 1,
                times_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
   usage_.erase(
-      usage_.begin() + static_cast<std::ptrdiff_t>(stride_),
-      usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * stride_));
+      usage_.begin() + static_cast<std::ptrdiff_t>(width_),
+      usage_.begin() + static_cast<std::ptrdiff_t>((i + 1) * width_));
   headroom_.erase(headroom_.begin() + 1,
                   headroom_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
   hint_ = 0;
@@ -313,42 +289,21 @@ void ResourceProfile::prune_before(Time t) {
 
 void ResourceProfile::save_state(recovery::StateWriter& w) const {
   w.vec_f64(times_);
-  // Serialize usage PACKED (R doubles per segment, no padding lanes) so
-  // the snapshot format is independent of the in-memory stride — an
-  // MRIS_SIMD=OFF build reads an =ON build's snapshot and vice versa.
-  const std::size_t R = static_cast<std::size_t>(num_resources_);
-  if (stride_ == R) {
-    w.vec_f64(usage_);
-  } else {
-    std::vector<double> packed;
-    packed.reserve(times_.size() * R);
-    for (std::size_t i = 0; i < times_.size(); ++i) {
-      const double* row = usage_.data() + i * stride_;
-      packed.insert(packed.end(), row, row + R);
-    }
-    w.vec_f64(packed);
-  }
+  w.vec_f64(usage_);
   w.vec_f64(headroom_);
   w.f64(pruned_before_);
 }
 
 void ResourceProfile::restore_state(recovery::StateReader& r) {
   times_ = r.vec_f64();
-  const std::vector<double> packed = r.vec_f64();
+  usage_ = r.vec_f64();
   headroom_ = r.vec_f64();
   pruned_before_ = r.f64();
   hint_ = 0;  // pure cache; any in-range value is valid
-  const std::size_t R = static_cast<std::size_t>(num_resources_);
-  if (times_.empty() || packed.size() != times_.size() * R ||
+  if (times_.empty() || usage_.size() != times_.size() * width_ ||
       headroom_.size() != times_.size()) {
     throw std::runtime_error(
         "recovery: inconsistent ResourceProfile state in snapshot");
-  }
-  // Expand the packed rows onto the padded stride; padding lanes are 0.0.
-  usage_.assign(times_.size() * stride_, 0.0);
-  for (std::size_t i = 0; i < times_.size(); ++i) {
-    std::copy_n(packed.begin() + static_cast<std::ptrdiff_t>(i * R), R,
-                usage_.begin() + static_cast<std::ptrdiff_t>(i * stride_));
   }
 }
 

@@ -3,16 +3,12 @@
 // MRIS's backfilling (Section 5.3: start times of one iteration may enter
 // the periods of previous iterations).
 //
-// Representation (DESIGN.md §"Timeline data structure"): a flat,
-// stride-padded structure-of-arrays.  Sorted breakpoints times_[0..B) with
-// times_[0] == 0; segment i covers [times_[i], times_[i+1]) (the last
-// segment extends to +infinity) and its R usage values live contiguously at
-// usage_[i * S .. i * S + R), where S = util::simd::padded_stride(R) rounds
-// R up to a whole number of vector lanes.  The padding lanes [R, S) of
-// every row hold exactly 0.0 forever (the SIMD kernels' alignment/padding
-// invariant, DESIGN.md §"SIMD kernels"); serialization stays packed at R
-// doubles per segment, so snapshots are stride-layout agnostic.  All
-// reservations are finite, so the final segment is always all-zero.
+// Representation (DESIGN.md §"Timeline data structure"): a flat
+// structure-of-arrays.  Sorted breakpoints times_[0..B) with times_[0] ==
+// 0; segment i covers [times_[i], times_[i+1]) (the last segment extends to
+// +infinity) and its R usage values live contiguously at
+// usage_[i * R .. (i + 1) * R).  All reservations are finite, so the final
+// segment is always all-zero.
 //
 // Fast-path machinery layered on that layout:
 //  * headroom_[i] caches 1 - max_l usage of segment i, so fits() and
@@ -56,10 +52,6 @@ namespace recovery {
 class StateReader;
 class StateWriter;
 }  // namespace recovery
-
-namespace util::simd {
-struct Kernels;
-}  // namespace util::simd
 
 class ResourceProfile {
  public:
@@ -157,26 +149,15 @@ class ResourceProfile {
   std::pair<std::size_t, std::size_t> add(Time start, Time end,
                                           std::span<const double> demand);
 
-  /// Recomputes headroom_[first..last) from the usage rows of those
-  /// segments via the dispatched batched max-reduction kernel.
-  void refresh_headroom(const util::simd::Kernels& k, std::size_t first,
-                        std::size_t last);
-
-  /// Copies `demand` into demand_scratch_ (padding lanes stay 0.0) and
-  /// returns its data pointer — the stride-wide operand the add/subtract
-  /// kernels consume.
-  const double* padded_demand(std::span<const double> demand);
-
   /// Erases breakpoint i (merging segment i into segment i-1) whenever the
   /// two usage rows are bitwise equal; scans boundaries in [lo, hi].
   void coalesce_range(std::size_t lo, std::size_t hi);
 
   int num_resources_;
-  /// Lane-padded row stride: util::simd::padded_stride(num_resources_).
-  std::size_t stride_;
+  /// Usage row width R (== num_resources_).
+  std::size_t width_;
   std::vector<Time> times_;
-  /// Padded usage rows: segment i's row is usage_[i * stride_ .. i *
-  /// stride_ + R); lanes [R, stride_) are 0.0 forever.
+  /// Usage rows: segment i's row is usage_[i * width_ .. (i + 1) * width_).
   std::vector<double> usage_;
   /// Per-segment min headroom: 1 - max_l usage (may be negative after
   /// force_reserve).  A segment with headroom >= max demand always fits.
@@ -184,9 +165,6 @@ class ResourceProfile {
   /// Scratch row reused by ensure_breakpoint (self-insertion into usage_
   /// is UB, and a member buffer keeps splits allocation-free).
   std::vector<double> scratch_;
-  /// Stride-wide staging of a caller's R-wide demand span for the
-  /// add/subtract kernels; padding lanes are 0.0 forever.
-  std::vector<double> demand_scratch_;
   Time pruned_before_ = 0.0;
   /// Scan hint: last segment index returned by segment_of().  Purely a
   /// performance cache — any value < times_.size() is valid.

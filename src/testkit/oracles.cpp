@@ -22,7 +22,6 @@
 #include "testkit/streams.hpp"
 #include "util/env.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 
 namespace mris::testkit {
 
@@ -461,52 +460,6 @@ OracleResult ratio_makespan(const Instance& inst,
   return {};
 }
 
-// ---- SIMD dispatch identity ----------------------------------------------
-
-/// Differential oracle for the SIMD kernel layer (DESIGN.md §"SIMD
-/// kernels"): the dispatch level is pure implementation detail, so a run
-/// under the scalar kernels and a run under the AVX2 kernels must place
-/// every job bit-identically — same machine, same start, for any
-/// scheduler.  On builds or CPUs without AVX2 the second run stays on the
-/// scalar kernels and the check holds trivially (still a useful replay of
-/// the engine's own determinism).
-OracleResult simd_identity(const Instance& inst,
-                           const exp::SchedulerSpec& spec, const Params&) {
-  if (inst.num_jobs() == 0 || inst.num_machines() == 0) return {};
-  namespace simd = util::simd;
-  const simd::Level before = simd::active_level();
-  simd::set_level(simd::Level::kScalar);
-  Schedule s_scalar;
-  const exp::EvalResult r_scalar =
-      exp::evaluate_with_schedule(inst, spec, s_scalar);
-  if (r_scalar.failed) {
-    simd::set_level(before);
-    return fail("scalar-dispatch run failed: " + r_scalar.error);
-  }
-  const bool vectorized = simd::set_level(simd::Level::kAvx2);
-  Schedule s_vector;
-  const exp::EvalResult r_vector =
-      exp::evaluate_with_schedule(inst, spec, s_vector);
-  simd::set_level(before);
-  if (r_vector.failed) {
-    return fail(std::string(vectorized ? "avx2" : "scalar") +
-                "-dispatch run failed: " + r_vector.error);
-  }
-  for (std::size_t i = 0; i < inst.num_jobs(); ++i) {
-    const Assignment& a = s_scalar.assignment(static_cast<JobId>(i));
-    const Assignment& b = s_vector.assignment(static_cast<JobId>(i));
-    if (a.machine != b.machine || a.start != b.start) {
-      return fail("job " + std::to_string(i) + " placed at (m" +
-                  std::to_string(a.machine) + ", t" + fmt(a.start) +
-                  ") under scalar dispatch but (m" +
-                  std::to_string(b.machine) + ", t" + fmt(b.start) +
-                  ") under " + simd::level_name(simd::Level::kAvx2) +
-                  " dispatch");
-    }
-  }
-  return {};
-}
-
 // ---- streaming equivalence -----------------------------------------------
 
 /// Byte-compares two full runs: event stream, placements, and attempts.
@@ -560,8 +513,7 @@ std::string diff_runs(const RunResult& a, const RunResult& b,
 /// attempts.  Machine outages, injected failures and checkpoint policies
 /// all ride along (per-job straggler stretch tables are cleared — a
 /// per-job table needs the full job set upfront, which a stream by
-/// definition lacks).  The engine's idle hook fires
-/// between every admission, proving on_idle cannot leak into decisions.
+/// definition lacks).
 OracleResult streaming_equivalence(const Instance& inst,
                                    const exp::SchedulerSpec& spec,
                                    const Params& params) {
@@ -596,7 +548,6 @@ OracleResult streaming_equivalence(const Instance& inst,
   engine.start();
   for (const Job& j : ordered) {
     engine.run_until_release(j.release);
-    engine.idle();  // must never change a decision; exercised on purpose
     engine.admit(j);
   }
   const RunResult stream = engine.finish();
@@ -655,7 +606,6 @@ OracleCatalog OracleCatalog::standard() {
   catalog.add("job-removal", job_removal);
   catalog.add("ratio-awct", ratio_awct);
   catalog.add("ratio-makespan", ratio_makespan);
-  catalog.add("simd-identity", simd_identity);
   catalog.add("streaming-equivalence", streaming_equivalence);
   return catalog;
 }

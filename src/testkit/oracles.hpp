@@ -46,18 +46,15 @@
 //                              empirical test than against OPT)
 //   ratio-makespan             MRIS only: makespan <= 8R(1+eps) *
 //                              makespan_lower_bound (Lemma 6.9)
-//   simd-identity              scalar-dispatch and AVX2-dispatch runs place
-//                              every job bit-identically (DESIGN.md §"SIMD
-//                              kernels"; trivial when AVX2 is unavailable)
 //   streaming-equivalence      admitting the jobs one frame at a time
-//                              through StreamEngine (release order, idle
-//                              hook fired between admissions — the daemon's
-//                              drive pattern, docs/DAEMON.md) reproduces
-//                              run_online() byte-for-byte: event stream,
-//                              placements, attempts; outages/injected
-//                              failures/checkpointing via the usual fault
-//                              params (straggler stretch cleared: per-job
-//                              tables need the full job set)
+//                              through StreamEngine (release order — the
+//                              daemon's drive pattern, docs/DAEMON.md)
+//                              reproduces run_online() byte-for-byte: event
+//                              stream, placements, attempts; outages/
+//                              injected failures/checkpointing via the
+//                              usual fault params (straggler stretch
+//                              cleared: per-job tables need the full job
+//                              set)
 //
 // The fixture catalog adds deliberately broken oracles (used to prove the
 // shrinker and replay pipeline can actually catch, minimize and reproduce

@@ -90,6 +90,17 @@ std::int64_t Flags::get_int(const std::string& name,
   return v;
 }
 
+std::size_t Flags::get_count(const std::string& name,
+                             std::size_t fallback) const {
+  const std::int64_t v = get_int(name, static_cast<std::int64_t>(fallback));
+  if (v < 0) {
+    throw std::invalid_argument("--" + name +
+                                ": expected a non-negative count, got " +
+                                std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;

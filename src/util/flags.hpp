@@ -3,6 +3,7 @@
 // defaults, and unknown-flag detection.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -25,6 +26,8 @@ class Flags {
   std::string get(const std::string& name, const std::string& fallback) const;
   double get_double(const std::string& name, double fallback) const;
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// get_int for counts and sizes: also throws when the value is negative.
+  std::size_t get_count(const std::string& name, std::size_t fallback) const;
   bool get_bool(const std::string& name, bool fallback = false) const;
 
   const std::vector<std::string>& positional() const noexcept {

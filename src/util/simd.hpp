@@ -1,158 +1,39 @@
-// SIMD kernel layer for the timeline and knapsack hot paths.
+// The one SIMD kernel in the tree: the CADP knapsack relaxation.
 //
-// This header is the ONLY place in the tree allowed to touch x86 vector
-// intrinsics (the mris_lint `raw-simd` rule enforces that); everything
-// else calls the kernels through the dispatch table below.  Two
-// implementations of every kernel are compiled:
+// This header is the ONLY place allowed to touch x86 vector intrinsics
+// (the mris_lint `raw-simd` rule enforces that).  It holds two
+// implementations of dp_relax:
 //
-//  * scalar — always present, the reference semantics.  Loops are written
-//    exactly like the pre-SIMD code in resource_profile.cpp / knapsack.cpp
-//    so a scalar-dispatch run reproduces historical schedules bit-exactly;
-//  * avx2   — 4-wide double lanes behind `__attribute__((target("avx2")))`,
-//    compiled only when MRIS_SIMD is ON (the default, see CMakeLists) and
-//    the target is x86.  No -mavx2 build flag is needed or wanted: the
-//    attribute scopes AVX2 codegen to these functions, so the rest of the
-//    build is flag-neutral and a non-AVX2 CPU simply dispatches scalar.
+//  * scalar::dp_relax — always compiled, the reference semantics;
+//  * avx2::dp_relax   — 4-wide double lanes behind
+//    `__attribute__((target("avx2")))`, compiled on x86 GCC/Clang.  No
+//    -mavx2 build flag is needed or wanted: the attribute scopes AVX2
+//    codegen to this one function, so a non-AVX2 CPU runs the scalar loop.
 //
-// Exactness contract (DESIGN.md §"SIMD kernels"): every kernel is
-// bit-identical to its scalar reference on every input the callers can
-// produce.  Arithmetic kernels (add_row, sub_clamp_row, dp_relax) perform
-// the same IEEE operations lane-wise, in an order the scalar loop's
-// dependence structure already permits; reduction and scan kernels
-// (row_max, first_conflict) may only SKIP work the scalar code would also
-// skip — a vector compare never *decides* a tolerance comparison, it only
-// routes candidate segments to the exact scalar check.  The differential
-// fuzz suite (tests/sim/simd_fuzz_test.cpp) and the `simd-identity`
-// testkit oracle enforce the contract end-to-end; bench/micro_kernels
-// enforces it per kernel and measures the speedups.
-//
-// Dispatch: `active()` returns the kernel table for the current level —
-// AVX2 when compiled in AND reported by cpuid, else scalar; override with
-// MRIS_SIMD_LEVEL=scalar|avx2|auto or set_level() (tests and benches flip
-// levels in-process to diff the two paths).  Because the levels are
-// verified bit-identical, the dispatch decision can never affect results,
-// only wall-clock.  The level cell is a relaxed atomic: concurrent
-// readers are safe, and even a mid-run flip would be unobservable in
-// output by the identity contract.
+// dp_relax() picks between them once per process from
+// __builtin_cpu_supports("avx2").  Both paths perform the same IEEE
+// operations on the same values, so the choice never affects results, only
+// wall-clock (tests/util/simd_test.cpp diffs the two directly).  A vector
+// kernel belongs here only if it moves an end-to-end benchmark row by at
+// least 5%; DESIGN.md §"dp_relax" has the measurements.
 #pragma once
 
-#include <algorithm>
-#include <atomic>
 #include <cstddef>
-#include <string>
 
-#include "util/contracts.hpp"
-#include "util/env.hpp"
-
-#if defined(MRIS_SIMD) && defined(__GNUC__) && \
-    (defined(__x86_64__) || defined(__i386__))
-#define MRIS_SIMD_AVX2 1
+#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
+#define MRIS_AVX2_COMPILED 1
 #include <immintrin.h>
 #else
-#define MRIS_SIMD_AVX2 0
+#define MRIS_AVX2_COMPILED 0
 #endif
 
 namespace mris::util::simd {
 
-/// Doubles per AVX2 vector; the unit usage rows are padded to.
-inline constexpr std::size_t kLane = 4;
-
-/// Tiny negative residues above this threshold (exclusive) are clamped to
-/// zero by sub_clamp_row — the release path's floating-point-dust rule.
-inline constexpr double kDustThreshold = -1e-12;
-
-/// Row stride for `r` resources: `r` rounded up to a whole number of
-/// lanes, so every usage row starts lane-aligned relative to the array
-/// base and the kernels never need a tail loop on the hot path.  The
-/// padding lanes hold 0.0 forever (0 + 0 and 0 - 0 are exact), which the
-/// kernels rely on: a padded max is still the row max (the scalar
-/// reference starts its reduction at 0.0 anyway).
-constexpr std::size_t padded_stride(std::size_t r) noexcept {
-  return (r + kLane - 1) / kLane * kLane;
-}
-
-// --- kernel table ---------------------------------------------------------
-
-/// The dispatchable kernel set.  All pointers are non-null.
-struct Kernels {
-  /// max(0.0, row[0], ..., row[n-1]) — the headroom recompute reduction.
-  double (*row_max)(const double* row, std::size_t n);
-
-  /// headroom_out[i] = 1.0 - max(0.0, row i) for `rows` consecutive rows of
-  /// `stride` doubles starting at `usage` — the headroom-cache maintenance
-  /// pass after a range reserve/release.  Batched so the AVX2 path can
-  /// reduce four stride-4 rows per iteration instead of paying an indirect
-  /// call per row.
-  void (*min_headroom)(const double* usage, std::size_t rows,
-                       std::size_t stride, double* headroom_out);
-
-  /// row[l] += demand[l] for l < n — the reserve path.
-  void (*add_row)(double* row, const double* demand, std::size_t n);
-
-  /// row[l] -= demand[l], clamping dust in (kDustThreshold, 0) to 0.0 —
-  /// the release path.  Returns false iff any post-subtraction value fell
-  /// below -slack (the caller's "usage went negative" contract fires).
-  bool (*sub_clamp_row)(double* row, const double* demand, std::size_t n,
-                        double slack);
-
-  /// Fused feasibility-window scan: index of the first i < n with
-  /// times[i] >= end (the window is exhausted — the candidate start fits)
-  /// or dmax > headroom[i] (a segment the headroom fast path may NOT
-  /// skip); n if neither occurs.  Fusing both bounds into one pass keeps
-  /// the scan's memory traffic identical to the pre-SIMD fused loop — a
-  /// separately precomputed window bound would touch `times` twice.
-  /// Skipped segments provably fit (dmax <= headroom bounds every resource
-  /// within 1), so this scan only routes candidates to the exact tolerance
-  /// check.
-  std::size_t (*first_conflict)(const double* times, const double* headroom,
-                                std::size_t n, double end, double dmax);
-
-  /// 0/1-knapsack relaxation for one item of scaled size s, profit p:
-  /// dp[c] = max(dp[c], dp[c - s] + p) for c = cap down to s (inclusive).
-  /// Requires s <= cap; dp has cap + 1 entries.
-  void (*dp_relax)(double* dp, std::size_t cap, std::size_t s, double p);
-};
-
-// --- scalar reference kernels ---------------------------------------------
-
 namespace scalar {
 
-inline double row_max(const double* row, std::size_t n) {
-  double m = 0.0;
-  for (std::size_t l = 0; l < n; ++l) m = std::max(m, row[l]);
-  return m;
-}
-
-inline void min_headroom(const double* usage, std::size_t rows,
-                         std::size_t stride, double* headroom_out) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    headroom_out[i] = 1.0 - row_max(usage + i * stride, stride);
-  }
-}
-
-inline void add_row(double* row, const double* demand, std::size_t n) {
-  for (std::size_t l = 0; l < n; ++l) row[l] += demand[l];
-}
-
-inline bool sub_clamp_row(double* row, const double* demand, std::size_t n,
-                          double slack) {
-  bool ok = true;
-  for (std::size_t l = 0; l < n; ++l) {
-    row[l] -= demand[l];
-    if (row[l] < -slack) ok = false;
-    if (row[l] < 0.0 && row[l] > kDustThreshold) row[l] = 0.0;
-  }
-  return ok;
-}
-
-inline std::size_t first_conflict(const double* times, const double* headroom,
-                                  std::size_t n, double end, double dmax) {
-  for (std::size_t i = 0; i < n; ++i) {
-    if (times[i] >= end || dmax > headroom[i]) return i;
-  }
-  return n;
-}
-
+/// 0/1-knapsack relaxation for one item of scaled size s, profit p:
+/// dp[c] = max(dp[c], dp[c - s] + p) for c = cap down to s (inclusive).
+/// Requires s <= cap; dp has cap + 1 entries.
 inline void dp_relax(double* dp, std::size_t cap, std::size_t s, double p) {
   for (std::size_t c = cap + 1; c-- > s;) {
     const double cand = dp[c - s] + p;
@@ -162,133 +43,11 @@ inline void dp_relax(double* dp, std::size_t cap, std::size_t s, double p) {
 
 }  // namespace scalar
 
-// --- AVX2 kernels ---------------------------------------------------------
-
-#if MRIS_SIMD_AVX2
+#if MRIS_AVX2_COMPILED
 
 namespace avx2 {
 
-__attribute__((target("avx2"))) inline double row_max(const double* row,
-                                                      std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  std::size_t i = 0;
-  for (; i + kLane <= n; i += kLane) {
-    acc = _mm256_max_pd(acc, _mm256_loadu_pd(row + i));
-  }
-  alignas(32) double lane[kLane];
-  _mm256_store_pd(lane, acc);
-  // No NaNs and no negative zeros reach this kernel (usage values are
-  // sums/differences of non-negative demands with dust clamped to +0.0),
-  // so the max reduction is order-insensitive and matches the scalar
-  // left-to-right fold bit-for-bit.
-  double m = std::max(std::max(lane[0], lane[1]), std::max(lane[2], lane[3]));
-  for (; i < n; ++i) m = std::max(m, row[i]);
-  return m;
-}
-
-__attribute__((target("avx2"))) inline void min_headroom(
-    const double* usage, std::size_t rows, std::size_t stride,
-    double* headroom_out) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d zero = _mm256_setzero_pd();
-  std::size_t i = 0;
-  if (stride == kLane) {
-    // Four stride-4 rows per iteration: pairwise unpack-max folds each
-    // row's first and second halves, the 128-bit permutes regroup those
-    // per-row halves into two vectors whose lane l belongs to row l, and
-    // one final max yields all four row maxima in row order.  max() over
-    // these rows is order-insensitive bit-for-bit (no NaNs, no negative
-    // zeros — see row_max), so this matches the scalar fold exactly.
-    for (; i + kLane <= rows; i += kLane) {
-      const double* base = usage + i * kLane;
-      const __m256d v0 = _mm256_loadu_pd(base);
-      const __m256d v1 = _mm256_loadu_pd(base + kLane);
-      const __m256d v2 = _mm256_loadu_pd(base + 2 * kLane);
-      const __m256d v3 = _mm256_loadu_pd(base + 3 * kLane);
-      const __m256d m01 = _mm256_max_pd(_mm256_unpacklo_pd(v0, v1),
-                                        _mm256_unpackhi_pd(v0, v1));
-      const __m256d m23 = _mm256_max_pd(_mm256_unpacklo_pd(v2, v3),
-                                        _mm256_unpackhi_pd(v2, v3));
-      const __m256d lo = _mm256_permute2f128_pd(m01, m23, 0x20);
-      const __m256d hi = _mm256_permute2f128_pd(m01, m23, 0x31);
-      const __m256d rowmax =
-          _mm256_max_pd(_mm256_max_pd(lo, hi), zero);
-      _mm256_storeu_pd(headroom_out + i, _mm256_sub_pd(one, rowmax));
-    }
-  }
-  for (; i < rows; ++i) {
-    headroom_out[i] = 1.0 - row_max(usage + i * stride, stride);
-  }
-}
-
-__attribute__((target("avx2"))) inline void add_row(double* row,
-                                                    const double* demand,
-                                                    std::size_t n) {
-  std::size_t i = 0;
-  for (; i + kLane <= n; i += kLane) {
-    _mm256_storeu_pd(row + i, _mm256_add_pd(_mm256_loadu_pd(row + i),
-                                            _mm256_loadu_pd(demand + i)));
-  }
-  for (; i < n; ++i) row[i] += demand[i];
-}
-
-__attribute__((target("avx2"))) inline bool sub_clamp_row(
-    double* row, const double* demand, std::size_t n, double slack) {
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d dust = _mm256_set1_pd(kDustThreshold);
-  const __m256d neg_slack = _mm256_set1_pd(-slack);
-  __m256d bad = zero;
-  std::size_t i = 0;
-  for (; i + kLane <= n; i += kLane) {
-    __m256d v = _mm256_sub_pd(_mm256_loadu_pd(row + i),
-                              _mm256_loadu_pd(demand + i));
-    bad = _mm256_or_pd(bad, _mm256_cmp_pd(v, neg_slack, _CMP_LT_OQ));
-    const __m256d is_dust =
-        _mm256_and_pd(_mm256_cmp_pd(v, zero, _CMP_LT_OQ),
-                      _mm256_cmp_pd(v, dust, _CMP_GT_OQ));
-    v = _mm256_blendv_pd(v, zero, is_dust);
-    _mm256_storeu_pd(row + i, v);
-  }
-  bool ok = _mm256_movemask_pd(bad) == 0;
-  for (; i < n; ++i) {
-    row[i] -= demand[i];
-    if (row[i] < -slack) ok = false;
-    if (row[i] < 0.0 && row[i] > kDustThreshold) row[i] = 0.0;
-  }
-  return ok;
-}
-
-__attribute__((target("avx2"))) inline std::size_t first_conflict(
-    const double* times, const double* headroom, std::size_t n, double end,
-    double dmax) {
-  // Scalar prefix: short skip runs (and near-capacity timelines, where
-  // every segment conflicts) resolve within the first few segments, where
-  // vector setup costs more than it saves.  The prefix is the same fused
-  // scan, so the returned index is unchanged.
-  std::size_t i = 0;
-  const std::size_t prefix = n < 2 * kLane ? n : kLane;
-  for (; i < prefix; ++i) {
-    if (times[i] >= end || dmax > headroom[i]) return i;
-  }
-  const __m256d e = _mm256_set1_pd(end);
-  const __m256d d = _mm256_set1_pd(dmax);
-  for (; i + kLane <= n; i += kLane) {
-    const __m256d over =
-        _mm256_cmp_pd(_mm256_loadu_pd(times + i), e, _CMP_GE_OQ);
-    const __m256d conflict =
-        _mm256_cmp_pd(d, _mm256_loadu_pd(headroom + i), _CMP_GT_OQ);
-    const int mask = _mm256_movemask_pd(_mm256_or_pd(over, conflict));
-    if (mask != 0) {
-      return i + static_cast<std::size_t>(__builtin_ctz(
-                     static_cast<unsigned>(mask)));
-    }
-  }
-  for (; i < n; ++i) {
-    if (times[i] >= end || dmax > headroom[i]) return i;
-  }
-  return n;
-}
-
+/// scalar::dp_relax, four capacities per step.
 __attribute__((target("avx2"))) inline void dp_relax(double* dp,
                                                      std::size_t cap,
                                                      std::size_t s,
@@ -299,6 +58,7 @@ __attribute__((target("avx2"))) inline void dp_relax(double* dp,
   // scalar loop at index c reads dp[c - s] < c, and all its prior writes
   // this item went to indices > c, so every read sees the pre-item value
   // — exactly what a whole-block load observes.
+  constexpr std::size_t kLane = 4;
   const __m256d pv = _mm256_set1_pd(p);
   std::size_t c = cap;  // highest unprocessed index
   while (c >= s + kLane - 1 && c >= kLane - 1) {
@@ -319,94 +79,32 @@ __attribute__((target("avx2"))) inline void dp_relax(double* dp,
 
 }  // namespace avx2
 
-#endif  // MRIS_SIMD_AVX2
+#endif  // MRIS_AVX2_COMPILED
 
-// --- dispatch -------------------------------------------------------------
-
-enum class Level : int { kScalar = 0, kAvx2 = 1 };
-
-inline const char* level_name(Level level) noexcept {
-  return level == Level::kAvx2 ? "avx2" : "scalar";
-}
-
-/// True when the AVX2 kernels are compiled into this binary at all
-/// (MRIS_SIMD=ON on an x86 GCC/Clang build).
-constexpr bool avx2_compiled() noexcept { return MRIS_SIMD_AVX2 != 0; }
-
-/// True when the AVX2 kernels are compiled in AND this CPU supports them.
+/// True when avx2::dp_relax is compiled in AND this CPU supports AVX2.
 inline bool avx2_available() noexcept {
-#if MRIS_SIMD_AVX2
-  return __builtin_cpu_supports("avx2") != 0;
+#if MRIS_AVX2_COMPILED
+  static const bool supported = __builtin_cpu_supports("avx2") != 0;
+  return supported;
 #else
   return false;
 #endif
 }
 
-/// Kernel table of a specific level; requesting kAvx2 without support
-/// falls back to scalar (set_level() is the checked entry point).
-inline const Kernels& kernel_table(Level level) noexcept {
-  static const Kernels scalar_table = {
-      &scalar::row_max, &scalar::min_headroom, &scalar::add_row,
-      &scalar::sub_clamp_row, &scalar::first_conflict, &scalar::dp_relax};
-#if MRIS_SIMD_AVX2
-  static const Kernels avx2_table = {
-      &avx2::row_max, &avx2::min_headroom, &avx2::add_row,
-      &avx2::sub_clamp_row, &avx2::first_conflict, &avx2::dp_relax};
-  if (level == Level::kAvx2) return avx2_table;
+/// Name of the path dp_relax() runs on this CPU: "avx2" or "scalar".
+inline const char* dp_relax_path() noexcept {
+  return avx2_available() ? "avx2" : "scalar";
+}
+
+/// scalar::dp_relax, on the AVX2 path when this CPU has it.
+inline void dp_relax(double* dp, std::size_t cap, std::size_t s, double p) {
+#if MRIS_AVX2_COMPILED
+  if (avx2_available()) {
+    avx2::dp_relax(dp, cap, s, p);
+    return;
+  }
 #endif
-  (void)level;
-  return scalar_table;
+  scalar::dp_relax(dp, cap, s, p);
 }
-
-namespace detail {
-
-inline std::atomic<int>& level_state() noexcept {
-  // -1 = not yet resolved; resolved lazily so env overrides apply.  A
-  // benign init race recomputes the same value.  Atomic, hence exempt
-  // from the ts-global discipline by construction.
-  static std::atomic<int> state{-1};
-  return state;
-}
-
-inline Level detect_level() {
-  const std::string pick = env_string("MRIS_SIMD_LEVEL", "auto");
-  if (pick == "scalar") return Level::kScalar;
-  if (pick == "avx2") {
-    MRIS_EXPECT(avx2_available(),
-                "MRIS_SIMD_LEVEL=avx2 but the AVX2 kernels are unavailable "
-                "(built with -DMRIS_SIMD=OFF, or CPU lacks AVX2)");
-    return Level::kAvx2;
-  }
-  MRIS_EXPECT(pick == "auto",
-              "MRIS_SIMD_LEVEL must be 'scalar', 'avx2' or 'auto'");
-  return avx2_available() ? Level::kAvx2 : Level::kScalar;
-}
-
-}  // namespace detail
-
-/// The level active() dispatches to.  Defaults to the best available
-/// (honoring MRIS_SIMD_LEVEL); changed by set_level().
-inline Level active_level() {
-  auto& state = detail::level_state();
-  int v = state.load(std::memory_order_relaxed);
-  if (v < 0) {
-    v = static_cast<int>(detail::detect_level());
-    state.store(v, std::memory_order_relaxed);
-  }
-  return static_cast<Level>(v);
-}
-
-/// Forces the dispatch level (tests/benches diffing the two paths).
-/// Returns false — leaving the level unchanged — when the requested
-/// level's kernels are not available on this build/CPU.
-inline bool set_level(Level level) {
-  if (level == Level::kAvx2 && !avx2_available()) return false;
-  detail::level_state().store(static_cast<int>(level),
-                              std::memory_order_relaxed);
-  return true;
-}
-
-/// The active kernel table — what the hot paths call.
-inline const Kernels& active() { return kernel_table(active_level()); }
 
 }  // namespace mris::util::simd

@@ -1,8 +1,7 @@
 // End-to-end daemon tests (serve/daemon.hpp): a protocol stream served
 // through serve_stream() must reproduce the batch run of the same workload
 // byte-for-byte — placements, placement checksum, and the sink's rendered
-// output — across generator families, schedulers, and sink kinds; the
-// incremental-CADP scheduler must change none of it.
+// output — across generator families, schedulers, and sink kinds.
 #include "serve/daemon.hpp"
 
 #include <gtest/gtest.h>
@@ -128,35 +127,6 @@ TEST(DaemonTest, StreamedRunMatchesBatchAcrossSchedulers) {
        {"mris", "mris-greedy", "mris-evscan", "pq-wsjf", "tetris", "drf",
         "hybrid"}) {
     expect_daemon_matches_batch(inst, scheduler, SinkKind::kJsonl, scheduler);
-  }
-}
-
-TEST(DaemonTest, IncrementalCadpChangesNoByte) {
-  // mris-inc must match both its own batch run AND the plain mris daemon:
-  // the memo/speculation path may never alter a selection.
-  const std::size_t iters = testkit::fuzz_iters(3);
-  for (Family family :
-       {Family::kMixed, Family::kKnapsackTies, Family::kNearCapacity}) {
-    for (std::uint64_t seed = 0; seed < iters; ++seed) {
-      GenConfig config;
-      config.num_jobs = 28;
-      const Instance inst = canonical(
-          make_family_instance(family, config, seed));
-      expect_daemon_matches_batch(
-          inst, "mris-inc", SinkKind::kCsv,
-          std::string("inc/") + testkit::family_name(family) + " seed " +
-              std::to_string(seed));
-
-      std::istringstream in_plain(encode_stream(
-          inst.jobs(), static_cast<std::uint32_t>(inst.num_resources())));
-      std::istringstream in_inc(in_plain.str());
-      const ServeResult plain =
-          serve_stream(in_plain, serve_options(inst, "mris", nullptr));
-      const ServeResult inc =
-          serve_stream(in_inc, serve_options(inst, "mris-inc", nullptr));
-      EXPECT_EQ(plain.placement_checksum, inc.placement_checksum)
-          << testkit::family_name(family) << " seed " << seed;
-    }
   }
 }
 

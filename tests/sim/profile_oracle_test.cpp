@@ -1,6 +1,8 @@
 // Randomized consistency of ResourceProfile against a brute-force oracle
 // that stores the raw reservation list: usage queries, window-fit checks,
-// and minimality of earliest_fit.
+// and minimality of earliest_fit, after a history of reserves and
+// releases.  R sweeps 1..9, so the packed usage rows are checked at widths
+// below, at and past one and two groups of four doubles.
 #include <gtest/gtest.h>
 
 #include "sim/resource_profile.hpp"
@@ -49,7 +51,7 @@ class ProfileOracle : public ::testing::TestWithParam<int> {};
 
 TEST_P(ProfileOracle, MatchesBruteForceOracle) {
   util::Xoshiro256 rng(static_cast<std::uint64_t>(GetParam()) * 69621);
-  const int R = 1 + static_cast<int>(util::uniform_index(rng, 4));
+  const int R = 1 + GetParam() % 9;
   ResourceProfile profile(R);
   std::vector<Reservation> oracle;
 
@@ -65,6 +67,12 @@ TEST_P(ProfileOracle, MatchesBruteForceOracle) {
     oracle.push_back(r);
   }
   ASSERT_FALSE(oracle.empty());
+  // Cancel every third reservation (the fault model's release path).
+  for (std::size_t k = oracle.size(); k-- > 0;) {
+    if (k % 3 != 1) continue;
+    profile.release(oracle[k].start, oracle[k].duration, oracle[k].demand);
+    oracle.erase(oracle.begin() + static_cast<std::ptrdiff_t>(k));
+  }
 
   // Usage agreement at random probe times.
   for (int probe = 0; probe < 200; ++probe) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <vector>
 
 namespace mris {
@@ -125,6 +127,19 @@ TEST(ResourceProfileTest, EarliestFitAfterManyBackToBackJobs) {
     p.reserve(static_cast<double>(i), 1.0, full);
   }
   EXPECT_DOUBLE_EQ(p.earliest_fit(0.0, 1.0, std::vector<double>{0.01}), 50.0);
+}
+
+TEST(ResourceProfileTest, ReleaseClampsDustToPositiveZero) {
+  // Releasing a hair more than was reserved leaves a residue in
+  // (-1e-12, 0); release() must store it as +0.0 (sign bit clear), since
+  // usage rows are compared bitwise when segments coalesce.  Resource 1
+  // keeps the segment distinct from its neighbours, so it survives.
+  ResourceProfile p(5);
+  p.reserve(1.0, 1.0, std::vector<double>{0.3 + 4e-13, 0.5, 0.0, 0.0, 0.0});
+  p.release(1.0, 1.0, std::vector<double>{0.3 + 8e-13, 0.0, 0.0, 0.0, 0.0});
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(p.usage_at(1.5, 0)),
+            std::bit_cast<std::uint64_t>(0.0));
+  EXPECT_DOUBLE_EQ(p.usage_at(1.5, 1), 0.5);
 }
 
 }  // namespace

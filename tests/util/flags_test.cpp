@@ -90,6 +90,26 @@ TEST(FlagsTest, NegativeNumbersAsValues) {
   EXPECT_EQ(f.get_int("offset", 0), -3);
 }
 
+TEST(FlagsTest, NegativeCountThrowsNamingTheFlag) {
+  // A negative count used to wrap to a huge unsigned value (--jobs -5 died
+  // in vector::reserve, --augment -1 hung).
+  const Flags f = parse({"--jobs", "-5", "--augment", "3", "--tenants", "0"});
+  try {
+    (void)f.get_count("jobs", 10);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--jobs"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("-5"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(f.get_count("augment", 0), 3u);
+  EXPECT_EQ(f.get_count("tenants", 50), 0u);
+  EXPECT_EQ(f.get_count("absent", 7), 7u);
+  EXPECT_THROW(parse({"--offset", "x"}).get_count("offset", 0),
+               std::invalid_argument);
+}
+
 TEST(FlagsTest, EmptyFlagNameThrows) {
   EXPECT_THROW(parse({"--=x"}), std::invalid_argument);
   EXPECT_THROW(parse({"--"}), std::invalid_argument);

@@ -1,13 +1,11 @@
-// Kernel-level identity tests for the SIMD dispatch layer: every AVX2
-// kernel must be bit-identical to its scalar reference on adversarial
-// inputs (ulp-spaced values, dust residues, padding lanes), and the
-// dispatch API must be well-behaved on any build/CPU.  These run the two
-// implementations side by side in-process; the end-to-end placements are
-// covered by the differential fuzz suite in tests/sim/simd_fuzz_test.cpp.
+// Identity tests for the CADP dp_relax kernel (util/simd.hpp): the AVX2
+// path must be bit-identical to the scalar reference, including the
+// overlapping read/write blocks of small item sizes.  Both functions are
+// called directly; the tests skip on CPUs without AVX2 and are not built
+// where the AVX2 path is not compiled.
 #include "util/simd.hpp"
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -18,191 +16,12 @@
 namespace mris::util::simd {
 namespace {
 
+#if MRIS_AVX2_COMPILED
+
 std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
-// Both kernel tables regardless of the active dispatch level; on a build
-// or CPU without AVX2 the pair degenerates to (scalar, scalar) and the
-// identity assertions hold trivially.
-const Kernels& scalar_k() { return kernel_table(Level::kScalar); }
-const Kernels& vector_k() {
-  return kernel_table(avx2_available() ? Level::kAvx2 : Level::kScalar);
-}
-
-TEST(SimdDispatchTest, PaddedStrideRoundsUpToWholeLanes) {
-  EXPECT_EQ(padded_stride(1), 4u);
-  EXPECT_EQ(padded_stride(2), 4u);
-  EXPECT_EQ(padded_stride(3), 4u);
-  EXPECT_EQ(padded_stride(4), 4u);
-  EXPECT_EQ(padded_stride(5), 8u);
-  EXPECT_EQ(padded_stride(8), 8u);
-  EXPECT_EQ(padded_stride(9), 12u);
-}
-
-TEST(SimdDispatchTest, SetLevelScalarAlwaysSucceeds) {
-  const Level before = active_level();
-  EXPECT_TRUE(set_level(Level::kScalar));
-  EXPECT_EQ(active_level(), Level::kScalar);
-  EXPECT_EQ(&active(), &kernel_table(Level::kScalar));
-  set_level(before);
-}
-
-TEST(SimdDispatchTest, SetLevelAvx2MatchesAvailability) {
-  const Level before = active_level();
-  if (avx2_available()) {
-    EXPECT_TRUE(set_level(Level::kAvx2));
-    EXPECT_EQ(active_level(), Level::kAvx2);
-  } else {
-    EXPECT_FALSE(set_level(Level::kAvx2));
-    EXPECT_EQ(active_level(), before);  // refused, level unchanged
-  }
-  set_level(before);
-}
-
-TEST(SimdDispatchTest, LevelNames) {
-  EXPECT_STREQ(level_name(Level::kScalar), "scalar");
-  EXPECT_STREQ(level_name(Level::kAvx2), "avx2");
-}
-
-TEST(SimdDispatchTest, AvailabilityImpliesCompiled) {
-  if (avx2_available()) {
-    EXPECT_TRUE(avx2_compiled());
-  }
-}
-
-// Adversarial row values: exact capacity, one-ulp neighbors around 1.0 and
-// 0.0, dust-sized residues on both sides of the clamp threshold, and plain
-// mid-range values — everything the timeline can hold.
-std::vector<double> adversarial_values() {
-  return {
-      0.0,
-      1.0,
-      std::nextafter(1.0, 0.0),
-      std::nextafter(1.0, 2.0),
-      0.5,
-      0.25 + 1e-17,
-      1e-300,
-      -0.5e-12,   // dust: clamped by sub when it lands here
-      -2e-12,     // beyond dust: kept (contract violation territory)
-      0.9999999999,
-      1e-9,
-      0.3333333333333333,
-  };
-}
-
-TEST(SimdKernelTest, RowMaxIdentityOverAdversarialRows) {
-  util::Xoshiro256 rng(0x51u);
-  const auto vals = adversarial_values();
-  for (int iter = 0; iter < 500; ++iter) {
-    const std::size_t n = 1 + util::uniform_index(rng, 16);
-    std::vector<double> row(n);
-    for (double& x : row) x = vals[util::uniform_index(rng, vals.size())];
-    const double s = scalar_k().row_max(row.data(), n);
-    const double v = vector_k().row_max(row.data(), n);
-    ASSERT_EQ(bits(s), bits(v)) << "n=" << n << " iter=" << iter;
-  }
-}
-
-TEST(SimdKernelTest, MinHeadroomIdentityOverAdversarialRowBlocks) {
-  util::Xoshiro256 rng(0x56u);
-  const auto vals = adversarial_values();
-  for (int iter = 0; iter < 300; ++iter) {
-    // Strides cover the fast path (kLane) and the generic path; row counts
-    // cover empty, sub-block, exact-block, and block+tail shapes.
-    const std::size_t stride = (iter % 2 == 0) ? kLane : kLane * (1 + iter % 3);
-    const std::size_t rows = util::uniform_index(rng, 11);
-    std::vector<double> usage(rows * stride);
-    for (double& x : usage) x = vals[util::uniform_index(rng, vals.size())];
-    std::vector<double> hs(rows, -1.0), hv(rows, -1.0);
-    scalar_k().min_headroom(usage.data(), rows, stride, hs.data());
-    vector_k().min_headroom(usage.data(), rows, stride, hv.data());
-    for (std::size_t i = 0; i < rows; ++i) {
-      ASSERT_EQ(bits(hs[i]), bits(hv[i]))
-          << "row " << i << " stride=" << stride << " iter=" << iter;
-    }
-  }
-}
-
-TEST(SimdKernelTest, AddRowIdentityOverAdversarialRows) {
-  util::Xoshiro256 rng(0x52u);
-  const auto vals = adversarial_values();
-  for (int iter = 0; iter < 500; ++iter) {
-    const std::size_t n = 1 + util::uniform_index(rng, 16);
-    std::vector<double> a(n), b(n), demand(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = b[i] = vals[util::uniform_index(rng, vals.size())];
-      demand[i] = vals[util::uniform_index(rng, vals.size())];
-    }
-    scalar_k().add_row(a.data(), demand.data(), n);
-    vector_k().add_row(b.data(), demand.data(), n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits(a[i]), bits(b[i])) << "lane " << i << " iter=" << iter;
-    }
-  }
-}
-
-TEST(SimdKernelTest, SubClampRowIdentityIncludingDustAndSlack) {
-  util::Xoshiro256 rng(0x53u);
-  const auto vals = adversarial_values();
-  for (int iter = 0; iter < 1000; ++iter) {
-    const std::size_t n = 1 + util::uniform_index(rng, 16);
-    std::vector<double> a(n), b(n), demand(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = b[i] = vals[util::uniform_index(rng, vals.size())];
-      // Often release exactly what is there (the common cancel path: the
-      // residue is exactly 0.0 or one-ulp dust), sometimes release more.
-      demand[i] = util::uniform_index(rng, 2) == 0 ? a[i] : vals[util::uniform_index(rng, vals.size())];
-    }
-    const double slack = util::uniform_index(rng, 2) == 0 ? 1e-6 : 0.0;
-    const bool ok_s = scalar_k().sub_clamp_row(a.data(), demand.data(), n,
-                                               slack);
-    const bool ok_v = vector_k().sub_clamp_row(b.data(), demand.data(), n,
-                                               slack);
-    ASSERT_EQ(ok_s, ok_v) << "iter=" << iter;
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(bits(a[i]), bits(b[i])) << "lane " << i << " iter=" << iter;
-    }
-  }
-}
-
-TEST(SimdKernelTest, SubClampProducesPositiveZeroForDust) {
-  // The dust clamp must write +0.0 (not -0.0): row values feed the bitwise
-  // coalescing comparison and the max reduction, both of which the
-  // exactness contract requires to see identical bit patterns.
-  std::vector<double> row = {0.3, 0.3, 0.3, 0.3};
-  std::vector<double> demand = {0.3 + 0.4e-12, 0.3, 0.3, 0.3};
-  ASSERT_TRUE(vector_k().sub_clamp_row(row.data(), demand.data(), 4, 1e-6));
-  EXPECT_EQ(bits(row[0]), bits(0.0));  // +0.0, sign bit clear
-}
-
-TEST(SimdKernelTest, FirstConflictIdentityIncludingUlpBoundaries) {
-  util::Xoshiro256 rng(0x54u);
-  const auto vals = adversarial_values();
-  for (int iter = 0; iter < 1000; ++iter) {
-    const std::size_t n = util::uniform_index(rng, 24);
-    std::vector<double> times(n), headroom(n);
-    double t = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      // Strictly increasing breakpoints with ulp-spaced gaps, so exact
-      // `times[i] == end` boundaries (which MUST stop the scan) occur.
-      t += vals[util::uniform_index(rng, vals.size())] + 1e-9;
-      times[i] = t;
-      headroom[i] = vals[util::uniform_index(rng, vals.size())];
-    }
-    // dmax/end drawn from the same pools, so exact ties (dmax == headroom,
-    // which must NOT conflict; times == end, which must stop) are common.
-    const double dmax = vals[util::uniform_index(rng, vals.size())];
-    const double end = n == 0 ? 1.0 : times[util::uniform_index(rng, n)];
-    const std::size_t s = scalar_k().first_conflict(times.data(),
-                                                    headroom.data(), n, end,
-                                                    dmax);
-    const std::size_t v = vector_k().first_conflict(times.data(),
-                                                    headroom.data(), n, end,
-                                                    dmax);
-    ASSERT_EQ(s, v) << "n=" << n << " dmax=" << dmax << " iter=" << iter;
-  }
-}
-
 TEST(SimdKernelTest, DpRelaxIdentityIncludingSmallStrides) {
+  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this CPU";
   util::Xoshiro256 rng(0x55u);
   for (int iter = 0; iter < 400; ++iter) {
     const std::size_t cap = util::uniform_index(rng, 64);
@@ -210,13 +29,14 @@ TEST(SimdKernelTest, DpRelaxIdentityIncludingSmallStrides) {
     for (std::size_t c = 0; c <= cap; ++c) {
       a[c] = b[c] = static_cast<double>(util::uniform_index(rng, 1000)) * 0.123;
     }
-    // s < kLane exercises the overlapping read/write blocks, s == 0 the
+    // s < 4 exercises the overlapping read/write blocks, s == 0 the
     // self-relaxation the Ibarra-Kim floor scaling can produce.
-    const std::size_t s = util::uniform_index(rng, 2) == 0 ? util::uniform_index(rng, kLane)
-                                            : util::uniform_index(rng, cap + 1);
+    const std::size_t s = util::uniform_index(rng, 2) == 0
+                              ? util::uniform_index(rng, 4)
+                              : util::uniform_index(rng, cap + 1);
     const double p = static_cast<double>(1 + util::uniform_index(rng, 100)) * 0.017;
-    scalar_k().dp_relax(a.data(), cap, s, p);
-    vector_k().dp_relax(b.data(), cap, s, p);
+    scalar::dp_relax(a.data(), cap, s, p);
+    avx2::dp_relax(b.data(), cap, s, p);
     for (std::size_t c = 0; c <= cap; ++c) {
       ASSERT_EQ(bits(a[c]), bits(b[c]))
           << "cap=" << cap << " s=" << s << " c=" << c << " iter=" << iter;
@@ -228,12 +48,15 @@ TEST(SimdKernelTest, DpRelaxMatchesDefinitionAtSZero) {
   // s == 0: dp[c] = max(dp[c], dp[c] + p), i.e. every entry gains p when
   // p > 0.  The vector path must read pre-update values exactly like the
   // scalar loop does.
+  if (!avx2_available()) GTEST_SKIP() << "no AVX2 on this CPU";
   std::vector<double> dp = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-  vector_k().dp_relax(dp.data(), 5, 0, 0.5);
+  avx2::dp_relax(dp.data(), 5, 0, 0.5);
   for (std::size_t c = 0; c <= 5; ++c) {
     EXPECT_DOUBLE_EQ(dp[c], static_cast<double>(c + 1) + 0.5);
   }
 }
+
+#endif  // MRIS_AVX2_COMPILED
 
 }  // namespace
 }  // namespace mris::util::simd

@@ -77,8 +77,7 @@ trace::Workload load_workload(const util::Flags& flags) {
     w = trace::read_workload_csv_file(workload_path);
   } else if (!azure_sqlite.empty()) {
     trace::AzureLoadOptions opts;
-    opts.max_jobs =
-        static_cast<std::size_t>(flags.get_int("max-jobs", 0));
+    opts.max_jobs = flags.get_count("max-jobs", 0);
     w = trace::load_azure_trace_sqlite(azure_sqlite, opts);
   } else if (!azure_vm.empty() || !azure_vmtype.empty()) {
     if (azure_vm.empty() || azure_vmtype.empty()) {
@@ -86,15 +85,13 @@ trace::Workload load_workload(const util::Flags& flags) {
           "--azure-vm and --azure-vmtype must be given together");
     }
     trace::AzureLoadOptions opts;
-    opts.max_jobs =
-        static_cast<std::size_t>(flags.get_int("max-jobs", 0));
+    opts.max_jobs = flags.get_count("max-jobs", 0);
     w = trace::load_azure_trace_files(azure_vm, azure_vmtype, opts);
   } else if (synthetic) {
     trace::GeneratorConfig cfg;
-    cfg.num_jobs = static_cast<std::size_t>(flags.get_int("jobs", 10000));
+    cfg.num_jobs = flags.get_count("jobs", 10000);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    cfg.num_tenants =
-        static_cast<std::size_t>(flags.get_int("tenants", 50));
+    cfg.num_tenants = flags.get_count("tenants", 50);
     cfg.demand_scale = flags.get_double("demand-scale", 1.0);
     w = generate_azure_like(cfg);
   } else {
@@ -108,15 +105,10 @@ trace::Workload load_workload(const util::Flags& flags) {
       w.num_resources() == 5) {
     w = merge_storage(w);
   }
-  const auto factor =
-      static_cast<std::size_t>(flags.get_int("downsample", 1));
-  if (factor > 1) {
-    const auto offset = static_cast<std::size_t>(flags.get_int("offset", 0));
-    w = downsample(w, factor, offset);
-  } else {
-    (void)flags.get_int("offset", 0);
-  }
-  const auto augment = static_cast<std::size_t>(flags.get_int("augment", 0));
+  const std::size_t factor = flags.get_count("downsample", 1);
+  const std::size_t offset = flags.get_count("offset", 0);
+  if (factor > 1) w = downsample(w, factor, offset);
+  const std::size_t augment = flags.get_count("augment", 0);
   if (augment > 0) {
     util::Xoshiro256 rng(
         static_cast<std::uint64_t>(flags.get_int("seed", 1)) ^ 0xa06u);
@@ -127,9 +119,9 @@ trace::Workload load_workload(const util::Flags& flags) {
 
 int cmd_generate(const util::Flags& flags) {
   trace::GeneratorConfig cfg;
-  cfg.num_jobs = static_cast<std::size_t>(flags.get_int("jobs", 10000));
+  cfg.num_jobs = flags.get_count("jobs", 10000);
   cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  cfg.num_tenants = static_cast<std::size_t>(flags.get_int("tenants", 50));
+  cfg.num_tenants = flags.get_count("tenants", 50);
   cfg.demand_scale = flags.get_double("demand-scale", 1.0);
   const trace::Workload w = generate_azure_like(cfg);
   const std::string out = flags.get("out", "workload.csv");
@@ -173,11 +165,10 @@ int cmd_simulate(const util::Flags& flags) {
     std::filesystem::create_directories(state_dir);
     rec.snapshot_path = state_dir + "/engine.mrsn";
     rec.journal_path = state_dir + "/engine.mrjl";
-    rec.snapshot_every =
-        static_cast<std::uint64_t>(flags.get_int("snapshot-every", 64));
+    rec.snapshot_every = flags.get_count("snapshot-every", 64);
     rec.resume = !resume_from.empty();
   } else {
-    (void)flags.get_int("snapshot-every", 0);  // meaningless without a dir
+    (void)flags.get_count("snapshot-every", 0);  // meaningless without a dir
   }
 
   Schedule sched;

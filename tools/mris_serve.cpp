@@ -1,10 +1,10 @@
 // mris_serve — the scheduler-as-a-service daemon front end (docs/DAEMON.md).
 //
-//   mris_serve pack --synthetic --jobs 2000 --seed 7 --machines 4 \
+//   mris_serve pack --synthetic --jobs 2000 --seed 7 --machines 4
 //       --out stream.bin
 //   mris_serve pack --workload w.csv --machines 4 --out stream.bin
-//   mris_serve run --machines 4 --resources 4 --scheduler mris \
-//       --in stream.bin --sink csv --sink-out decisions.csv \
+//   mris_serve run --machines 4 --resources 4 --scheduler mris
+//       --in stream.bin --sink csv --sink-out decisions.csv
 //       --state-dir /var/lib/mris --snapshot-every 64
 //   ... | mris_serve run --machines 4 --resources 2 --scheduler mris
 //
@@ -87,7 +87,7 @@ int cmd_pack(const util::Flags& flags) {
     w = trace::read_workload_csv_file(workload_path);
   } else if (flags.get_bool("synthetic", false)) {
     trace::GeneratorConfig cfg;
-    cfg.num_jobs = static_cast<std::size_t>(flags.get_int("jobs", 1000));
+    cfg.num_jobs = flags.get_count("jobs", 1000);
     cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
     w = merge_storage(trace::generate_azure_like(cfg));
   } else {
@@ -118,8 +118,7 @@ int cmd_run(const util::Flags& flags) {
   opts.num_resources = static_cast<int>(flags.get_int("resources", 2));
   opts.prune_every = static_cast<int>(flags.get_int("prune-every", 32));
   opts.state_dir = flags.get("state-dir", "");
-  opts.snapshot_every =
-      static_cast<std::uint64_t>(flags.get_int("snapshot-every", 0));
+  opts.snapshot_every = flags.get_count("snapshot-every", 0);
   opts.resume = flags.get_bool("resume", false);
 
   const std::string scheduler = flags.get("scheduler", "mris");
