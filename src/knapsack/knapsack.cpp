@@ -318,17 +318,20 @@ Selection solve_greedy_constraint(const std::vector<Item>& items,
   });
   std::vector<std::size_t> chosen;
   double size = 0.0;
+  double vmax = 0.0;
   for (std::size_t i : order) {
     chosen.push_back(i);
     size += items[i].size;
+    vmax = std::max(vmax, items[i].size);
     // Include the first item that overflows zeta (the fractional-relaxation
-    // dominance argument of Remark 1), then stop; total <= 2 * zeta.
+    // dominance argument of Remark 1), then stop: the prefix before it fits
+    // zeta, so total <= zeta + max chosen v_j (<= 2 * zeta).
     if (size > capacity) break;
   }
   Selection sel = finish(items, chosen);
-  MRIS_ENSURE(sel.total_size <= 2.0 * capacity * (1.0 + 1e-12),
-              "solve_greedy_constraint: selection exceeds the 2*zeta bound "
-              "of Remark 1");
+  MRIS_ENSURE(sel.total_size <= (capacity + vmax) * (1.0 + 1e-12),
+              "solve_greedy_constraint: selection exceeds zeta + max chosen "
+              "v_j (Remark 1; Lemma 6.1 with eps = max v_j / zeta)");
   return sel;
 }
 

@@ -10,8 +10,10 @@
 //    time, O(n / eps) memory (divide-and-conquer reconstruction).
 //
 //  * GREEDY (Remark 1): sort by profit density, take the prefix through the
-//    first non-fitting item.  Profit >= OPT(zeta); size <= 2 * zeta;
-//    O(n log n) time.
+//    first non-fitting item.  Profit >= OPT(zeta); size <= zeta + max
+//    chosen v_j <= 2 * zeta; O(n log n) time.  In MRIS every candidate has
+//    v_j <= zeta / M, so the greedy meets Lemma 6.1's (1 + eps) * zeta
+//    whenever M >= 1 / eps (THEORY.md).
 //
 // Also provided: exact pseudo-polynomial DP (integer sizes) and exhaustive
 // search, both used as oracles in tests.
@@ -57,8 +59,9 @@ Selection solve_cadp(const std::vector<Item>& items, double capacity,
                      double eps);
 
 /// Greedy constraint approximation — profit >= OPT(capacity),
-/// size <= 2 * capacity.  Items with size > capacity are skipped (they
-/// cannot be in the capacity-zeta optimum).
+/// size <= capacity + the largest selected item size (<= 2 * capacity).
+/// Items with size > capacity are skipped (they cannot be in the
+/// capacity-zeta optimum).
 Selection solve_greedy_constraint(const std::vector<Item>& items,
                                   double capacity);
 

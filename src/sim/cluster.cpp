@@ -108,6 +108,12 @@ void Cluster::available_into(MachineId m, Time t,
   machine(m).available_at(t, out);
 }
 
+FitCounters Cluster::fit_counters() const {
+  FitCounters total;
+  for (const auto& p : machines_) total += p.fit_counters();
+  return total;
+}
+
 Time Cluster::horizon() const {
   Time h = 0.0;
   for (const auto& m : machines_) h = std::max(h, m.horizon());

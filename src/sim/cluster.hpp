@@ -56,7 +56,8 @@ class Cluster {
   /// Adds `demand` over [start, start + duration) WITHOUT a feasibility
   /// check.  Used for outage capacity blocks and straggler overruns, which
   /// may legitimately exceed capacity 1 (the fault validator applies the
-  /// oversubscription policy instead).
+  /// oversubscription policy instead).  Demand entries must be >= 0 (see
+  /// ResourceProfile::reserve).
   void force_reserve(MachineId m, Time start, Time duration,
                      std::span<const double> demand);
 
@@ -77,6 +78,9 @@ class Cluster {
   /// Remaining capacity of machine `m` at time t, written into `out`
   /// (size == num_resources()).
   void available_into(MachineId m, Time t, std::span<double> out) const;
+
+  /// earliest_fit work summed over machines (see FitCounters).
+  FitCounters fit_counters() const;
 
   /// Latest reservation end across machines (0 when empty) — the frontier
   /// used by the no-backfilling MRIS ablation.

@@ -1372,7 +1372,7 @@ RunResult Engine::finalize() {
     note_degradation();
   }
   RunResult result{std::move(schedule_), processed_, std::move(log_),
-                   std::move(attempts_), rec_stats_};
+                   std::move(attempts_), rec_stats_, cluster_.fit_counters()};
   return result;
 }
 

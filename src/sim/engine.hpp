@@ -205,6 +205,10 @@ struct RunResult {
 
   /// Durability counters (all-zero without RunOptions::recovery).
   recovery::RecoveryStats recovery;
+
+  /// earliest_fit work of this run, summed over machines (a resumed run
+  /// counts only the work done after its restore).
+  FitCounters fit;
 };
 
 struct RunOptions {

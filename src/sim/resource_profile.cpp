@@ -1,7 +1,9 @@
 #include "sim/resource_profile.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -20,6 +22,31 @@ constexpr double kContractSlack = 1e-6;
 /// Tiny negative residues above this threshold (exclusive) are clamped to
 /// zero by release — the floating-point-dust rule.
 constexpr double kDustThreshold = -1e-12;
+
+/// earliest_fit memo classes per profile.  Past the cap (continuous demand
+/// vectors) new classes run the plain scan.
+constexpr std::size_t kMaxFitClasses = 64;
+
+/// Slots of the open-addressed table that finds a key's class: twice the
+/// cap, so a lookup that matches no class probes ~2.5 slots on average.
+constexpr std::size_t kFitSlotBits = 7;
+constexpr std::size_t kFitSlots = std::size_t{1} << kFitSlotBits;
+static_assert(kFitSlots >= 2 * kMaxFitClasses && kMaxFitClasses < 256);
+
+/// Hash of a memo key's bit patterns (its top bits pick the slot).  The
+/// per-entry products are independent (no serial multiply chain), which
+/// keeps the pass cheap on wide rows.
+std::uint64_t fit_key(std::span<const double> demand, double tolerance) {
+  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = std::bit_cast<std::uint64_t>(tolerance);
+  std::uint64_t m = kMul;
+  for (const double d : demand) {
+    h += std::bit_cast<std::uint64_t>(d) * m;
+    m += 2 * kMul;  // a distinct odd multiplier per position
+  }
+  h ^= h >> 32;
+  return h * kMul;
+}
 
 }  // namespace
 
@@ -105,6 +132,31 @@ bool ResourceProfile::fits(Time start, Time duration,
   return true;
 }
 
+ResourceProfile::FitClass* ResourceProfile::fit_class(
+    std::span<const double> demand, double tolerance) const {
+  // Keys compare by bytes: only a bit-identical row and tolerance share a
+  // staircase.  A row that matches no class costs one hash pass and a few
+  // probes, whatever the number of classes.
+  if (fit_slots_.empty()) fit_slots_.assign(kFitSlots, 0);
+  const std::uint64_t key = fit_key(demand, tolerance);
+  const std::size_t bytes = demand.size() * sizeof(double);
+  std::size_t slot = key >> (64 - kFitSlotBits);
+  // The table is at most half full, so an empty slot ends every probe run.
+  for (; fit_slots_[slot] != 0; slot = (slot + 1) % kFitSlots) {
+    FitClass& c = fit_memo_[fit_slots_[slot] - 1];
+    if (c.key == key &&
+        std::memcmp(&c.tolerance, &tolerance, sizeof tolerance) == 0 &&
+        std::memcmp(c.demand.data(), demand.data(), bytes) == 0) {
+      return &c;
+    }
+  }
+  if (fit_memo_.size() == kMaxFitClasses) return nullptr;
+  fit_memo_.push_back(
+      {key, {demand.begin(), demand.end()}, tolerance, 0.0, {}});
+  fit_slots_[slot] = static_cast<std::uint8_t>(fit_memo_.size());
+  return &fit_memo_.back();
+}
+
 Time ResourceProfile::earliest_fit(Time not_before, Time duration,
                                    std::span<const double> demand,
                                    double tolerance) const {
@@ -112,6 +164,36 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
               "earliest_fit: demand dimension != machine resource dimension");
   Time s = std::max(not_before, 0.0);
   if (duration <= 0.0) return s;
+  ++fit_counters_.queries;
+  // Lower-bound memo (header comment).  Below pruned_before_ the flattened
+  // past may hold less usage than when an answer was recorded, so such
+  // queries bypass it.
+  FitClass* memo =
+      s >= pruned_before_ ? fit_class(demand, tolerance) : nullptr;
+  // Steps [0, below) have durations <= `duration`; the last of them holds
+  // the best lower bound.
+  std::size_t below = 0;
+  if (memo != nullptr) {
+    auto& steps = memo->steps;
+    // Recorded answers bound only queries with not_before >= theirs.
+    if (s < memo->floor) steps.clear();
+    memo->floor = s;
+    // Answers <= s bound nothing any more.
+    steps.erase(steps.begin(),
+                std::partition_point(steps.begin(), steps.end(),
+                                     [s](const auto& st) {
+                                       return st.second <= s;
+                                     }));
+    below = static_cast<std::size_t>(
+        std::partition_point(
+            steps.begin(), steps.end(),
+            [duration](const auto& st) { return st.first <= duration; }) -
+        steps.begin());
+    if (below > 0) {
+      s = steps[below - 1].second;
+      ++fit_counters_.bounded;
+    }
+  }
   double dmax = 0.0;
   for (const double d : demand) dmax = std::max(dmax, d);
   const std::size_t n = times_.size();
@@ -121,7 +203,9 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
   // candidate start to times_[i+1], and scanning continues at i+1 — never
   // re-searching the breakpoint list from scratch.  Segments whose
   // headroom covers dmax are skipped with one compare (see fits()).
-  for (std::size_t i = segment_of(s); i < n; ++i) {
+  const std::size_t first = segment_of(s);
+  std::size_t i = first;
+  for (; i < n; ++i) {
     if (times_[i] >= end) break;
     if (dmax <= headroom_[i]) continue;
     const double* row = usage_.data() + i * R;
@@ -139,6 +223,26 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
       s = times_[i + 1];
       end = s + duration;
     }
+  }
+  fit_counters_.segments += i - first;
+  if (memo != nullptr) {
+    // Record (duration, s).  Step below - 1 bounded this scan, so its
+    // answer is <= s; an equal answer already implies the new step.
+    auto& steps = memo->steps;
+    if (below > 0 && steps[below - 1].second == s) return s;
+    if (below > 0 && steps[below - 1].first == duration) {
+      steps[below - 1].second = s;
+    } else {
+      steps.insert(steps.begin() + static_cast<std::ptrdiff_t>(below),
+                   {duration, s});
+      ++below;
+    }
+    // Longer durations whose answer is <= s are implied by the new step.
+    const auto longer = steps.begin() + static_cast<std::ptrdiff_t>(below);
+    steps.erase(longer, std::partition_point(longer, steps.end(),
+                                             [s](const auto& st) {
+                                               return st.second <= s;
+                                             }));
   }
   return s;
 }
@@ -221,6 +325,7 @@ void ResourceProfile::release_until(Time start, Time end,
   MRIS_EXPECT(demand.size() == static_cast<std::size_t>(num_resources_),
               "release: demand dimension != machine resource dimension");
   if (!(end > start)) return;
+  clear_fit_memo();  // freed capacity can move earliest fits earlier
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);
   for (std::size_t i = first; i < last; ++i) {
@@ -299,7 +404,8 @@ void ResourceProfile::restore_state(recovery::StateReader& r) {
   usage_ = r.vec_f64();
   headroom_ = r.vec_f64();
   pruned_before_ = r.f64();
-  hint_ = 0;  // pure cache; any in-range value is valid
+  hint_ = 0;  // pure caches: any in-range hint is valid, the memo rebuilds
+  clear_fit_memo();
   if (times_.empty() || usage_.size() != times_.size() * width_ ||
       headroom_.size() != times_.size()) {
     throw std::runtime_error(

@@ -23,13 +23,30 @@
 //    amortized O(1) — queries are const but update the mutable hint, which
 //    makes a profile NOT safe to share across threads (each simulation owns
 //    its cluster, so this never happens in-tree);
+//  * earliest_fit() keeps a lower-bound memo per demand class (the exact
+//    demand row's bytes plus the tolerance): a staircase of (duration,
+//    answer) pairs from earlier calls, increasing in both.  A call with the
+//    same row, duration p and a not_before no smaller than the recorded
+//    ones starts the unchanged scan at max(not_before, answer of the
+//    largest recorded duration <= p).  The scan returns the minimum
+//    feasible start, which never decreases as not_before or p grows or as
+//    usage is added (add/force_reserve), and prune_before leaves
+//    [pruned_before(), +inf) unchanged — so a recorded answer is a lower
+//    bound on today's and the scan from it returns the same double.
+//    release()/release_until() and restore_state() clear the memo; queries
+//    below pruned_before() and classes past a fixed per-profile cap
+//    (continuous demands) bypass it.  A lookup hashes the row once and
+//    probes a small open-addressed table, so a row that never repeats
+//    costs one pass over it and a probe or two.  The memo is never
+//    serialized, so snapshots and journals do not depend on it;
 //  * release() coalesces adjacent equal segments and prune_before()
 //    compacts everything before the engine's committed horizon into the
 //    leading segment (jobs never start in the past), keeping B proportional
 //    to *live* reservations instead of all reservations ever made;
-//  * query and mutation paths are allocation-free: available_at() can write
-//    into a caller span, and reserve/release stage the split segment in a
-//    reused scratch buffer.
+//  * fits() and available_at() are allocation-free (available_at() can
+//    write into a caller span), earliest_fit() allocates only when its memo
+//    grows, and reserve/release stage the split segment in a reused scratch
+//    buffer.
 //
 // Interval-exact endpoints: reserve/force_reserve/release compute the
 // half-open interval's end as start + duration exactly once.  Fault paths
@@ -41,7 +58,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/job.hpp"
@@ -52,6 +71,23 @@ namespace recovery {
 class StateReader;
 class StateWriter;
 }  // namespace recovery
+
+/// Deterministic earliest_fit work counters: calls with a positive
+/// duration, segments those calls examined, and calls whose scan started
+/// from a recorded lower bound (memo hits).  Never serialized, so they
+/// count the work of this process only (a resumed run starts from zero).
+struct FitCounters {
+  std::uint64_t queries = 0;
+  std::uint64_t segments = 0;
+  std::uint64_t bounded = 0;
+
+  FitCounters& operator+=(const FitCounters& o) noexcept {
+    queries += o.queries;
+    segments += o.segments;
+    bounded += o.bounded;
+    return *this;
+  }
+};
 
 class ResourceProfile {
  public:
@@ -88,6 +124,11 @@ class ResourceProfile {
   /// Adds `demand` over [start, start + duration).  Callers must check
   /// fits() first (Cluster enforces this pairing); an MRIS_ENSURE contract
   /// verifies the affected segments stay within capacity 1.
+  ///
+  /// Precondition of reserve, force_reserve and force_reserve_until: every
+  /// demand entry is >= 0 (Job::demand lies in [0, 1]; outage blocks add
+  /// 1.0).  Usage then only grows between releases, which the earliest_fit
+  /// memo relies on; demand is removed only through release().
   void reserve(Time start, Time duration, std::span<const double> demand);
 
   /// Adds `demand` over [start, start + duration) with no capacity
@@ -127,9 +168,12 @@ class ResourceProfile {
   /// Latest breakpoint (== end of the last live reservation), 0 when empty.
   Time horizon() const noexcept { return times_.back(); }
 
+  /// earliest_fit work done so far (see FitCounters).
+  const FitCounters& fit_counters() const noexcept { return fit_counters_; }
+
   /// Serializes the timeline (breakpoints, usage rows, headroom, prune
-  /// bound) into an engine snapshot; the scan hint is a pure cache and is
-  /// reset on restore.  See docs/RECOVERY.md.
+  /// bound) into an engine snapshot; the scan hint and the earliest_fit
+  /// memo are pure caches, reset on restore.  See docs/RECOVERY.md.
   void save_state(recovery::StateWriter& w) const;
   void restore_state(recovery::StateReader& r);
 
@@ -148,6 +192,26 @@ class ResourceProfile {
   /// Returns the affected segment range [first, last).
   std::pair<std::size_t, std::size_t> add(Time start, Time end,
                                           std::span<const double> demand);
+
+  /// One earliest_fit memo class: the hash of its key, an exact demand row
+  /// and tolerance, the largest not_before recorded for it, and its
+  /// (duration, answer) staircase, both strictly increasing.
+  struct FitClass {
+    std::uint64_t key;
+    std::vector<double> demand;
+    double tolerance;
+    Time floor;
+    std::vector<std::pair<Time, Time>> steps;
+  };
+
+  /// The memo class of (demand, tolerance), created on first use; nullptr
+  /// once the profile holds kMaxFitClasses other classes.
+  FitClass* fit_class(std::span<const double> demand, double tolerance) const;
+
+  void clear_fit_memo() const {
+    fit_memo_.clear();
+    fit_slots_.clear();
+  }
 
   /// Erases breakpoint i (merging segment i into segment i-1) whenever the
   /// two usage rows are bitwise equal; scans boundaries in [lo, hi].
@@ -169,6 +233,12 @@ class ResourceProfile {
   /// Scan hint: last segment index returned by segment_of().  Purely a
   /// performance cache — any value < times_.size() is valid.
   mutable std::size_t hint_ = 0;
+  /// earliest_fit lower-bound memo (see header comment); a pure cache.
+  mutable std::vector<FitClass> fit_memo_;
+  /// Open-addressed index over fit_memo_ by key hash: each slot is 0
+  /// (empty) or a class index + 1.  Allocated by the first lookup.
+  mutable std::vector<std::uint8_t> fit_slots_;
+  mutable FitCounters fit_counters_;
 };
 
 }  // namespace mris

@@ -6,6 +6,7 @@
 // so the failure report is a minimal item list, not a 18-item haystack.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <tuple>
 
@@ -152,6 +153,76 @@ TEST_P(GreedyProperty, DominatesOptimalProfitWithinDoubleCapacity) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyProperty,
                          ::testing::Combine(::testing::Range(1, 13),
                                             ::testing::Values(6, 12, 18)));
+
+/// Largest item size among the selected tags.
+double max_selected_size(const std::vector<Item>& items, const Selection& s) {
+  double vmax = 0.0;
+  for (const std::int32_t tag : s.tags) {
+    for (const Item& item : items) {
+      if (item.tag == tag) vmax = std::max(vmax, item.size);
+    }
+  }
+  return vmax;
+}
+
+class GreedyLemma61Property
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// The bound MRIS_ENSURE certifies on every call: the prefix before the
+// overflowing item fits zeta, so size <= zeta + max chosen v_j.  Checked
+// against branch and bound, which reaches sizes brute force cannot.
+TEST_P(GreedyLemma61Property, WithinZetaPlusLargestChosenItem) {
+  const auto [seed, n] = GetParam();
+  util::Xoshiro256 rng =
+      make_stream(static_cast<std::uint64_t>(seed), "knapsack-greedy-l61");
+  const auto items = random_items(rng, static_cast<std::size_t>(n), 8.0);
+  const double capacity = util::uniform(rng, 4.0, 40.0);
+  expect_property(
+      items,
+      [capacity](const std::vector<Item>& v) {
+        const Selection opt = solve_branch_and_bound(v, capacity);
+        const Selection greedy = solve_greedy_constraint(v, capacity);
+        return greedy.total_profit + 1e-9 >= opt.total_profit &&
+               greedy.total_size <=
+                   capacity + max_selected_size(v, greedy) + 1e-9;
+      },
+      "Lemma 6.1 (greedy, zeta + max v_j)");
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyLemma61Property,
+                         ::testing::Combine(::testing::Range(1, 9),
+                                            ::testing::Values(10, 24, 40)));
+
+class GreedyMrisShapeProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+// MRIS's wakeup instances: p_j <= gamma_k and d_jl <= 1 give
+// v_j <= R * gamma_k = zeta / M, so the greedy selects at most
+// (1 + 1/M) * zeta — Lemma 6.1 at eps = 1/M.
+TEST_P(GreedyMrisShapeProperty, WithinOnePlusOneOverMZeta) {
+  const auto [seed, machines] = GetParam();
+  util::Xoshiro256 rng =
+      make_stream(static_cast<std::uint64_t>(seed), "knapsack-greedy-mris");
+  const double zeta = util::uniform(rng, 8.0, 64.0);
+  // ~1.5-3.5 zeta of candidates in total, so the greedy must stop early.
+  const auto items =
+      random_items(rng, static_cast<std::size_t>(3 * machines + 10),
+                   zeta / static_cast<double>(machines));
+  expect_property(
+      items,
+      [zeta, machines](const std::vector<Item>& v) {
+        const Selection opt = solve_branch_and_bound(v, zeta);
+        const Selection greedy = solve_greedy_constraint(v, zeta);
+        return greedy.total_profit + 1e-9 >= opt.total_profit &&
+               greedy.total_size <=
+                   (1.0 + 1.0 / static_cast<double>(machines)) * zeta + 1e-9;
+      },
+      "Lemma 6.1 (greedy, M >= 1/eps)");
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, GreedyMrisShapeProperty,
+                         ::testing::Combine(::testing::Range(1, 9),
+                                            ::testing::Values(2, 5, 20)));
 
 class GreedyHalfProperty
     : public ::testing::TestWithParam<std::tuple<int, int>> {};

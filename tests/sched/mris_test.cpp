@@ -188,5 +188,32 @@ TEST_P(MrisRandomSweep, FeasibleAndBoundedMakespan) {
 INSTANTIATE_TEST_SUITE_P(RandomInstances, MrisRandomSweep,
                          ::testing::Range(1, 25));
 
+// Scaling guard for MRIS backfilling on the paper's workload.  The
+// generator keeps a fixed submission window, so doubling N doubles the
+// backlog and the committed horizon.  A scan that rescans that horizon
+// examines ~2x the segments per earliest_fit call at each doubling; the
+// lower-bound memo keeps the count near-flat.  The counter is
+// deterministic, so this guards the work, not the wall clock.
+TEST(MrisFitScaling, SegmentsPerEarliestFitStayFlatAsNDoubles) {
+  double prev = 0.0;
+  for (const std::size_t n : {2500u, 5000u, 10000u}) {
+    trace::GeneratorConfig cfg;
+    cfg.num_jobs = n;
+    cfg.seed = 7;
+    const Instance inst =
+        trace::to_instance(trace::generate_azure_like(cfg), 16);
+    const RunResult r = run_mris(inst);
+    ASSERT_GT(r.fit.queries, 0u);
+    const double per_query = static_cast<double>(r.fit.segments) /
+                             static_cast<double>(r.fit.queries);
+    if (prev > 0.0) {
+      EXPECT_LE(per_query, 1.3 * prev)
+          << "segments per earliest_fit at N=" << n << ": " << per_query
+          << " vs " << prev << " at N/2";
+    }
+    prev = per_query;
+  }
+}
+
 }  // namespace
 }  // namespace mris

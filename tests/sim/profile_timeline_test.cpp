@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "sim/recovery/state_io.hpp"
 #include "sim/resource_profile.hpp"
 #include "util/rng.hpp"
 
@@ -255,6 +256,195 @@ TEST(TimelinePrune, PruningPastEverythingCollapsesToOneSegment) {
   EXPECT_EQ(profile.num_breakpoints(), 1u);
   EXPECT_EQ(profile.usage_at(0.0, 0), 0.0);
   EXPECT_EQ(profile.usage_at(1e9, 1), 0.0);
+}
+
+/// A profile restored from a snapshot of `profile`: same timeline, empty
+/// earliest_fit memo.
+ResourceProfile cold_copy(const ResourceProfile& profile) {
+  recovery::StateWriter w;
+  profile.save_state(w);
+  ResourceProfile cold(profile.num_resources());
+  recovery::StateReader r(w.data());
+  cold.restore_state(r);
+  return cold;
+}
+
+// earliest_fit's lower-bound memo only pays (and can only go wrong) when the
+// same demand row comes back: queries here draw rows from a catalog of four
+// and durations from a small set, so nearly every query hits a warm
+// staircase, interleaved with every mutation the memo must survive or
+// forget.  Every answer is checked against the interval oracle and against a
+// snapshot-restored copy whose memo is empty.
+class TimelineMemoHot : public ::testing::TestWithParam<int> {};
+
+TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
+  util::Xoshiro256 rng(0x3e30ULL + static_cast<std::uint64_t>(GetParam()));
+  const int resources = 2;
+  const std::vector<std::vector<double>> catalog = {
+      {0.25, 0.5}, {0.5, 0.25}, {0.125, 0.125}, {0.75, 0.0625}};
+  const std::vector<Time> durations = {0.5, 1.0, 1.5, 2.25, 4.0};
+  auto pick_row = [&] {
+    return catalog[util::uniform_index(rng, catalog.size())];
+  };
+  auto pick_duration = [&] {
+    return durations[util::uniform_index(rng, durations.size())];
+  };
+
+  ResourceProfile profile(resources);
+  std::vector<Interval> live;
+  Time clock = 0.0;  // mostly-monotone not_before, like an engine's now
+  Time pruned = 0.0;
+
+  auto check_query = [&](Time nb, Time dur, const std::vector<double>& d,
+                         double tolerance) {
+    const ResourceProfile cold = cold_copy(profile);
+    const Time got = profile.earliest_fit(nb, dur, d, tolerance);
+    EXPECT_EQ(got, cold.earliest_fit(nb, dur, d, tolerance))
+        << "not_before=" << nb << " dur=" << dur;
+    // Below the prune bound the profile answers from the flattened past,
+    // which the interval oracle does not model.
+    if (nb >= pruned) {
+      EXPECT_EQ(got, oracle_earliest_fit(live, nb, dur, d, tolerance))
+          << "not_before=" << nb << " dur=" << dur;
+    }
+    return got;
+  };
+
+  for (int op = 0; op < 400; ++op) {
+    const double roll = util::uniform01(rng);
+    if (roll < 0.25) {  // reserve at the earliest feasible start
+      const auto d = pick_row();
+      const Time dur = pick_duration();
+      const Time s = check_query(clock, dur, d, 1e-9);
+      profile.reserve(s, dur, d);
+      live.push_back({s, s + dur, d});
+    } else if (roll < 0.32) {  // force_reserve, may overload capacity
+      const Time s = clock + grid_time(rng, 0.0, 12.0);
+      const Time dur = pick_duration();
+      const auto d = pick_row();
+      profile.force_reserve(s, dur, d);
+      live.push_back({s, s + dur, d});
+    } else if (roll < 0.40) {  // release an interval that outlives the prune
+      std::vector<std::size_t> releasable;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        if (live[i].end > pruned) releasable.push_back(i);
+      }
+      if (releasable.empty()) continue;
+      const std::size_t i = releasable[util::uniform_index(
+          rng, static_cast<std::uint64_t>(releasable.size()))];
+      const Interval iv = live[i];
+      if (util::uniform01(rng) < 0.5) {
+        profile.release_until(iv.start, iv.end, iv.demand);
+      } else {
+        profile.release(iv.start, iv.end - iv.start, iv.demand);
+      }
+      live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (roll < 0.45) {  // advance the clock and prune behind it
+      clock += grid_time(rng, 0.0, 2.0);
+      if (util::uniform01(rng) < 0.5) {
+        pruned = std::max(pruned, clock);
+        profile.prune_before(clock);
+      }
+    } else if (roll < 0.48) {  // save -> restore in place empties the memo
+      recovery::StateWriter w;
+      profile.save_state(w);
+      recovery::StateReader r(w.data());
+      profile.restore_state(r);
+    } else if (roll < 0.49 && pruned > 0.0) {
+      // The same queries below the prune bound, before and after a further
+      // prune flattens more of the past: the memo must stay out of it.
+      const Time nb = grid_time(rng, 0.0, pruned);
+      const Time dur = pick_duration();
+      for (const auto& d : catalog) check_query(nb, dur, d, 1e-9);
+      clock += grid_time(rng, kGrid, 4.0);
+      pruned = clock;
+      profile.prune_before(clock);
+      for (const auto& d : catalog) check_query(nb, dur, d, 1e-9);
+    } else if (roll < 0.50) {  // more classes than the memo holds
+      for (int k = 0; k < 80; ++k) {
+        check_query(clock + grid_time(rng, 0.0, 4.0), pick_duration(),
+                    grid_demand(rng, resources, 0.75), 1e-9);
+      }
+    } else {  // query a catalog row; not_before mostly follows the clock
+      Time nb = clock + grid_time(rng, 0.0, 1.0);
+      const double jitter = util::uniform01(rng);
+      if (jitter < 0.1) {
+        nb = grid_time(rng, 0.0, clock + 1.0);  // may dip below the prune
+      } else if (jitter < 0.2) {
+        nb = clock + grid_time(rng, 0.0, 16.0);
+      }
+      const double tolerance = util::uniform01(rng) < 0.1 ? 0.0 : 1e-9;
+      check_query(nb, pick_duration(), pick_row(), tolerance);
+    }
+  }
+  EXPECT_GT(profile.fit_counters().queries, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimelineMemoHot, ::testing::Range(0, 16));
+
+TEST(TimelineMemo, CountsQueriesAndScannedSegmentsOutsideTheSnapshot) {
+  ResourceProfile profile(1);
+  const std::vector<double> d = {0.75};
+  for (int k = 0; k < 8; ++k) profile.reserve(2.0 * k, 1.0, d);
+  recovery::StateWriter before;
+  profile.save_state(before);
+
+  // The first query walks all eight busy segments and the gaps between
+  // them; the second, for the same row and duration, starts at the
+  // recorded answer and examines one segment.
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d), 15.0);
+  const FitCounters cold = profile.fit_counters();
+  EXPECT_EQ(cold.queries, 1u);
+  EXPECT_GT(cold.segments, 8u);
+  EXPECT_EQ(cold.bounded, 0u);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d), 15.0);
+  EXPECT_EQ(profile.fit_counters().queries, 2u);
+  EXPECT_EQ(profile.fit_counters().segments, cold.segments + 1);
+  EXPECT_EQ(profile.fit_counters().bounded, 1u);
+
+  // Zero-length queries do no work and count nothing.
+  EXPECT_EQ(profile.earliest_fit(3.0, 0.0, d), 3.0);
+  EXPECT_EQ(profile.fit_counters().queries, 2u);
+
+  // Neither the memo nor the counters reach the snapshot bytes.
+  recovery::StateWriter after;
+  profile.save_state(after);
+  EXPECT_EQ(before.data(), after.data());
+}
+
+TEST(TimelineMemo, PastTheClassCapNewRowsRunThePlainScanUntilARelease) {
+  ResourceProfile profile(2);
+  const std::vector<double> busy = {0.75, 0.75};
+  for (int k = 0; k < 8; ++k) profile.reserve(2.0 * k, 1.0, busy);
+  // 64 rows that never repeat take every class of the memo.
+  for (int k = 0; k < 64; ++k) {
+    const std::vector<double> row = {0.5, 0.25 + k / 1024.0};
+    EXPECT_EQ(profile.earliest_fit(0.0, 1.5, row), 15.0);
+  }
+  EXPECT_EQ(profile.fit_counters().bounded, 0u);
+  // A row first seen past the cap gets no class: both calls scan from 0.
+  const std::vector<double> late = {0.5, 0.5};
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 15.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 15.0);
+  EXPECT_EQ(profile.fit_counters().bounded, 0u);
+  // A release empties the memo, and the row then gets a class.
+  profile.release(14.0, 1.0, busy);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 13.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 13.0);
+  EXPECT_EQ(profile.fit_counters().bounded, 1u);
+}
+
+TEST(TimelineMemo, QueriesBelowThePruneBoundBypassIt) {
+  ResourceProfile profile(1);
+  const std::vector<double> full = {1.0};
+  profile.reserve(0.0, 5.0, full);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full), 5.0);
+  // Flattening [0, 10) into the free segment at t = 10 frees the past.  A
+  // query there is meaningless to the engine, but it must still answer
+  // from the profile as it is, not from the answer recorded before.
+  profile.prune_before(10.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full), 0.0);
+  EXPECT_EQ(profile.earliest_fit(10.0, 1.0, full), 10.0);
 }
 
 }  // namespace
