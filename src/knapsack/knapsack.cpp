@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "util/contracts.hpp"
 #include "util/simd.hpp"
@@ -23,14 +25,14 @@ std::vector<std::vector<double>>& dp_pool() {
   return pool;
 }
 
-std::vector<double> acquire_dp(std::size_t size) {
+std::vector<double> acquire_dp(std::size_t size, double fill) {
   auto& pool = dp_pool();
   std::vector<double> dp;
   if (!pool.empty()) {
     dp = std::move(pool.back());
     pool.pop_back();
   }
-  dp.assign(size, 0.0);
+  dp.assign(size, fill);
   return dp;
 }
 
@@ -38,22 +40,93 @@ void recycle_dp(std::vector<double>&& dp) {
   dp_pool().push_back(std::move(dp));
 }
 
+/// One dp_relax pass: dp[c] = max(dp[c], dp[c - size] + profit).
+struct DpOp {
+  std::int64_t size;
+  double profit;
+};
+
+/// What solve_integer_core fixes once per solve: how a range of items
+/// becomes dp_relax passes, and the cells those passes relax.
+///
+/// On the exact branch every live profit is an integer and max profit *
+/// live count <= 2^53, so every value any table or recover() forms is an
+/// exactly representable integer.  A range's table is then the exact
+/// optimum of the multiset of (scaled size, profit) in the range, and any
+/// sequence of passes computing that optimum yields the same bits:
+/// zero-size items are summed into the row's start value, and each
+/// distinct (s, p) class of multiplicity m is relaxed as binary-split
+/// pseudo-items (s * 2^k, p * 2^k).  Otherwise the passes are the range's
+/// live items in index order, as the plain per-item DP does them.
+struct DpPlan {
+  DpPlan(const std::vector<Item>& items_in,
+         const std::vector<std::int64_t>& sizes_in)
+      : items(items_in), sizes(sizes_in) {}
+
+  const std::vector<Item>& items;
+  const std::vector<std::int64_t>& sizes;
+  bool exact = false;
+  std::vector<DpOp> classes;             ///< distinct nonzero (s, p)
+  std::vector<std::int32_t> class_of;    ///< item -> class, -1 if none
+  std::vector<std::size_t> class_count;  ///< per-range scratch, kept zeroed
+  std::vector<std::int32_t> touched;     ///< classes seen in this range
+  std::vector<DpOp> ops;                 ///< per-range scratch
+  std::uint64_t cells = 0;               ///< sum of (cap - s + 1) per pass
+};
+
+/// Lays out the range's passes in plan.ops and returns the row's start
+/// value (the summed profit of zero-size items on the exact branch, else 0).
+double plan_range(DpPlan& plan, std::size_t lo, std::size_t hi,
+                  std::int64_t cap) {
+  plan.ops.clear();
+  double base = 0.0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::int64_t s = plan.sizes[i];
+    const double p = plan.items[i].profit;
+    if (s > cap || p <= 0.0) continue;
+    if (!plan.exact) {
+      plan.ops.push_back({s, p});
+    } else if (s == 0) {
+      base += p;
+    } else {
+      const std::int32_t k = plan.class_of[i];
+      if (plan.class_count[static_cast<std::size_t>(k)]++ == 0) {
+        plan.touched.push_back(k);
+      }
+    }
+  }
+  for (const std::int32_t k : plan.touched) {
+    const DpOp cls = plan.classes[static_cast<std::size_t>(k)];
+    std::size_t m =
+        std::exchange(plan.class_count[static_cast<std::size_t>(k)], 0);
+    // Pieces 1, 2, 4, ..., remainder: every count c <= m is a subset sum of
+    // pieces no larger than c, so a piece that does not fit cap is never
+    // needed.
+    for (std::size_t piece = 1; m > 0; piece *= 2) {
+      const std::size_t take = std::min(piece, m);
+      m -= take;
+      const auto t = static_cast<std::int64_t>(take);
+      if (cls.size > cap / t) continue;
+      plan.ops.push_back({cls.size * t, cls.profit * static_cast<double>(t)});
+    }
+  }
+  plan.touched.clear();
+  return base;
+}
+
 /// Forward DP table for items[lo, hi): dp[c] = max profit with total
 /// (integer) size <= c.  Monotone non-decreasing in c.
-std::vector<double> dp_table(const std::vector<Item>& items,
-                             const std::vector<std::int64_t>& sizes,
-                             std::size_t lo, std::size_t hi,
+std::vector<double> dp_table(DpPlan& plan, std::size_t lo, std::size_t hi,
                              std::int64_t cap) {
-  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::int64_t s = sizes[i];
-    const double p = items[i].profit;
-    if (s > cap || p <= 0.0) continue;
+  const double base = plan_range(plan, lo, hi, cap);
+  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1, base);
+  for (const DpOp& op : plan.ops) {
     // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
     // c = cap..s over the contiguous pooled row; bit-identical to the
     // scalar compare-and-store loop (see util/simd.hpp).
     util::simd::dp_relax(dp.data(), static_cast<std::size_t>(cap),
-                         static_cast<std::size_t>(s), p);
+                         static_cast<std::size_t>(op.size), op.profit);
+    plan.cells += static_cast<std::uint64_t>(cap - op.size + 1);
   }
   return dp;
 }
@@ -70,10 +143,8 @@ std::vector<double> dp_table(const std::vector<Item>& items,
 /// move the midpoints, and with tied profits the first-maximizer best_c
 /// rule then recovers a different (equal-profit) optimum — breaking
 /// byte-identical schedules.
-void recover(const std::vector<Item>& items,
-             const std::vector<std::int64_t>& sizes,
-             const std::vector<std::size_t>& live_prefix, std::size_t lo,
-             std::size_t hi, std::int64_t cap,
+void recover(DpPlan& plan, const std::vector<std::size_t>& live_prefix,
+             std::size_t lo, std::size_t hi, std::int64_t cap,
              std::vector<std::size_t>& out) {
   if (lo >= hi || cap < 0) return;
   const std::size_t live = live_prefix[hi] - live_prefix[lo];
@@ -83,14 +154,14 @@ void recover(const std::vector<Item>& items,
     // plain recursion funnels exactly cap (or the item's size) to it.
     std::size_t i = lo;
     while (live_prefix[i + 1] == live_prefix[lo]) ++i;
-    if (sizes[i] <= cap) out.push_back(i);
+    if (plan.sizes[i] <= cap) out.push_back(i);
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
   std::int64_t best_c = 0;
   {
-    std::vector<double> left = dp_table(items, sizes, lo, mid, cap);
-    std::vector<double> right = dp_table(items, sizes, mid, hi, cap);
+    std::vector<double> left = dp_table(plan, lo, mid, cap);
+    std::vector<double> right = dp_table(plan, mid, hi, cap);
     double best = -1.0;
     for (std::int64_t c = 0; c <= cap; ++c) {
       const double v = left[static_cast<std::size_t>(c)] +
@@ -103,8 +174,8 @@ void recover(const std::vector<Item>& items,
     recycle_dp(std::move(left));
     recycle_dp(std::move(right));
   }  // return the tables to the pool before recursing
-  recover(items, sizes, live_prefix, lo, mid, best_c, out);
-  recover(items, sizes, live_prefix, mid, hi, cap - best_c, out);
+  recover(plan, live_prefix, lo, mid, best_c, out);
+  recover(plan, live_prefix, mid, hi, cap - best_c, out);
 }
 
 Selection finish(const std::vector<Item>& items,
@@ -119,6 +190,25 @@ Selection finish(const std::vector<Item>& items,
   return sel;
 }
 
+/// True when every table value the DP can form is an exactly
+/// representable integer: every live profit is an integer and
+/// max profit * live count <= 2^53 (checked in integers, not as a rounded
+/// floating-point sum).
+bool integral_profits(const std::vector<Item>& items,
+                      const std::vector<std::int64_t>& sizes,
+                      std::int64_t cap, std::uint64_t live_count) {
+  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  double max_profit = 0.0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const double p = items[i].profit;
+    if (sizes[i] > cap || !(p > 0.0)) continue;
+    if (p != std::floor(p)) return false;
+    max_profit = std::max(max_profit, p);
+  }
+  if (!(max_profit <= static_cast<double>(kTwo53))) return false;
+  return live_count <= kTwo53 / static_cast<std::uint64_t>(max_profit);
+}
+
 Selection solve_integer_core(const std::vector<Item>& items,
                              const std::vector<std::int64_t>& sizes,
                              std::int64_t cap) {
@@ -131,9 +221,59 @@ Selection solve_integer_core(const std::vector<Item>& items,
     live_prefix[i + 1] = live_prefix[i] + (live ? 1 : 0);
   }
   if (live_prefix.back() == 0) return {};
+  DpPlan plan(items, sizes);
+  plan.exact = integral_profits(items, sizes, cap, live_prefix.back());
+  if (plan.exact) {
+    // Number the distinct nonzero (s, p) classes once per solve.
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (sizes[i] > 0 && sizes[i] <= cap && items[i].profit > 0.0) {
+        order.push_back(i);
+      }
+    }
+    const auto key = [&](std::size_t i) {
+      return std::pair(sizes[i], items[i].profit);
+    };
+    std::sort(order.begin(), order.end(),
+              [&](std::size_t a, std::size_t b) { return key(a) < key(b); });
+    plan.class_of.assign(items.size(), -1);
+    for (const std::size_t i : order) {
+      if (plan.classes.empty() ||
+          key(i) != std::pair(plan.classes.back().size,
+                              plan.classes.back().profit)) {
+        plan.classes.push_back({sizes[i], items[i].profit});
+      }
+      plan.class_of[i] = static_cast<std::int32_t>(plan.classes.size() - 1);
+    }
+    plan.class_count.assign(plan.classes.size(), 0);
+  }
   std::vector<std::size_t> chosen;
-  recover(items, sizes, live_prefix, 0, items.size(), cap, chosen);
-  return finish(items, chosen);
+  recover(plan, live_prefix, 0, items.size(), cap, chosen);
+  Selection sel = finish(items, chosen);
+  sel.dp_cells = plan.cells;
+  return sel;
+}
+
+/// Largest DP capacity the solvers accept: far beyond any table that fits
+/// in memory, and small enough that cap + 1 and the cast below stay in
+/// int64 range.
+constexpr std::int64_t kMaxDpCapacity = std::int64_t{1} << 62;
+
+/// A non-negative scaled size as a DP size.  Anything above `cap` cannot
+/// be taken and maps to cap + 1 (dead) before the cast, so a huge or
+/// infinite size never reaches an out-of-range float-to-int conversion.
+/// Requires 0 <= cap <= kMaxDpCapacity.
+std::int64_t dp_size(double scaled, std::int64_t cap) {
+  if (!(scaled <= static_cast<double>(cap))) return cap + 1;
+  const auto s = static_cast<std::int64_t>(scaled);
+  return s > cap ? cap + 1 : s;
+}
+
+void require_finite(const Item& item, const char* solver) {
+  if (!std::isfinite(item.size) || !std::isfinite(item.profit)) {
+    throw std::invalid_argument(std::string(solver) +
+                                ": item sizes and profits must be finite");
+  }
 }
 
 /// Density comparison profit_a/size_a > profit_b/size_b without division
@@ -179,14 +319,19 @@ Selection solve_bruteforce(const std::vector<Item>& items, double capacity) {
 Selection solve_exact_dp(const std::vector<Item>& items,
                          std::int64_t capacity) {
   if (capacity < 0) return {};
+  if (capacity > kMaxDpCapacity) {
+    throw std::invalid_argument(
+        "solve_exact_dp: capacity exceeds any DP table (2^62)");
+  }
   std::vector<std::int64_t> sizes(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
+    require_finite(items[i], "solve_exact_dp");
     const double s = items[i].size;
     if (s < 0.0 || s != std::floor(s)) {
       throw std::invalid_argument(
           "solve_exact_dp: item sizes must be non-negative integers");
     }
-    sizes[i] = static_cast<std::int64_t>(s);
+    sizes[i] = dp_size(s, capacity);
   }
   return solve_integer_core(items, sizes, capacity);
 }
@@ -276,18 +421,27 @@ Selection solve_cadp(const std::vector<Item>& items, double capacity,
     throw std::invalid_argument("solve_cadp: eps must lie in (0, 1)");
   }
   if (items.empty() || capacity <= 0.0) return {};
+  if (!std::isfinite(capacity)) {
+    throw std::invalid_argument("solve_cadp: capacity must be finite");
+  }
   const auto n = static_cast<double>(items.size());
   // Ibarra–Kim scaling: K = eps * zeta / n, so that the total rounding
   // error n*K equals eps*zeta (Lemma 6.1).
   const double K = eps * capacity / n;
+  const double scaled_cap = std::floor(capacity / K);
+  if (!(scaled_cap <= static_cast<double>(kMaxDpCapacity))) {
+    throw std::invalid_argument(
+        "solve_cadp: capacity / K exceeds any DP table (eps too small)");
+  }
+  const auto cap = static_cast<std::int64_t>(scaled_cap);
   std::vector<std::int64_t> sizes(items.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
+    require_finite(items[i], "solve_cadp");
     if (items[i].size < 0.0) {
       throw std::invalid_argument("solve_cadp: negative item size");
     }
-    sizes[i] = static_cast<std::int64_t>(std::floor(items[i].size / K));
+    sizes[i] = dp_size(std::floor(items[i].size / K), cap);
   }
-  const auto cap = static_cast<std::int64_t>(std::floor(capacity / K));
   // Zero-profit / oversize items are written off before any DP table is
   // sized (solve_integer_core's live census); they cannot be selected, and
   // pruning them there — rather than compacting the item array here —

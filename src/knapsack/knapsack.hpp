@@ -9,6 +9,20 @@
 //    sizes.  Profit >= OPT(zeta); size <= (1 + eps) * zeta; O(n^2 / eps)
 //    time, O(n / eps) memory (divide-and-conquer reconstruction).
 //
+//    Integral profits make the DP cheaper without changing a bit.  When
+//    every live profit (positive, scaled size within capacity) is an
+//    integer and max profit * live count <= 2^53, every value the DP forms
+//    is an integer <= 2^53, so every addition and comparison is exact.  A
+//    table is then the exact optimum of its range's multiset of (scaled
+//    size, profit), whatever order the items are relaxed in.  The DP sums
+//    zero-size items into the row's start value and relaxes each distinct
+//    (s, p) of multiplicity m once per binary-split piece (s * 2^k,
+//    p * 2^k): O(n * cap) becomes O(classes * log m * cap), and the tables,
+//    the recovery's split points and the selected tags are the per-item
+//    DP's.  Any other input (a fractional profit, or profits that could sum
+//    past 2^53) runs one pass per item in index order, as before.  MRIS's
+//    profits are job weights, integers on the Azure-like and Azure traces.
+//
 //  * GREEDY (Remark 1): sort by profit density, take the prefix through the
 //    first non-fitting item.  Profit >= OPT(zeta); size <= zeta + max
 //    chosen v_j <= 2 * zeta; O(n log n) time.  In MRIS every candidate has
@@ -34,13 +48,19 @@ struct Selection {
   std::vector<std::int32_t> tags;  ///< tags of selected items
   double total_profit = 0.0;
   double total_size = 0.0;
+  /// DP cells the solve relaxed: sum of (cap - s + 1) over its dp_relax
+  /// passes (CADP and the exact DP; 0 for the other solvers).
+  /// Deterministic, so a work counter rather than a timing.
+  std::uint64_t dp_cells = 0;
 };
 
 /// Exhaustive 2^n search; exact within `capacity`.  Requires n <= 30.
 Selection solve_bruteforce(const std::vector<Item>& items, double capacity);
 
-/// Exact 0/1 knapsack via DP over integer sizes.  Every item size and the
-/// capacity must be non-negative integers (checked); O(n * capacity).
+/// Exact 0/1 knapsack via DP over integer sizes.  Every item size must be a
+/// non-negative integer, every profit finite and capacity at most 2^62
+/// (checked; std::invalid_argument); O(n * capacity).  Shares CADP's DP,
+/// including its one pass per (size, profit) class on integral profits.
 Selection solve_exact_dp(const std::vector<Item>& items,
                          std::int64_t capacity);
 
@@ -54,7 +74,10 @@ Selection solve_branch_and_bound(const std::vector<Item>& items,
                                  std::size_t max_nodes = 10'000'000);
 
 /// CADP — profit >= OPT(capacity), size <= (1 + eps) * capacity.
-/// eps must be in (0, 1) per the paper; throws std::invalid_argument else.
+/// eps must be in (0, 1) per the paper, capacity and every item's size and
+/// profit finite, sizes non-negative, and capacity / K (= n / eps) at most
+/// 2^62; throws std::invalid_argument else.  Sizes whose scaled value
+/// exceeds the scaled capacity are never selected.
 Selection solve_cadp(const std::vector<Item>& items, double capacity,
                      double eps);
 

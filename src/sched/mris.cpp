@@ -88,6 +88,7 @@ void MrisScheduler::on_wakeup(EngineContext& ctx) {
         static_cast<double>(ctx.num_machines()) * gamma_k;
     const knapsack::Selection sel = knapsack::solve_constraint_approx(
         config_.backend, items_, zeta, config_.eps);
+    dp_cells_ += sel.dp_cells;
 
     if (!sel.tags.empty()) {
       stats_.max_interval_volume =

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "knapsack/knapsack.hpp"
 #include "sched/heuristics.hpp"
@@ -79,10 +80,17 @@ class MrisScheduler : public OnlineScheduler {
   const MrisConfig& config() const noexcept { return config_; }
   const MrisStats& stats() const noexcept { return stats_; }
 
+  /// DP cells relaxed by this process's knapsack solves (sum of
+  /// Selection::dp_cells).  Deterministic; never serialized, like
+  /// FitCounters, so snapshots stay byte-identical and a resumed run
+  /// counts from zero.
+  std::uint64_t dp_cells() const noexcept { return dp_cells_; }
+
   // Durability hooks (docs/RECOVERY.md).  Serialized: stats_, k_, armed_,
   // frontier_.  Not serialized: config_ (reconstructed by the factory),
-  // gammas_ (pure std::pow memo), and the per-wakeup scratch vectors
-  // (cleared at the top of every wakeup).  Hybrid inherits these.
+  // gammas_ (pure std::pow memo), dp_cells_ (a work counter), and the
+  // per-wakeup scratch vectors (cleared at the top of every wakeup).
+  // Hybrid inherits these.
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
 
@@ -102,6 +110,7 @@ class MrisScheduler : public OnlineScheduler {
   std::size_t k_ = 0;       ///< next interval index to fire
   bool armed_ = false;      ///< a wakeup is outstanding
   Time frontier_ = 0.0;     ///< end of all committed work (no-backfill mode)
+  std::uint64_t dp_cells_ = 0;  ///< see dp_cells()
   mutable std::vector<double> gammas_;  ///< gamma(k) memo, indexed by k
 
   // Per-wakeup working sets, hoisted out of on_wakeup so steady-state

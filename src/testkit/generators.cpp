@@ -224,8 +224,12 @@ Instance make_patience(const GenConfig& cfg, util::Xoshiro256& rng) {
   // stay below 1.75/1.8 * small for demands to remain within [0, 1].
   const double cap = 0.97 * static_cast<double>(small);
   const double blocker = util::uniform(rng, std::max(1.0, 0.3 * cap), cap);
-  // Layered on the trace generator's Sec 7.5.4 family (always 1 machine).
-  return trace::make_patience_instance(small, resources, blocker, rng());
+  // Layered on the trace generator's Sec 7.5.4 family: 1 machine, unless
+  // the config asks for M (the same jobs then share M machines).
+  Instance inst = trace::make_patience_instance(small, resources, blocker,
+                                                rng());
+  if (cfg.machines <= 0) return inst;
+  return Instance(inst.jobs(), cfg.machines, inst.num_resources());
 }
 
 }  // namespace

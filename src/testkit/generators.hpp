@@ -17,7 +17,8 @@
 //                     hugging the same boundaries (Algorithm 1 edge cases)
 //   kDominantResource single-dominant-resource mixes (DRF/packing skew)
 //   kPatience         the Sec 7.5.4 blocker-plus-swarm shape (Lemma 4.1's
-//                     adversarial geometry), via trace::make_patience_instance
+//                     adversarial geometry), via trace::make_patience_instance;
+//                     1 machine unless GenConfig::machines is set
 //
 // Instances are deterministic in (family, config, seed), normalized to
 // p_j >= 1 (the theorems' WLOG hypothesis) and always satisfy
@@ -54,7 +55,7 @@ Family family_from_name(const std::string& name);
 
 struct GenConfig {
   std::size_t num_jobs = 48;
-  int machines = 0;   ///< 0 = draw from the stream (1..4)
+  int machines = 0;   ///< 0 = draw from the stream (1..4; patience: 1)
   int resources = 0;  ///< 0 = draw from the stream (1..5)
 };
 

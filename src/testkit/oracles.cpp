@@ -433,7 +433,8 @@ OracleResult ratio_awct(const Instance& inst, const exp::SchedulerSpec& spec,
   if (inst.num_jobs() == 0) return {};
   const exp::EvalResult r = exp::evaluate(inst, spec);
   if (r.failed) return fail("run failed: " + r.error);
-  const double bound = competitive_bound(spec, inst.num_resources());
+  const double bound = competitive_bound(spec, inst.num_resources(),
+                                        inst.num_machines());
   const double lb = awct_fluid_lower_bound(inst);
   if (r.awct > bound * lb * (1.0 + 1e-9)) {
     return fail("AWCT " + fmt(r.awct) + " exceeds " + fmt(bound) +
@@ -450,7 +451,8 @@ OracleResult ratio_makespan(const Instance& inst,
   if (inst.num_jobs() == 0) return {};
   const exp::EvalResult r = exp::evaluate(inst, spec);
   if (r.failed) return fail("run failed: " + r.error);
-  const double bound = competitive_bound(spec, inst.num_resources());
+  const double bound = competitive_bound(spec, inst.num_resources(),
+                                        inst.num_machines());
   const double lb = makespan_lower_bound(inst);
   if (r.makespan > bound * lb * (1.0 + 1e-9)) {
     return fail("makespan " + fmt(r.makespan) + " exceeds " + fmt(bound) +
@@ -631,10 +633,11 @@ OracleResult run_oracle(const OracleCatalog& catalog,
   }
 }
 
-double competitive_bound(const exp::SchedulerSpec& spec, int num_resources) {
+double competitive_bound(const exp::SchedulerSpec& spec, int num_resources,
+                         int num_machines) {
   const double eps = spec.mris.backend == knapsack::Backend::kCadp
                          ? spec.mris.eps
-                         : 1.0;
+                         : 1.0 / static_cast<double>(num_machines);
   return 8.0 * static_cast<double>(num_resources) * (1.0 + eps);
 }
 

@@ -119,9 +119,12 @@ OracleResult run_oracle(const OracleCatalog& catalog,
                         const Params& params = {});
 
 /// The audited competitive bound 8R(1+eps): eps is the spec's CADP error
-/// parameter, or 1 for the GREEDY backend (whose capacity overshoot is
-/// 2 zeta = (1+1) zeta).
-double competitive_bound(const exp::SchedulerSpec& spec, int num_resources);
+/// parameter, or 1/M for the GREEDY backend.  Every MRIS candidate has
+/// v_j <= R gamma_k = zeta_k / M, so the greedy's overshoot past zeta_k (at
+/// most its largest chosen v_j) is at most zeta_k / M: Lemma 6.1 with
+/// eps' = 1/M (THEORY.md, Remark 1 sharpened; 1 at M = 1).
+double competitive_bound(const exp::SchedulerSpec& spec, int num_resources,
+                         int num_machines);
 
 /// Directory minimized counterexamples are written to:
 /// $MRIS_TESTKIT_ARTIFACTS, default "testkit_artifacts" under the CWD.

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <sstream>
+#include <string_view>
 #include <tuple>
+#include <utility>
 
 #include "knapsack/knapsack.hpp"
 #include "testkit/shrinker.hpp"
@@ -276,6 +280,308 @@ TEST_P(ExactDpProperty, MatchesBruteForceOnIntegerInstances) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, ExactDpProperty,
                          ::testing::Range(1, 25));
+
+// ---- CADP against its per-item reference ---------------------------------
+//
+// ReferenceCadp is CADP as a plain per-item DP: Ibarra–Kim scaling, one
+// relaxation pass per live item in index order, and the same
+// divide-and-conquer recovery (live census, first-maximizer split).
+// solve_cadp relaxes each (scaled size, profit) class once when every live
+// profit is an integer and max profit * live count <= 2^53; the two must
+// agree bit for bit on every input, on either side of that test.
+
+struct ReferenceSolve {
+  Selection selection;
+  std::uint64_t cells = 0;  ///< sum of (cap - s + 1) over the passes
+};
+
+struct ReferenceCadp {
+  const std::vector<Item>& items;
+  std::vector<std::int64_t> sizes;
+  std::vector<std::size_t> live_prefix;
+  std::uint64_t cells = 0;
+
+  std::vector<double> table(std::size_t lo, std::size_t hi,
+                            std::int64_t cap) {
+    std::vector<double> dp(static_cast<std::size_t>(cap) + 1, 0.0);
+    for (std::size_t i = lo; i < hi; ++i) {
+      const std::int64_t s = sizes[i];
+      const double p = items[i].profit;
+      if (s > cap || p <= 0.0) continue;
+      for (std::int64_t c = cap; c >= s; --c) {
+        const double cand = dp[static_cast<std::size_t>(c - s)] + p;
+        if (cand > dp[static_cast<std::size_t>(c)]) {
+          dp[static_cast<std::size_t>(c)] = cand;
+        }
+      }
+      cells += static_cast<std::uint64_t>(cap - s + 1);
+    }
+    return dp;
+  }
+
+  void recover(std::size_t lo, std::size_t hi, std::int64_t cap,
+               std::vector<std::size_t>& out) {
+    if (lo >= hi || cap < 0) return;
+    const std::size_t live = live_prefix[hi] - live_prefix[lo];
+    if (live == 0) return;
+    if (live == 1) {
+      std::size_t i = lo;
+      while (live_prefix[i + 1] == live_prefix[lo]) ++i;
+      if (sizes[i] <= cap) out.push_back(i);
+      return;
+    }
+    const std::size_t mid = lo + (hi - lo) / 2;
+    const std::vector<double> left = table(lo, mid, cap);
+    const std::vector<double> right = table(mid, hi, cap);
+    double best = -1.0;
+    std::int64_t best_c = 0;
+    for (std::int64_t c = 0; c <= cap; ++c) {
+      const double v = left[static_cast<std::size_t>(c)] +
+                       right[static_cast<std::size_t>(cap - c)];
+      if (v > best) {
+        best = v;
+        best_c = c;
+      }
+    }
+    recover(lo, mid, best_c, out);
+    recover(mid, hi, cap - best_c, out);
+  }
+};
+
+/// Inputs are finite, non-negative and scale to sizes far inside int64.
+ReferenceSolve reference_cadp(const std::vector<Item>& items,
+                              double capacity, double eps) {
+  ReferenceSolve result;
+  if (items.empty() || capacity <= 0.0) return result;
+  const double K = eps * capacity / static_cast<double>(items.size());
+  const auto cap = static_cast<std::int64_t>(std::floor(capacity / K));
+  ReferenceCadp ref{items, {}, {0}, 0};
+  for (const Item& item : items) {
+    const double scaled = std::floor(item.size / K);
+    ref.sizes.push_back(scaled > static_cast<double>(cap)
+                            ? cap + 1
+                            : static_cast<std::int64_t>(scaled));
+    const bool live = ref.sizes.back() <= cap && item.profit > 0.0;
+    ref.live_prefix.push_back(ref.live_prefix.back() + (live ? 1 : 0));
+  }
+  std::vector<std::size_t> chosen;
+  ref.recover(0, items.size(), cap, chosen);
+  for (const std::size_t i : chosen) {
+    result.selection.tags.push_back(items[i].tag);
+    result.selection.total_profit += items[i].profit;
+    result.selection.total_size += items[i].size;
+  }
+  result.cells = ref.cells;
+  return result;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+/// The exactness test, restated: some live profit is not an integer, or
+/// max live profit * live count exceeds 2^53.
+bool per_item_branch(const std::vector<Item>& items, double capacity,
+                     double eps) {
+  const double K = eps * capacity / static_cast<double>(items.size());
+  const double cap = std::floor(capacity / K);
+  long double max_profit = 0.0L;
+  long double live = 0.0L;
+  for (const Item& item : items) {
+    if (std::floor(item.size / K) > cap || !(item.profit > 0.0)) continue;
+    if (item.profit != std::floor(item.profit)) return true;
+    max_profit = std::max(max_profit, static_cast<long double>(item.profit));
+    live += 1.0L;
+  }
+  return max_profit * live > 0x1p53L;
+}
+
+/// solve_cadp and ReferenceCadp select the same tags with bit-identical
+/// totals.  On the per-item branch the cell counts are equal too (the same
+/// passes run); on the exact branch solve_cadp relaxes no more cells.
+bool matches_reference(const std::vector<Item>& items, double capacity,
+                       double eps) {
+  const Selection got = solve_cadp(items, capacity, eps);
+  const ReferenceSolve want = reference_cadp(items, capacity, eps);
+  const bool cells_ok = per_item_branch(items, capacity, eps)
+                            ? got.dp_cells == want.cells
+                            : got.dp_cells <= want.cells;
+  return got.tags == want.selection.tags &&
+         same_bits(got.total_profit, want.selection.total_profit) &&
+         same_bits(got.total_size, want.selection.total_size) && cells_ok;
+}
+
+/// An MRIS wakeup in miniature: >= 50% of the items scale to size 0
+/// (v_j < K), the rest come from a small size palette, and profits take
+/// three integer levels, so (size, profit) pairs repeat.
+std::vector<Item> mris_shaped_items(util::Xoshiro256& rng, std::size_t n,
+                                    double capacity, double eps) {
+  const double K = eps * capacity / static_cast<double>(n);
+  std::vector<double> palette;
+  for (int k = 0; k < 6; ++k) {
+    palette.push_back(K * static_cast<double>(util::uniform_int(rng, 1, 60)) +
+                      util::uniform(rng, 0.0, 0.5 * K));
+  }
+  std::vector<Item> items;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool zero = util::uniform01(rng) < 0.6;
+    const double size =
+        zero ? util::uniform(rng, 0.0, 0.99 * K)
+             : palette[util::uniform_index(rng, palette.size())];
+    items.push_back({size, static_cast<double>(util::uniform_int(rng, 1, 3)),
+                     static_cast<std::int32_t>(i)});
+  }
+  return items;
+}
+
+// Parameter: (seed, num_items).
+class CadpExactProperty
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+/// Checks solve_cadp against ReferenceCadp on fuzz_iters(2) instances drawn
+/// from one labelled stream; `make` draws (capacity, items) from it.
+void sweep_against_reference(
+    int seed, std::string_view label, const std::string& what,
+    const std::function<std::pair<double, std::vector<Item>>(
+        util::Xoshiro256&)>& make) {
+  util::Xoshiro256 rng = make_stream(static_cast<std::uint64_t>(seed), label);
+  for (std::size_t rep = 0; rep < testkit::fuzz_iters(2); ++rep) {
+    const auto [capacity, items] = make(rng);
+    expect_property(
+        items,
+        [capacity = capacity](const std::vector<Item>& v) {
+          return matches_reference(v, capacity, 0.5);
+        },
+        what);
+  }
+}
+
+TEST_P(CadpExactProperty, IntegerProfitsMatchPerItemReference) {
+  const auto [seed, n] = GetParam();
+  sweep_against_reference(
+      seed, "knapsack-cadp-exact",
+      "CADP == ReferenceCadp (MRIS-shaped, integer profits)",
+      [n = n](util::Xoshiro256& rng) {
+        const double capacity = util::uniform(rng, 20.0, 200.0);
+        return std::pair(capacity,
+                         mris_shaped_items(rng, static_cast<std::size_t>(n),
+                                           capacity, 0.5));
+      });
+}
+
+TEST_P(CadpExactProperty, TieGroupsMatchPerItemReference) {
+  const auto [seed, n] = GetParam();
+  sweep_against_reference(
+      seed, "knapsack-cadp-exact-ties", "CADP == ReferenceCadp (tie groups)",
+      [n = n](util::Xoshiro256& rng) {
+        auto items = tied_items(rng, static_cast<std::size_t>(n));
+        return std::pair(util::uniform(rng, 4.0, 40.0), std::move(items));
+      });
+}
+
+TEST_P(CadpExactProperty, FractionalProfitsMatchPerItemReference) {
+  const auto [seed, n] = GetParam();
+  sweep_against_reference(
+      seed, "knapsack-cadp-exact-frac",
+      "CADP == ReferenceCadp (fractional profits)",
+      [n = n](util::Xoshiro256& rng) {
+        const double capacity = util::uniform(rng, 20.0, 200.0);
+        auto items = mris_shaped_items(rng, static_cast<std::size_t>(n),
+                                       capacity, 0.5);
+        // Tenths: many subsets have equal profit on paper and differ only
+        // in how their float sums round.
+        for (Item& item : items) {
+          item.profit *= 0.1 * static_cast<double>(1 + item.tag % 3);
+        }
+        return std::pair(capacity, std::move(items));
+      });
+}
+
+TEST_P(CadpExactProperty, OneFractionalProfitMatchesPerItemReference) {
+  const auto [seed, n] = GetParam();
+  sweep_against_reference(
+      seed, "knapsack-cadp-exact-one-frac",
+      "CADP == ReferenceCadp (one fractional profit)",
+      [n = n](util::Xoshiro256& rng) {
+        const double capacity = util::uniform(rng, 20.0, 200.0);
+        auto items = mris_shaped_items(rng, static_cast<std::size_t>(n),
+                                       capacity, 0.5);
+        // Size 0 keeps the fractional item live at every capacity.
+        Item& odd = items[util::uniform_index(rng, items.size())];
+        odd.size = 0.0;
+        odd.profit += 0.5;
+        return std::pair(capacity, std::move(items));
+      });
+}
+
+TEST_P(CadpExactProperty, ProfitsPast2To53MatchPerItemReference) {
+  const auto [seed, n] = GetParam();
+  sweep_against_reference(
+      seed, "knapsack-cadp-exact-huge",
+      "CADP == ReferenceCadp (integer profits past 2^53)",
+      [n = n](util::Xoshiro256& rng) {
+        const double capacity = util::uniform(rng, 20.0, 200.0);
+        auto items = mris_shaped_items(rng, static_cast<std::size_t>(n),
+                                       capacity, 0.5);
+        // Integer profits near 2^52: max profit * live count > 2^53 from
+        // three live items on, and sums past 2^53 round, so the order of
+        // additions matters.
+        for (Item& item : items) item.profit = 0x1p52 + 2.0 * item.profit - 1.0;
+        return std::pair(capacity, std::move(items));
+      });
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomInstances, CadpExactProperty,
+                         ::testing::Combine(::testing::Range(1, 9),
+                                            ::testing::Values(12, 40, 120)));
+
+TEST(CadpExactTest, ExactnessBoundaryIsMaxProfitTimesLiveCount) {
+  // 16 live items at profit 2^49 reach 2^53 exactly (exact branch); a
+  // 17th crosses it (per-item passes).  Both match the reference.
+  std::vector<Item> items;
+  for (std::int32_t i = 0; i < 17; ++i) {
+    items.push_back({1.0 + (i % 4 == 0 ? 0.0 : 2.0), 0x1p49, i});
+  }
+  const std::vector<Item> sixteen(items.begin(), items.begin() + 16);
+  EXPECT_FALSE(per_item_branch(sixteen, 12.0, 0.5));
+  EXPECT_TRUE(matches_reference(sixteen, 12.0, 0.5));
+  EXPECT_LT(solve_cadp(sixteen, 12.0, 0.5).dp_cells,
+            reference_cadp(sixteen, 12.0, 0.5).cells);
+  EXPECT_TRUE(per_item_branch(items, 12.0, 0.5));
+  EXPECT_TRUE(matches_reference(items, 12.0, 0.5));
+}
+
+TEST(CadpExactTest, MrisShapedSolveRelaxesAThirdOfThePerItemCells) {
+  util::Xoshiro256 rng = make_stream(7, "knapsack-cadp-cells");
+  const double capacity = 500.0;
+  const auto items = mris_shaped_items(rng, 2000, capacity, 0.5);
+  const Selection got = solve_cadp(items, capacity, 0.5);
+  const ReferenceSolve want = reference_cadp(items, capacity, 0.5);
+  EXPECT_EQ(got.tags, want.selection.tags);
+  EXPECT_GT(got.dp_cells, 0u);
+  EXPECT_LE(3 * got.dp_cells, want.cells)
+      << got.dp_cells << " cells vs " << want.cells << " per item";
+}
+
+TEST(CadpExactTest, ExactDpSharesTheClassDp) {
+  // solve_exact_dp runs the same core: integer profits take the class
+  // passes, fractional ones the per-item passes, and both agree with
+  // brute force.
+  std::vector<Item> items;
+  for (std::int32_t i = 0; i < 20; ++i) {
+    items.push_back({static_cast<double>(i % 3), 1.0 + (i % 2), i});
+  }
+  std::vector<Item> fractional = items;
+  for (Item& item : fractional) item.profit += 0.25;
+  for (const auto& v : {items, fractional}) {
+    const Selection dp = solve_exact_dp(v, 9);
+    const Selection bf = solve_bruteforce(v, 9.0);
+    EXPECT_DOUBLE_EQ(dp.total_profit, bf.total_profit);
+    EXPECT_LE(dp.total_size, 9.0);
+  }
+  EXPECT_LT(solve_exact_dp(items, 9).dp_cells,
+            solve_exact_dp(fractional, 9).dp_cells);
+}
 
 TEST(SelectionConsistencyTest, TotalsMatchSelectedTags) {
   util::Xoshiro256 rng = make_stream(2024, "knapsack-consistency");

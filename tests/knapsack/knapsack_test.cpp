@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
 namespace mris::knapsack {
 namespace {
 
@@ -83,6 +87,56 @@ TEST(CadpTest, TagsAreReturnedNotIndices) {
   const Selection s = solve_cadp(items, 2.0, 0.5);
   ASSERT_EQ(s.tags.size(), 1u);
   EXPECT_EQ(s.tags[0], 42);
+}
+
+TEST(CadpTest, HugeSizeIsDeadNotCastOutOfRange) {
+  // 1e300 / K does not fit int64: the size maps to cap + 1 (dead) before
+  // the cast instead of wrapping to a negative size that gets selected.
+  const std::vector<Item> items = {{1e300, 1.0, 0}, {1.0, 2.0, 1}};
+  const Selection s = solve_cadp(items, 2.0, 0.5);
+  ASSERT_EQ(s.tags.size(), 1u);
+  EXPECT_EQ(s.tags[0], 1);
+  // Largest finite double: size / K overflows to infinity, also dead.
+  const std::vector<Item> huge = {
+      {std::numeric_limits<double>::max(), 1.0, 0}, {1.0, 2.0, 1}};
+  EXPECT_EQ(solve_cadp(huge, 2.0, 0.5).tags, std::vector<std::int32_t>{1});
+}
+
+TEST(CadpTest, RejectsNonFiniteInputs) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Item bad : {Item{nan, 1.0, 0}, Item{inf, 1.0, 0},
+                         Item{1.0, nan, 0}, Item{1.0, inf, 0},
+                         Item{1.0, -inf, 0}}) {
+    EXPECT_THROW(solve_cadp({bad, {1.0, 2.0, 1}}, 2.0, 0.5),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(solve_cadp(classic_items(), nan, 0.5), std::invalid_argument);
+  EXPECT_THROW(solve_cadp(classic_items(), inf, 0.5), std::invalid_argument);
+  EXPECT_TRUE(solve_cadp(classic_items(), -inf, 0.5).tags.empty());
+}
+
+TEST(CadpTest, RejectsEpsTooSmallForAnyTable) {
+  // capacity / K = n / eps = 4e300 cells: no table, and no in-range cast.
+  EXPECT_THROW(solve_cadp(classic_items(), 10.0, 1e-300),
+               std::invalid_argument);
+}
+
+TEST(ExactDpTest, HugeIntegerSizeIsDead) {
+  const std::vector<Item> items = {{1e300, 5.0, 0}, {3.0, 1.0, 1}};
+  const Selection s = solve_exact_dp(items, 10);
+  ASSERT_EQ(s.tags.size(), 1u);
+  EXPECT_EQ(s.tags[0], 1);
+}
+
+TEST(ExactDpTest, RejectsNonFiniteInputsAndHugeCapacity) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(solve_exact_dp({{inf, 1.0, 0}}, 10), std::invalid_argument);
+  EXPECT_THROW(solve_exact_dp({{1.0, nan, 0}}, 10), std::invalid_argument);
+  EXPECT_THROW(solve_exact_dp(classic_items(),
+                              std::numeric_limits<std::int64_t>::max()),
+               std::invalid_argument);
 }
 
 TEST(GreedyConstraintTest, ProfitAtLeastOptimalWithinDoubleCapacity) {

@@ -5,6 +5,7 @@
 #include "core/metrics.hpp"
 #include "exp/runner.hpp"
 #include "sched/optimal.hpp"
+#include "sim/recovery/state_io.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -115,6 +116,31 @@ TEST(MrisTest, StatsAreRecorded) {
   EXPECT_GT(sched.stats().iterations, 0u);
   EXPECT_EQ(sched.stats().jobs_scheduled, 16u);
   EXPECT_GT(sched.stats().knapsack_items, 0u);
+}
+
+TEST(MrisTest, DpCellsAreCountedButNeverSerialized) {
+  const Instance inst = trace::make_patience_instance(60, 2, 10.0, 3);
+  MrisScheduler sched;
+  run_online(inst, sched);
+  EXPECT_GT(sched.dp_cells(), 0u);
+
+  // The counter stays out of the snapshot: a restored scheduler starts
+  // from zero and re-serializes to the same bytes.
+  recovery::StateWriter w;
+  sched.save_state(w);
+  MrisScheduler restored;
+  recovery::StateReader r(w.data());
+  restored.restore_state(r);
+  EXPECT_EQ(restored.dp_cells(), 0u);
+  recovery::StateWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.data(), w.data());
+
+  MrisConfig greedy;
+  greedy.backend = knapsack::Backend::kGreedyConstraint;
+  MrisScheduler greedy_sched(greedy);
+  run_online(inst, greedy_sched);
+  EXPECT_EQ(greedy_sched.dp_cells(), 0u);
 }
 
 TEST(MrisTest, RespectsKnapsackVolumePerIteration) {

@@ -184,7 +184,6 @@ TEST(GeneratorsTest, ConfigOverridesShapeDraws) {
   config.machines = 3;
   config.resources = 2;
   for (Family f : all_families()) {
-    if (f == Family::kPatience) continue;  // patience is 1-machine by shape
     const Instance inst = make_family_instance(f, config, 0);
     EXPECT_EQ(inst.num_machines(), 3) << family_name(f);
     EXPECT_GE(inst.num_resources(), 2) << family_name(f);

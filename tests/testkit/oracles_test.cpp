@@ -120,11 +120,12 @@ TEST(OraclesTest, DuplicateRegistrationThrows) {
 TEST(OraclesTest, CompetitiveBoundTracksBackendAndResources) {
   exp::SchedulerSpec cadp = exp::parse_scheduler_spec("mris");
   // 8 R (1 + eps) with the CADP eps (default 0.5).
-  EXPECT_DOUBLE_EQ(competitive_bound(cadp, 1), 8.0 * 1.5);
-  EXPECT_DOUBLE_EQ(competitive_bound(cadp, 4), 32.0 * 1.5);
-  // The greedy backend's overshoot corresponds to eps = 1.
+  EXPECT_DOUBLE_EQ(competitive_bound(cadp, 1, 1), 8.0 * 1.5);
+  EXPECT_DOUBLE_EQ(competitive_bound(cadp, 4, 3), 32.0 * 1.5);
+  // The greedy backend's overshoot corresponds to eps' = 1/M.
   exp::SchedulerSpec greedy = exp::parse_scheduler_spec("mris-greedy");
-  EXPECT_DOUBLE_EQ(competitive_bound(greedy, 2), 16.0 * 2.0);
+  EXPECT_DOUBLE_EQ(competitive_bound(greedy, 2, 1), 16.0 * 2.0);
+  EXPECT_DOUBLE_EQ(competitive_bound(greedy, 2, 4), 16.0 * 1.25);
 }
 
 TEST(OraclesTest, FixtureOracleFailsAsDesigned) {

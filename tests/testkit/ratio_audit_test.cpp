@@ -62,7 +62,8 @@ std::string run_audit(std::size_t* instances_out) {
       json << "    {\"family\": \"" << family_name(family) << "\", \"seed\": "
            << seed << ", \"R\": " << inst.num_resources()
            << ", \"bound\": "
-           << fmt17(competitive_bound(spec, inst.num_resources()))
+           << fmt17(competitive_bound(spec, inst.num_resources(),
+                                      inst.num_machines()))
            << ", \"awct_ratio\": "
            << fmt17(r.awct / awct_fluid_lower_bound(inst))
            << ", \"makespan_ratio\": "
@@ -92,6 +93,33 @@ TEST(RatioAuditTest, MrisStaysWithinTheTheoremBoundAcrossAllFamilies) {
   std::ofstream out(path);
   ASSERT_TRUE(out) << "cannot write " << path;
   out << table;
+}
+
+TEST(RatioAuditTest, GreedyWithinOnePlusOneOverMAtTwoAndFourMachines) {
+  // mris-greedy carries Theorem 6.8 / Lemma 6.9 at eps' = 1/M: audited
+  // against 8R(1 + 1/M) on every family at M = 2 and M = 4.
+  const OracleCatalog catalog = OracleCatalog::standard();
+  std::size_t instances = 0;
+  for (const int machines : {2, 4}) {
+    for (Family family : all_families()) {
+      for (std::uint64_t seed = 0; seed < kSeedsPerFamily; ++seed) {
+        GenConfig config;
+        config.num_jobs = kJobsPerInstance;
+        config.machines = machines;
+        const Instance inst = make_family_instance(family, config, seed);
+        ASSERT_EQ(inst.num_machines(), machines);
+        for (const char* oracle : {"ratio-awct", "ratio-makespan"}) {
+          const OracleResult ok =
+              run_oracle(catalog, oracle, inst, "mris-greedy");
+          EXPECT_TRUE(ok.ok) << oracle << " M=" << machines << " "
+                             << family_name(family) << " seed " << seed
+                             << ": " << ok.message;
+        }
+        ++instances;
+      }
+    }
+  }
+  EXPECT_EQ(instances, 2 * all_families().size() * kSeedsPerFamily);
 }
 
 TEST(RatioAuditTest, LowerBoundsAreSaneOnAuditInstances) {
