@@ -1,6 +1,6 @@
 #include "serve/admission_journal.hpp"
 
-// mris-lint: allow-file(raw-io)
+// mris-analyze: allow-file(raw-io)
 // This file IS a durable-write layer: the admission journal needs a
 // write-ahead per-record fsync (durable BEFORE admit), which the batched
 // JournalWriter in src/sim/recovery/ deliberately does not provide.  It

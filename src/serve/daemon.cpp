@@ -208,7 +208,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   // Decision latency is operator telemetry only: it lands in ServeResult,
   // never in sink output or placements, so the wall-clock read cannot
   // leak into anything byte-compared.
-  // mris-lint: allow(determinism-time)
+  // mris-analyze: allow(determinism-time)
   using Clock = std::chrono::steady_clock;
   std::vector<double> latency_us;
   const std::uint64_t already = resuming ? admitted.records.size() : 0;

@@ -1,7 +1,7 @@
 // The one SIMD kernel in the tree: the CADP knapsack relaxation.
 //
 // This header is the ONLY place allowed to touch x86 vector intrinsics
-// (the mris_lint `raw-simd` rule enforces that).  It holds two
+// (the mris_analyze `raw-simd` rule enforces that).  It holds two
 // implementations of dp_relax:
 //
 //  * scalar::dp_relax — always compiled, the reference semantics;

@@ -1,25 +1,30 @@
-// Unit tests for the mris_analyze frontend (tokens, scopes, symbols,
-// suppressions) and its three passes (layering, taint, thread-safety),
-// plus end-to-end assertions over the committed fixture trees.
+// Unit tests for the mris_analyze frontend (stripper, tokens, scopes,
+// symbols, suppressions, stale audit) and its four passes (lexical,
+// layering, taint, thread-safety), plus end-to-end assertions over the
+// committed fixture trees.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "tools/lint_core.hpp"
 #include "tools/mris_analyze/frontend.hpp"
 #include "tools/mris_analyze/layering.hpp"
+#include "tools/mris_analyze/lexical.hpp"
 #include "tools/mris_analyze/taint.hpp"
 #include "tools/mris_analyze/threadsafety.hpp"
 
 namespace mris::analyze {
 namespace {
 
-bool has_rule(const std::vector<Finding>& findings, const std::string& rule) {
-  return std::any_of(findings.begin(), findings.end(),
-                     [&](const Finding& f) { return f.rule == rule; });
+bool has_rule(const std::vector<Finding>& findings, const std::string& rule,
+              int line = -1) {
+  return std::any_of(findings.begin(), findings.end(), [&](const Finding& f) {
+    return f.rule == rule && (line < 0 || f.line == line);
+  });
 }
 
 int line_of(const std::vector<Finding>& findings, const std::string& rule) {
@@ -27,6 +32,24 @@ int line_of(const std::vector<Finding>& findings, const std::string& rule) {
     if (f.rule == rule) return f.line;
   }
   return -1;
+}
+
+/// The per-file passes (lexical rules + taint) over one source text.
+std::vector<Finding> lint(const std::string& source,
+                          const std::string& path = "x/test.cpp",
+                          const Options& options = {}) {
+  const SourceFile f = make_source(path, source);
+  std::vector<Finding> all = analyze_lexical(f, options);
+  const auto taint = analyze_taint(f, options);
+  all.insert(all.end(), taint.begin(), taint.end());
+  return all;
+}
+
+std::vector<StaleSuppression> stale_of(const std::string& source) {
+  Options raw;
+  raw.honor_suppressions = false;
+  return stale_suppressions(make_source("x/test.cpp", source),
+                            lint(source, "x/test.cpp", raw));
 }
 
 // --- tokenizer ------------------------------------------------------------
@@ -129,8 +152,8 @@ TEST(Suppressions, LineAndPreviousLineAndWildcard) {
                           "ts-global"));
   EXPECT_TRUE(line_allows("// mris-analyze: allow(all)", "taint-flow"));
   EXPECT_FALSE(line_allows("// mris-analyze: allow(ts-global)", "ts-guard"));
-  // mris-lint's tag must NOT suppress analyzer findings.
-  EXPECT_FALSE(line_allows("// mris-lint: allow(ts-global)", "ts-global"));
+  // The tag must be spelled exactly.
+  EXPECT_FALSE(line_allows("// mris-analyze allow(ts-global)", "ts-global"));
 }
 
 TEST(Suppressions, ReporterHonorsCommentOnOrAboveLine) {
@@ -305,6 +328,15 @@ TEST(Taint, ThreadLocalIsFlowOnlyNotAStandaloneFinding) {
   EXPECT_TRUE(has_rule(flagged, "taint-flow"));
 }
 
+TEST(Taint, RangeForOverUndeclaredUnorderedIsASource) {
+  // A temporary, and a member whose declaration lives in another file.
+  EXPECT_TRUE(has_rule(
+      taint_of("for (auto& kv : std::unordered_map<int, int>{{1, 2}}) f(kv);"),
+      "taint-unordered"));
+  EXPECT_TRUE(has_rule(taint_of("for (auto& kv : unordered_map_) f(kv);"),
+                       "taint-unordered"));
+}
+
 TEST(Taint, SuppressionSilencesTheSource) {
   const auto findings = taint_of(
       "#include <unordered_map>\n"
@@ -419,8 +451,10 @@ TEST(ThreadSafety, ByRefCaptureSubmittedToPool) {
 
 // --- fixtures end to end --------------------------------------------------
 
-std::vector<Finding> analyze_dir(const std::string& dir) {
-  const std::vector<std::string> paths = mris::lint::collect_sources(dir);
+std::vector<Finding> analyze_dir(const std::string& dir,
+                                 const Options& options = {},
+                                 std::vector<SourceFile>* loaded = nullptr) {
+  const std::vector<std::string> paths = collect_sources(dir);
   std::vector<SourceFile> files;
   std::vector<std::string> rels;
   for (const std::string& p : paths) {
@@ -431,14 +465,16 @@ std::vector<Finding> analyze_dir(const std::string& dir) {
     f.path = rels.back();
     files.push_back(std::move(f));
   }
-  const Options options;
   std::vector<Finding> all = analyze_layering(files, rels, options).findings;
   for (const SourceFile& f : files) {
-    const auto t = analyze_taint(f, options);
-    all.insert(all.end(), t.begin(), t.end());
+    for (const auto& pass : {analyze_lexical, analyze_taint}) {
+      const auto found = pass(f, options);
+      all.insert(all.end(), found.begin(), found.end());
+    }
   }
   const auto ts = analyze_threadsafety(files, options);
   all.insert(all.end(), ts.begin(), ts.end());
+  if (loaded != nullptr) *loaded = std::move(files);
   return all;
 }
 
@@ -459,6 +495,431 @@ TEST(Fixtures, EveryBadTreeTripsItsRule) {
     const auto findings =
         analyze_dir(std::string(MRIS_ANALYZE_FIXTURES) + "/bad/" + rule);
     EXPECT_TRUE(has_rule(findings, rule)) << "fixture for " << rule;
+  }
+}
+
+TEST(Fixtures, StaleTreeReportsExactlyTheOrphans) {
+  // Lexical and cross-file rules alike: each live allow is kept, each
+  // orphan is reported once.
+  Options raw;
+  raw.honor_suppressions = false;
+  std::vector<SourceFile> files;
+  const auto findings =
+      analyze_dir(std::string(MRIS_ANALYZE_FIXTURES) + "/stale", raw, &files);
+  std::vector<std::tuple<std::string, int, std::string>> got;
+  for (const SourceFile& f : files) {
+    for (const StaleSuppression& s : stale_suppressions(f, findings)) {
+      got.emplace_back(s.file, s.line, s.rule);
+    }
+  }
+  const std::vector<std::tuple<std::string, int, std::string>> want = {
+      {"sim/queue.hpp", 16, "ts-guard"},
+      {"stale.cpp", 12, "no-float"},
+      {"util/includes.hpp", 9, "layer-upward"},
+  };
+  EXPECT_EQ(got, want);
+}
+
+// --- comment/string stripping --------------------------------------------
+
+TEST(LintStripTest, LineCommentsAreBlanked) {
+  const std::string s = strip_comments_and_strings("int x; // rand()\nint y;");
+  EXPECT_EQ(s.find("rand"), std::string::npos);
+  EXPECT_NE(s.find("int y;"), std::string::npos);
+}
+
+TEST(LintStripTest, BlockCommentsPreserveNewlines) {
+  const std::string s =
+      strip_comments_and_strings("a /* rand()\n time() */ b");
+  EXPECT_EQ(s.find("rand"), std::string::npos);
+  EXPECT_EQ(s.find("time"), std::string::npos);
+  EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 1);
+  EXPECT_NE(s.find('a'), std::string::npos);
+  EXPECT_NE(s.find('b'), std::string::npos);
+}
+
+TEST(LintStripTest, StringLiteralsAreBlanked) {
+  const std::string s =
+      strip_comments_and_strings("call(\"rand() \\\" time()\");");
+  EXPECT_EQ(s.find("rand"), std::string::npos);
+  EXPECT_EQ(s.find("time"), std::string::npos);
+  EXPECT_NE(s.find("call("), std::string::npos);
+}
+
+TEST(LintStripTest, RawStringsAreBlanked) {
+  const std::string s = strip_comments_and_strings(
+      "auto d = R\"doc(rand() \" ' float)doc\"; int after;");
+  EXPECT_EQ(s.find("rand"), std::string::npos);
+  EXPECT_EQ(s.find("float"), std::string::npos);
+  EXPECT_NE(s.find("int after;"), std::string::npos);
+}
+
+TEST(LintStripTest, DigitSeparatorIsNotACharLiteral) {
+  const std::string s =
+      strip_comments_and_strings("int n = 1'000'000; float f;");
+  EXPECT_NE(s.find("float f;"), std::string::npos);
+  // Hex digits after a separator still belong to the number.
+  EXPECT_NE(strip_comments_and_strings("int h = 0xFF'FF'FF; float g;")
+                .find("float g;"),
+            std::string::npos);
+}
+
+TEST(LintStripTest, CharLiteralsAreBlanked) {
+  const std::string s = strip_comments_and_strings("char c = 'f'; int g;");
+  // The 'f' must not survive as code, the rest must.
+  EXPECT_NE(s.find("char c ="), std::string::npos);
+  EXPECT_NE(s.find("int g;"), std::string::npos);
+  EXPECT_EQ(s.find("'f'"), std::string::npos);
+}
+
+TEST(LintStripTest, PrefixedCharLiteralsHoldingAQuoteAreBlanked) {
+  // After an identifier the quote opens a literal, so the '"' inside must
+  // not open a string that swallows the code after it.
+  for (const std::string lit : {"U'\"'", "L'\"'", "u8'\"'", "return '\"'"}) {
+    const std::string s =
+        strip_comments_and_strings(lit + ";\nfloat f = 0;\nint g = rand();");
+    EXPECT_NE(s.find("float f = 0;"), std::string::npos) << lit;
+    EXPECT_NE(s.find("int g = rand();"), std::string::npos) << lit;
+    EXPECT_EQ(s.find('"'), std::string::npos) << lit;
+  }
+  const auto findings = lint("char32_t q = U'\"';\nfloat f = 0;\nint g = rand();");
+  EXPECT_TRUE(has_rule(findings, "no-float", 2));
+  EXPECT_TRUE(has_rule(findings, "determinism-rand", 3));
+}
+
+// --- lexical rules ---------------------------------------------------------
+
+TEST(LintRuleTest, FlagsRandFamily) {
+  EXPECT_TRUE(has_rule(lint("int x = std::rand();"), "determinism-rand", 1));
+  EXPECT_TRUE(has_rule(lint("srand(7);"), "determinism-rand", 1));
+  EXPECT_TRUE(
+      has_rule(lint("std::random_device rd;"), "determinism-rand", 1));
+  EXPECT_TRUE(has_rule(lint("std::mt19937 gen;"), "determinism-rand", 1));
+}
+
+TEST(LintRuleTest, FlagsWallClockReads) {
+  EXPECT_TRUE(has_rule(lint("long t = time(nullptr);"), "determinism-time"));
+  EXPECT_TRUE(has_rule(lint("auto c = clock();"), "determinism-time"));
+  EXPECT_TRUE(has_rule(lint("auto n = std::chrono::steady_clock::now();"),
+                       "determinism-time"));
+}
+
+TEST(LintRuleTest, IdentifiersContainingRuleWordsAreClean) {
+  EXPECT_TRUE(lint("double completion_time(int j);").empty());
+  EXPECT_TRUE(lint("double start_time = 0.0;").empty());
+  EXPECT_TRUE(lint("int operand = 3;").empty());
+  EXPECT_TRUE(lint("static_assert(sizeof(int) == 4);").empty());
+}
+
+TEST(LintRuleTest, RngHeaderIsExemptFromDeterminismRules) {
+  EXPECT_TRUE(lint("#pragma once\n// impl\nstd::uint64_t x = rand();\n",
+                   "src/util/rng.hpp")
+                  .empty());
+}
+
+TEST(LintRuleTest, FlagsUnorderedIteration) {
+  EXPECT_TRUE(has_rule(lint("for (auto& kv : unordered_map_) f(kv);"),
+                       "taint-unordered"));
+  EXPECT_TRUE(lint("for (auto& kv : sorted_map_) f(kv);").empty());
+  // Declaring one is fine; only iterating is flagged.
+  EXPECT_TRUE(lint("std::unordered_map<int, int> m;").empty());
+}
+
+TEST(LintRuleTest, TracksUnorderedVariablesAcrossLines) {
+  // The declaration and the range-for are lines apart; the symbol table
+  // remembers which identifiers were declared with an unordered_* type.
+  EXPECT_TRUE(has_rule(lint("std::unordered_map<int, int> hist;\n"
+                            "void f() {\n"
+                            "  for (auto& kv : hist) g(kv);\n"
+                            "}\n"),
+                       "taint-unordered", 3));
+  // Reference parameters count as declarations too.
+  EXPECT_TRUE(has_rule(lint("void f(const std::unordered_set<int>& seen) {\n"
+                            "  for (int s : seen) g(s);\n"
+                            "}\n"),
+                       "taint-unordered", 2));
+  // A for loop over an unrelated name stays clean.
+  EXPECT_TRUE(lint("std::unordered_map<int, int> hist;\n"
+                   "void f(std::vector<int>& v) {\n"
+                   "  for (int s : v) g(s);\n"
+                   "}\n")
+                  .empty());
+}
+
+TEST(LintRuleTest, FlagsIteratorAndForEachTraversal) {
+  // begin()-family iterators on a known unordered variable.
+  EXPECT_TRUE(has_rule(lint("std::unordered_map<int, int> hist;\n"
+                            "void f() {\n"
+                            "  auto it = hist.begin();\n"
+                            "}\n"),
+                       "taint-unordered", 3));
+  // std::for_each over an unordered container.
+  EXPECT_TRUE(has_rule(lint("std::unordered_set<int> seen;\n"
+                            "void f() {\n"
+                            "  std::for_each(seen.cbegin(), seen.cend(), g);\n"
+                            "}\n"),
+                       "taint-unordered", 3));
+  // begin() on an ordered container stays clean.
+  EXPECT_TRUE(lint("std::map<int, int> sorted;\n"
+                   "void f() {\n"
+                   "  auto it = sorted.begin();\n"
+                   "}\n")
+                  .empty());
+  // A range-for line is reported once, not once per matching branch.
+  const auto findings = lint("std::unordered_map<int, int> hist;\n"
+                             "void f() {\n"
+                             "  for (auto& kv : hist) g(kv);\n"
+                             "}\n");
+  EXPECT_EQ(findings.size(), 1u);
+}
+
+TEST(LintRuleTest, FlagsFloat) {
+  EXPECT_TRUE(has_rule(lint("float f = 0.5f;"), "no-float", 1));
+  EXPECT_TRUE(lint("double d = 0.5; int afloat = 1;").empty());
+}
+
+TEST(LintRuleTest, FlagsNakedAssertButNotContractsHeader) {
+  EXPECT_TRUE(has_rule(lint("assert(x > 0);"), "naked-assert"));
+  EXPECT_TRUE(has_rule(lint("#include <cassert>"), "naked-assert"));
+  EXPECT_TRUE(
+      lint("#pragma once\nvoid f() { assert(1); }\n", "src/util/contracts.hpp")
+          .empty());
+}
+
+TEST(LintRuleTest, FlagsStdout) {
+  EXPECT_TRUE(has_rule(lint("std::cout << x;"), "stdout"));
+  EXPECT_TRUE(has_rule(lint("printf(\"%d\", x);"), "stdout"));
+  EXPECT_TRUE(lint("std::snprintf(buf, sizeof buf, \"%d\", x);").empty());
+}
+
+TEST(LintRuleTest, FlagsRawIoOutsideRecoveryLayer) {
+  EXPECT_TRUE(has_rule(lint("std::fwrite(p, 1, n, f);"), "raw-io"));
+  EXPECT_TRUE(has_rule(lint("::fsync(fd);"), "raw-io"));
+  EXPECT_TRUE(has_rule(lint("fdatasync(fd);"), "raw-io"));
+  EXPECT_TRUE(has_rule(lint("pwrite(fd, p, n, 0);"), "raw-io"));
+  EXPECT_TRUE(has_rule(lint("::write(fd, p, n);"), "raw-io"));
+  EXPECT_TRUE(has_rule(lint("return ::write(fd, p, n);"), "raw-io"));
+}
+
+TEST(LintRuleTest, RawIoSparesMethodsHelpersAndRecoveryLayer) {
+  // Method calls and write_* helpers are not the write(2) syscall.
+  EXPECT_TRUE(lint("store->write(meta, payload);").empty());
+  EXPECT_TRUE(lint("snapstore_.write(meta, payload);").empty());
+  EXPECT_TRUE(lint("util::write_csv(f, table);").empty());
+  EXPECT_TRUE(lint("exp::write_series_csv(path, series);").empty());
+  EXPECT_TRUE(lint("store::write(meta, payload);").empty());
+  // The recovery IO layer itself owns raw durable writes.
+  EXPECT_TRUE(lint("void f() { std::fwrite(p, 1, n, file); }\n",
+                   "src/sim/recovery/journal.cpp")
+                  .empty());
+  EXPECT_TRUE(lint("void f() { ::fsync(fd); ::write(fd, p, n); }\n",
+                   "src/sim/recovery/snapshot.cpp")
+                  .empty());
+}
+
+TEST(LintRuleTest, FlagsVectorIntrinsicsOutsideSimdLayer) {
+  EXPECT_TRUE(has_rule(lint("#include <immintrin.h>"), "raw-simd"));
+  EXPECT_TRUE(has_rule(lint("__m256d v = _mm256_loadu_pd(p);"), "raw-simd"));
+  EXPECT_TRUE(has_rule(lint("auto m = _mm_set1_pd(x);"), "raw-simd"));
+  EXPECT_TRUE(has_rule(lint("__m512d z;"), "raw-simd"));
+}
+
+TEST(LintRuleTest, RawSimdSparesLookalikesAndTheSimdLayer) {
+  // Identifiers merely containing the prefixes are not intrinsics.
+  EXPECT_TRUE(lint("int comm_mm = 0; double x_mm256 = 1.0;").empty());
+  EXPECT_TRUE(lint("shared_memory__m256 = nullptr;").empty());
+  // The kernel layer itself owns the intrinsics (path-suffix exemption).
+  EXPECT_TRUE(lint("__m256d v = _mm256_add_pd(a, b);\n#pragma once\n",
+                   "src/util/simd.hpp")
+                  .empty());
+  // Suppressions work like every other rule.
+  EXPECT_FALSE(has_rule(lint("__m256d v;  // mris-analyze: allow(raw-simd)"),
+                        "raw-simd"));
+}
+
+TEST(LintRuleTest, HeaderRequiresPragmaOnce) {
+  EXPECT_TRUE(has_rule(lint("int f();\n", "x/h.hpp"), "pragma-once", 1));
+  EXPECT_TRUE(lint("#pragma once\nint f();\n", "x/h.hpp").empty());
+  // Not required for .cpp files.
+  EXPECT_TRUE(lint("int f() { return 1; }\n", "x/h.cpp").empty());
+}
+
+// --- suppressions of the lexical rules ------------------------------------
+
+TEST(LintSuppressionTest, SameLineAllowSilencesRule) {
+  EXPECT_TRUE(lint("float f;  // mris-analyze: allow(no-float)").empty());
+}
+
+TEST(LintSuppressionTest, PreviousLineAllowSilencesRule) {
+  EXPECT_TRUE(lint("// mris-analyze: allow(no-float)\nfloat f;").empty());
+}
+
+TEST(LintSuppressionTest, AllowAllSilencesEveryRule) {
+  EXPECT_TRUE(lint("float f = rand();  // mris-analyze: allow(all)").empty());
+}
+
+TEST(LintSuppressionTest, WrongRuleDoesNotSilence) {
+  EXPECT_TRUE(has_rule(lint("float f;  // mris-analyze: allow(stdout)"),
+                       "no-float"));
+}
+
+TEST(LintSuppressionTest, FileLevelAllowSilencesWholeFile) {
+  EXPECT_TRUE(
+      lint("// mris-analyze: allow-file(no-float)\n\nfloat a;\nfloat b;")
+          .empty());
+}
+
+TEST(LintSuppressionTest, NoSuppressModeReportsAnyway) {
+  Options options;
+  options.honor_suppressions = false;
+  EXPECT_TRUE(has_rule(lint("float f;  // mris-analyze: allow(no-float)",
+                            "x/test.cpp", options),
+                       "no-float"));
+}
+
+// --- stale-suppression audit ----------------------------------------------
+
+TEST(LintStaleTest, LiveSuppressionIsNotStale) {
+  EXPECT_TRUE(stale_of("float f;  // mris-analyze: allow(no-float)").empty());
+  // A previous-line allow covering the next line is live too.
+  EXPECT_TRUE(stale_of("// mris-analyze: allow(no-float)\nfloat f;").empty());
+}
+
+TEST(LintStaleTest, OrphanedSuppressionIsReported) {
+  const auto stale = stale_of("int i = 0;  // mris-analyze: allow(no-float)");
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_EQ(stale[0].line, 1);
+  EXPECT_EQ(stale[0].rule, "no-float");
+  EXPECT_FALSE(stale[0].file_wide);
+  // The fix-style rendering names the comment to delete.
+  EXPECT_NE(format_stale(stale[0]).find("mris-analyze: allow(no-float)"),
+            std::string::npos);
+}
+
+TEST(LintStaleTest, AllowAllIsLiveIfAnyRuleFires) {
+  EXPECT_TRUE(
+      stale_of("float f = rand();  // mris-analyze: allow(all)").empty());
+  EXPECT_EQ(stale_of("int i = 0;  // mris-analyze: allow(all)").size(), 1u);
+}
+
+TEST(LintStaleTest, FileWideSuppressionCheckedAgainstWholeFile) {
+  // Live: a float appears further down the file.
+  EXPECT_TRUE(stale_of("// mris-analyze: allow-file(no-float)\n"
+                       "int a;\n"
+                       "float b;\n")
+                  .empty());
+  // Stale: the rule never fires anywhere.
+  const auto stale = stale_of("// mris-analyze: allow-file(no-float)\n"
+                              "int a;\n");
+  ASSERT_EQ(stale.size(), 1u);
+  EXPECT_TRUE(stale[0].file_wide);
+  EXPECT_NE(format_stale(stale[0]).find("allow-file(no-float)"),
+            std::string::npos);
+}
+
+TEST(LintStaleTest, OtherFilesFindingsDoNotKeepAnAllowAlive) {
+  const SourceFile f =
+      make_source("a.cpp", "int i = 0;  // mris-analyze: allow(no-float)");
+  const std::vector<Finding> raw = {{"b.cpp", 1, "no-float", "elsewhere"}};
+  EXPECT_EQ(stale_suppressions(f, raw).size(), 1u);
+}
+
+// --- lexical fixture files (the same ones the ctests scan) -----------------
+
+std::string lexical_fixtures() {
+  return std::string(MRIS_ANALYZE_FIXTURES) + "/lexical";
+}
+
+std::vector<Finding> lint_file(const std::string& path) {
+  SourceFile f;
+  EXPECT_TRUE(load_source(path, f)) << path;
+  return lint(f.original, path);
+}
+
+TEST(LintFixtureTest, GoodFixturesAreClean) {
+  const auto files = collect_sources(lexical_fixtures() + "/good");
+  ASSERT_GE(files.size(), 2u);
+  for (const auto& path : files) {
+    for (const auto& f : lint_file(path)) ADD_FAILURE() << format_finding(f);
+  }
+}
+
+TEST(LintFixtureTest, BadFixturesTripEveryRule) {
+  std::vector<Finding> all;
+  for (const auto& path : collect_sources(lexical_fixtures() + "/bad")) {
+    const auto findings = lint_file(path);
+    all.insert(all.end(), findings.begin(), findings.end());
+  }
+  for (const char* rule :
+       {"determinism-rand", "determinism-time", "taint-unordered", "no-float",
+        "naked-assert", "stdout", "pragma-once", "raw-io", "raw-simd"}) {
+    EXPECT_TRUE(has_rule(all, rule)) << rule;
+  }
+}
+
+TEST(LintFixtureTest, BadFixtureFindingsAreExactlyTheMarkedLines) {
+  // Every (file, line, rule) the bad tree must produce, and nothing else.
+  std::set<std::tuple<std::string, int, std::string>> got;
+  for (const auto& path : collect_sources(lexical_fixtures() + "/bad")) {
+    for (const auto& f : lint_file(path)) {
+      got.emplace(std::filesystem::path(f.file).filename().string(), f.line,
+                  f.rule);
+    }
+  }
+  const std::set<std::tuple<std::string, int, std::string>> want = {
+      {"missing_pragma.hpp", 1, "pragma-once"},
+      {"raw_io.cpp", 7, "raw-io"},
+      {"raw_io.cpp", 8, "raw-io"},
+      {"raw_io.cpp", 9, "raw-io"},
+      {"raw_io.cpp", 10, "raw-io"},
+      {"raw_io.cpp", 11, "raw-io"},
+      {"raw_simd.cpp", 3, "raw-simd"},
+      {"raw_simd.cpp", 6, "raw-simd"},
+      {"raw_simd.cpp", 7, "raw-simd"},
+      {"raw_simd.cpp", 9, "raw-simd"},
+      {"unordered_iter2.cpp", 12, "taint-unordered"},
+      {"unordered_iter2.cpp", 17, "taint-unordered"},
+      {"violations.cpp", 3, "naked-assert"},
+      {"violations.cpp", 12, "determinism-rand"},
+      {"violations.cpp", 13, "determinism-time"},
+      {"violations.cpp", 14, "determinism-rand"},
+      {"violations.cpp", 20, "taint-unordered"},
+      {"violations.cpp", 24, "no-float"},
+      {"violations.cpp", 25, "naked-assert"},
+      {"violations.cpp", 26, "stdout"},
+      {"violations.cpp", 27, "no-float"},
+  };
+  EXPECT_EQ(got, want);
+}
+
+TEST(LintFixtureTest, RawIoFixtureLinesAreExact) {
+  const auto findings = lint_file(lexical_fixtures() + "/bad/raw_io.cpp");
+  EXPECT_TRUE(has_rule(findings, "raw-io", 7));   // fwrite
+  EXPECT_TRUE(has_rule(findings, "raw-io", 8));   // fsync
+  EXPECT_TRUE(has_rule(findings, "raw-io", 9));   // fdatasync
+  EXPECT_TRUE(has_rule(findings, "raw-io", 10));  // pwrite
+  EXPECT_TRUE(has_rule(findings, "raw-io", 11));  // ::write
+  for (const auto& f : findings) EXPECT_EQ(f.rule, "raw-io");
+}
+
+TEST(LintFixtureTest, BadFixtureLinesAreExact) {
+  const auto findings = lint_file(lexical_fixtures() + "/bad/violations.cpp");
+  EXPECT_TRUE(has_rule(findings, "naked-assert", 3));
+  EXPECT_TRUE(has_rule(findings, "determinism-rand", 12));
+  EXPECT_TRUE(has_rule(findings, "determinism-time", 13));
+  EXPECT_TRUE(has_rule(findings, "determinism-rand", 14));
+  EXPECT_TRUE(has_rule(findings, "taint-unordered", 20));
+  EXPECT_TRUE(has_rule(findings, "no-float", 24));
+  EXPECT_TRUE(has_rule(findings, "naked-assert", 25));
+  EXPECT_TRUE(has_rule(findings, "stdout", 26));
+}
+
+TEST(LintFixtureTest, CollectSourcesIsSortedAndFiltered) {
+  const auto files = collect_sources(lexical_fixtures());
+  ASSERT_GE(files.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(files.begin(), files.end()));
+  for (const auto& f : files) {
+    EXPECT_TRUE(f.ends_with(".hpp") || f.ends_with(".cpp")) << f;
   }
 }
 

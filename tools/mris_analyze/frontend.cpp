@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
-
-#include "tools/lint_core.hpp"
 
 namespace mris::analyze {
 
@@ -54,11 +53,124 @@ bool is_word_char(char c) {
   return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
 }
 
-bool token_is(const Token& t, const char* text) { return t.text == text; }
-
 std::string format_finding(const Finding& finding) {
   return finding.file + ":" + std::to_string(finding.line) + ": [" +
          finding.rule + "] " + finding.message;
+}
+
+std::string strip_comments_and_strings(const std::string& source) {
+  enum class State {
+    kCode,
+    kLineComment,
+    kBlockComment,
+    kString,
+    kChar,
+    kRawString,
+  };
+  std::string out = source;
+  State state = State::kCode;
+  std::string raw_delim;  // )delim" that terminates the raw string
+
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    const char c = source[i];
+    const char next = i + 1 < source.size() ? source[i + 1] : '\0';
+    switch (state) {
+      case State::kCode:
+        if (c == '/' && (next == '/' || next == '*')) {
+          state = next == '/' ? State::kLineComment : State::kBlockComment;
+          out[i] = out[i + 1] = ' ';
+          ++i;
+        } else if (c == '"') {
+          // R"delim( ... )delim" — R (possibly after u8/u/U/L) directly
+          // before the quote.
+          const std::size_t open = i > 0 && source[i - 1] == 'R'
+                                       ? source.find('(', i + 1)
+                                       : std::string::npos;
+          state = State::kString;
+          if (open != std::string::npos) {
+            raw_delim = ")" + source.substr(i + 1, open - i - 1) + "\"";
+            state = State::kRawString;
+          }
+          out[i] = ' ';
+        } else if (c == '\'') {
+          // A digit separator only inside a number (1'000, 0xFF'FF): walk
+          // back over the literal and look at its first character.  After
+          // an identifier (u8'x', U'"', L'x') the quote opens a literal.
+          std::size_t start = i;
+          while (start > 0 && (is_word_char(source[start - 1]) ||
+                               source[start - 1] == '\'' ||
+                               source[start - 1] == '.')) {
+            --start;
+          }
+          while (start < i && source[start] == '.') ++start;
+          if (start == i ||
+              std::isdigit(static_cast<unsigned char>(source[start])) == 0) {
+            state = State::kChar;
+          }
+          out[i] = ' ';
+        }
+        break;
+      case State::kLineComment:
+        if (c == '\n') {
+          state = State::kCode;
+        } else {
+          out[i] = ' ';
+        }
+        break;
+      case State::kBlockComment:
+        if (c == '*' && next == '/') {
+          state = State::kCode;
+          out[i] = out[i + 1] = ' ';
+          ++i;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kString:
+      case State::kChar:
+        if (c == '\\') {
+          out[i] = ' ';
+          if (next != '\0' && next != '\n') {
+            out[i + 1] = ' ';
+            ++i;
+          }
+        } else if (c == (state == State::kString ? '"' : '\'')) {
+          state = State::kCode;
+          out[i] = ' ';
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+      case State::kRawString:
+        if (source.compare(i, raw_delim.size(), raw_delim) == 0) {
+          for (std::size_t k = 0; k < raw_delim.size(); ++k) out[i + k] = ' ';
+          i += raw_delim.size() - 1;
+          state = State::kCode;
+        } else if (c != '\n') {
+          out[i] = ' ';
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+std::vector<std::string> collect_sources(const std::string& root) {
+  namespace fs = std::filesystem;
+  std::vector<std::string> files;
+  std::error_code ec;
+  if (fs::is_regular_file(root, ec)) return {root};
+  for (fs::recursive_directory_iterator it(root, ec), end; it != end;
+       it.increment(ec)) {
+    if (ec) break;
+    if (!it->is_regular_file()) continue;
+    const std::string ext = it->path().extension().string();
+    if (ext == ".hpp" || ext == ".cpp" || ext == ".h" || ext == ".cc") {
+      files.push_back(it->path().string());
+    }
+  }
+  std::sort(files.begin(), files.end());
+  return files;
 }
 
 std::vector<Token> tokenize(const std::string& stripped) {
@@ -469,7 +581,7 @@ SourceFile make_source(const std::string& path, const std::string& text) {
   SourceFile f;
   f.path = path;
   f.original = text;
-  f.stripped = lint::strip_comments_and_strings(text);
+  f.stripped = strip_comments_and_strings(text);
   f.original_lines = split_lines(f.original);
   f.stripped_lines = split_lines(f.stripped);
   f.tokens = tokenize(f.stripped);
@@ -493,32 +605,70 @@ bool load_source(const std::string& path, SourceFile& out) {
 
 namespace {
 
-bool tag_allows(const std::string& line, const char* tag,
-                const std::string& rule) {
+constexpr const char* kAllowTag = "mris-analyze: allow(";
+constexpr const char* kAllowFileTag = "mris-analyze: allow-file(";
+
+/// The rule named by `tag(<rule>)` in `line`; false when the tag is absent.
+bool allow_tag(const std::string& line, const char* tag, std::string& rule) {
   const std::size_t pos = line.find(tag);
   if (pos == std::string::npos) return false;
   const std::size_t open = line.find('(', pos);
   const std::size_t close = line.find(')', open);
-  if (open == std::string::npos || close == std::string::npos) return false;
-  const std::string arg = line.substr(open + 1, close - open - 1);
-  return arg == rule || arg == "all";
+  if (close == std::string::npos) return false;
+  rule = line.substr(open + 1, close - open - 1);
+  return true;
+}
+
+bool tag_allows(const std::string& line, const char* tag,
+                const std::string& rule) {
+  std::string arg;
+  return allow_tag(line, tag, arg) && (arg == rule || arg == "all");
 }
 
 }  // namespace
 
 bool line_allows(const std::string& original_line, const std::string& rule) {
-  return tag_allows(original_line, "mris-analyze: allow(", rule);
+  return tag_allows(original_line, kAllowTag, rule);
 }
 
 bool file_allows(const std::vector<std::string>& original_lines,
                  const std::string& rule) {
   const std::size_t scan = std::min<std::size_t>(original_lines.size(), 10);
   for (std::size_t i = 0; i < scan; ++i) {
-    if (tag_allows(original_lines[i], "mris-analyze: allow-file(", rule)) {
-      return true;
-    }
+    if (tag_allows(original_lines[i], kAllowFileTag, rule)) return true;
   }
   return false;
+}
+
+std::vector<StaleSuppression> stale_suppressions(
+    const SourceFile& file, const std::vector<Finding>& raw) {
+  const auto fires = [&](const std::string& rule, int line) {
+    return std::any_of(raw.begin(), raw.end(), [&](const Finding& f) {
+      return f.file == file.path && (rule == "all" || f.rule == rule) &&
+             (line == 0 || f.line == line);
+    });
+  };
+  std::vector<StaleSuppression> stale;
+  for (std::size_t i = 0; i < file.original_lines.size(); ++i) {
+    const int line = static_cast<int>(i) + 1;
+    std::string rule;
+    // A line-level allow covers its own line and the one below.
+    if (allow_tag(file.original_lines[i], kAllowTag, rule) &&
+        !fires(rule, line) && !fires(rule, line + 1)) {
+      stale.push_back({file.path, line, rule, /*file_wide=*/false});
+    }
+    if (i < 10 && allow_tag(file.original_lines[i], kAllowFileTag, rule) &&
+        !fires(rule, 0)) {
+      stale.push_back({file.path, line, rule, /*file_wide=*/true});
+    }
+  }
+  return stale;
+}
+
+std::string format_stale(const StaleSuppression& stale) {
+  return stale.file + ":" + std::to_string(stale.line) + ": stale '" +
+         (stale.file_wide ? kAllowFileTag : kAllowTag) + stale.rule +
+         ")' — the rule no longer fires here; remove this comment";
 }
 
 bool Reporter::suppressed(int line, const std::string& rule) const {

@@ -1,13 +1,11 @@
-// Shared token/AST-lite frontend for mris_analyze, the project's
-// multi-pass whole-project analyzer (layering, nondeterminism taint,
+// Shared token/AST-lite frontend for mris_analyze, the project's one
+// static-analysis tool (lexical rules, layering, nondeterminism taint,
 // thread-safety discipline — see the pass headers next to this file).
 //
-// The frontend is deliberately one level above mris_lint's line lexer and
-// several levels below a real C++ parser:
+// The frontend is deliberately several levels below a real C++ parser:
 //
-//   * comments/strings are blanked via lint_core's
-//     strip_comments_and_strings (newlines preserved, so token line
-//     numbers survive);
+//   * comments/strings are blanked by strip_comments_and_strings
+//     (newlines preserved, so token line numbers survive);
 //   * the stripped text is tokenized (identifiers, numbers, and a small
 //     set of multi-char operators; preprocessor lines are skipped);
 //   * braces are matched into a scope tree whose nodes are classified as
@@ -19,10 +17,9 @@
 //     pointers, thread_local variables, and fields annotated with the
 //     MRIS_GUARDED_BY family from util/contracts.hpp.
 //
-// Suppressions mirror mris_lint's, under the analyzer's own tag so the
-// two baselines stay independent: `// mris-analyze: allow(<rule>)` on the
-// offending line or the line above, `// mris-analyze: allow-file(<rule>)`
-// within the first 10 lines, and `all` as a wildcard rule.
+// Suppressions: `// mris-analyze: allow(<rule>)` on the offending line or
+// the line above, `// mris-analyze: allow-file(<rule>)` within the first
+// 10 lines, and `all` as a wildcard rule.
 #pragma once
 
 #include <cstddef>
@@ -46,6 +43,18 @@ struct Options {
   /// When non-empty, only findings whose rule is listed are reported.
   std::vector<std::string> rule_filter;
 };
+
+// --- text ---------------------------------------------------------------
+
+/// Blanks out comments and string/character literal contents (newlines
+/// preserved, so line numbers survive).  Handles escapes, raw strings,
+/// prefixed literals (u8"", U'x') and digit separators (1'000 is not a
+/// char literal).
+std::string strip_comments_and_strings(const std::string& source);
+
+/// All .hpp/.cpp/.h/.cc files under `root` (or just {root} when it is a
+/// file), sorted so output and exit codes are deterministic.
+std::vector<std::string> collect_sources(const std::string& root);
 
 // --- tokens ---------------------------------------------------------------
 
@@ -153,6 +162,25 @@ bool line_allows(const std::string& original_line, const std::string& rule);
 bool file_allows(const std::vector<std::string>& original_lines,
                  const std::string& rule);
 
+/// An allow comment that no longer suppresses anything: with suppressions
+/// ignored, its rule fires on neither its line nor the next (allow-file:
+/// nowhere in the file).  `all` matches any rule.
+struct StaleSuppression {
+  std::string file;
+  int line = 0;            ///< 1-based line of the allow comment
+  std::string rule;        ///< the rule named in the comment (may be "all")
+  bool file_wide = false;  ///< allow-file(...) form
+};
+
+/// Audits `file`'s allow comments against `raw`, the findings of every
+/// pass run with suppressions ignored (findings of other files are
+/// skipped).
+std::vector<StaleSuppression> stale_suppressions(
+    const SourceFile& file, const std::vector<Finding>& raw);
+
+/// "file:line: stale 'mris-analyze: allow(rule)' — remove this comment".
+std::string format_stale(const StaleSuppression& stale);
+
 /// Collects `finding` unless suppressed or filtered out by `options`.
 class Reporter {
  public:
@@ -176,7 +204,6 @@ class Reporter {
 // --- small shared helpers -------------------------------------------------
 
 bool is_word_char(char c);
-bool token_is(const Token& t, const char* text);
 
 /// Index of the matching ')' / '>' / ']' for the opener at `open`
 /// (tokens[open] must be the opener); tokens.size() when unbalanced.

@@ -1,15 +1,18 @@
-// mris_analyze: multi-pass whole-project analyzer (see frontend.hpp).
+// mris_analyze: the project's static-analysis tool (see frontend.hpp).
 //
-//   mris_analyze [--no-suppress] [--rule R]... [--json PATH] [--md PATH]
-//                <src-root>
+//   mris_analyze [--no-suppress] [--stale] [--rule R]... [--json PATH]
+//                [--md PATH] [--list-rules] <src-root>
 //
-// Passes: include-graph layering (layer-upward, layer-cycle),
-// nondeterminism taint (taint-unordered, taint-pointer-key, taint-flow),
-// thread-safety discipline (ts-global, ts-guard, ts-ref-capture).
+// Passes: per-file lexical rules, include-graph layering, nondeterminism
+// taint, thread-safety discipline (--list-rules prints every rule id).
 //
-// Exit codes: 0 clean, 1 findings, 2 usage/I-O error.  --json/--md write
-// the deterministic layering summary regardless of findings, so CI can
-// upload the report from a red run too.
+// --stale audits the suppression comments instead of the code: every pass
+// runs with suppressions ignored, and each `mris-analyze: allow(...)` whose
+// rule no longer fires where it points is printed, fix-style.
+//
+// Exit codes: 0 clean, 1 findings (or stale suppressions), 2 usage/I-O
+// error.  --json/--md write the deterministic layering summary regardless
+// of findings, so CI can upload the report from a red run too.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -17,22 +20,24 @@
 #include <string>
 #include <vector>
 
-#include "tools/lint_core.hpp"
 #include "tools/mris_analyze/frontend.hpp"
 #include "tools/mris_analyze/layering.hpp"
+#include "tools/mris_analyze/lexical.hpp"
 #include "tools/mris_analyze/taint.hpp"
 #include "tools/mris_analyze/threadsafety.hpp"
 
 namespace {
 
 constexpr const char* kRules[] = {
-    "layer-upward",  "layer-cycle",       "taint-unordered",
-    "taint-pointer-key", "taint-flow",    "ts-global",
-    "ts-guard",      "ts-ref-capture",
+    "determinism-rand", "determinism-time", "pragma-once",  "no-float",
+    "naked-assert",     "stdout",           "raw-io",       "raw-simd",
+    "layer-upward",     "layer-cycle",      "taint-unordered",
+    "taint-pointer-key", "taint-flow",      "ts-global",    "ts-guard",
+    "ts-ref-capture",
 };
 
 int usage() {
-  std::cerr << "usage: mris_analyze [--no-suppress] [--rule R]... "
+  std::cerr << "usage: mris_analyze [--no-suppress] [--stale] [--rule R]... "
                "[--json PATH] [--md PATH] [--list-rules] <src-root>\n";
   return 2;
 }
@@ -69,10 +74,14 @@ int main(int argc, char** argv) {
   using mris::analyze::SourceFile;
 
   Options options;
+  bool stale_mode = false;
   std::string root, json_path, md_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--no-suppress") {
+      options.honor_suppressions = false;
+    } else if (arg == "--stale") {
+      stale_mode = true;
       options.honor_suppressions = false;
     } else if (arg == "--rule" && i + 1 < argc) {
       options.rule_filter.push_back(argv[++i]);
@@ -91,9 +100,12 @@ int main(int argc, char** argv) {
       return usage();
     }
   }
-  if (root.empty()) return usage();
+  // The audit needs every rule's raw findings.
+  if (root.empty() || (stale_mode && !options.rule_filter.empty())) {
+    return usage();
+  }
 
-  const std::vector<std::string> paths = mris::lint::collect_sources(root);
+  const std::vector<std::string> paths = mris::analyze::collect_sources(root);
   if (paths.empty()) {
     std::cerr << "mris_analyze: no .hpp/.cpp sources under '" << root
               << "'\n";
@@ -119,8 +131,11 @@ int main(int argc, char** argv) {
   findings.insert(findings.end(), layering.findings.begin(),
                   layering.findings.end());
   for (const SourceFile& f : files) {
-    const std::vector<Finding> taint = mris::analyze::analyze_taint(f, options);
-    findings.insert(findings.end(), taint.begin(), taint.end());
+    for (const auto& pass : {mris::analyze::analyze_lexical,
+                             mris::analyze::analyze_taint}) {
+      const std::vector<Finding> found = pass(f, options);
+      findings.insert(findings.end(), found.begin(), found.end());
+    }
   }
   const std::vector<Finding> ts =
       mris::analyze::analyze_threadsafety(files, options);
@@ -132,6 +147,19 @@ int main(int argc, char** argv) {
               if (a.line != b.line) return a.line < b.line;
               return a.rule < b.rule;
             });
+  if (stale_mode) {
+    std::size_t stale = 0;
+    for (const SourceFile& f : files) {
+      for (const auto& s : mris::analyze::stale_suppressions(f, findings)) {
+        std::cout << mris::analyze::format_stale(s) << "\n";
+        ++stale;
+      }
+    }
+    std::cout << "mris_analyze: " << stale << " stale suppression"
+              << (stale == 1 ? "" : "s") << " in " << files.size()
+              << " files\n";
+    return stale == 0 ? 0 : 1;
+  }
   for (const Finding& f : findings) {
     std::cout << mris::analyze::format_finding(f) << "\n";
   }

@@ -39,6 +39,17 @@ struct TaintContext {
     auto it = containers.find(name);
     return it == containers.end() ? nullptr : &it->second;
   }
+
+  /// Order of token `t` in a range-for/for_each range: a declared tracked
+  /// container, or, with no visible declaration, any `unordered_*`
+  /// identifier (a temporary `std::unordered_map<..>{..}`, or a member
+  /// declared in another file).
+  const ContainerOrder* iterated(const Token& t) {
+    static const ContainerOrder kUnordered = ContainerOrder::kUnordered;
+    if (!t.is_ident) return nullptr;
+    if (const ContainerOrder* o = container(t.text)) return o;
+    return t.text.rfind("unordered_", 0) == 0 ? &kUnordered : nullptr;
+  }
 };
 
 /// True when tokens[i] starts `<cont>.begin()`-family access on a tracked
@@ -123,8 +134,8 @@ const char* order_noun(ContainerOrder order) {
 }
 
 /// Immediate source findings: every iteration construct over a tracked
-/// container, for_each, and pointer hashes.  This is the strict superset
-/// of mris_lint's range-for-only `unordered-iter` rule.
+/// container (range-for, std::for_each, begin()-family iterators) and
+/// pointer hashes.
 void scan_sources(TaintContext& ctx, Reporter& reporter) {
   const std::vector<Token>& tokens = ctx.file.tokens;
   for (std::size_t i = 0; i < tokens.size(); ++i) {
@@ -144,9 +155,7 @@ void scan_sources(TaintContext& ctx, Reporter& reporter) {
       }
       if (colon < tokens.size()) {
         for (std::size_t j = colon + 1; j < close; ++j) {
-          ContainerOrder* o =
-              tokens[j].is_ident ? ctx.container(tokens[j].text) : nullptr;
-          if (o != nullptr) {
+          if (const ContainerOrder* o = ctx.iterated(tokens[j])) {
             reporter.report(t.line, order_rule(*o),
                             "range-for over '" + tokens[j].text + "', " +
                                 order_noun(*o));
@@ -160,9 +169,7 @@ void scan_sources(TaintContext& ctx, Reporter& reporter) {
         tokens[i + 1].text == "(") {
       const std::size_t close = match_forward(tokens, i + 1);
       for (std::size_t j = i + 2; j < close; ++j) {
-        ContainerOrder* o =
-            tokens[j].is_ident ? ctx.container(tokens[j].text) : nullptr;
-        if (o != nullptr) {
+        if (const ContainerOrder* o = ctx.iterated(tokens[j])) {
           reporter.report(t.line, order_rule(*o),
                           "std::for_each over '" + tokens[j].text + "', " +
                               order_noun(*o));
@@ -243,9 +250,7 @@ bool analyze_function_flow(TaintContext& ctx, const Scope& fn,
       if (colon < tokens.size()) {
         bool src = range_tainted(ctx, tainted, tokens, colon + 1, close);
         for (std::size_t j = colon + 1; j < close && !src; ++j) {
-          if (tokens[j].is_ident && ctx.container(tokens[j].text) != nullptr) {
-            src = true;
-          }
+          if (ctx.iterated(tokens[j]) != nullptr) src = true;
         }
         if (src) {
           for (const std::string& name :

@@ -2,14 +2,15 @@
 //
 // Tracks values whose *order or identity* is implementation-defined as
 // they flow through a translation unit, and flags both the sources
-// themselves and any flow into an ordering-sensitive sink.  A strict
-// superset of mris_lint's lexical `unordered-iter` rule: everything that
-// rule flags is a taint source here, plus iterator-based loops, pointer
-// keys/hashes, and thread_local state.
+// themselves and any flow into an ordering-sensitive sink.
 //
 // Sources
 //   taint-unordered    iteration over an unordered_* container: range-for,
-//                      begin()/cbegin()/rbegin() iterators, std::for_each;
+//                      begin()/cbegin()/rbegin() iterators, std::for_each.
+//                      The container is a variable declared with an
+//                      unordered type in the file or, in a range-for or
+//                      for_each range, any `unordered_*` identifier (a
+//                      temporary, or a member declared elsewhere);
 //   taint-pointer-key  ordered containers keyed by pointers (std::map<T*,..>,
 //                      std::set<T*>) — iteration order is address order,
 //                      which ASLR re-rolls every run — and std::hash<T*>;
