@@ -25,14 +25,16 @@ std::vector<std::vector<double>>& dp_pool() {
   return pool;
 }
 
-std::vector<double> acquire_dp(std::size_t size, double fill) {
+/// A pooled row of `size` entries with unspecified contents: dp_table
+/// writes every entry before anything reads it.
+std::vector<double> acquire_dp(std::size_t size) {
   auto& pool = dp_pool();
   std::vector<double> dp;
   if (!pool.empty()) {
     dp = std::move(pool.back());
     pool.pop_back();
   }
-  dp.assign(size, fill);
+  dp.resize(size);
   return dp;
 }
 
@@ -71,11 +73,13 @@ struct DpPlan {
   std::vector<std::size_t> class_count;  ///< per-range scratch, kept zeroed
   std::vector<std::int32_t> touched;     ///< classes seen in this range
   std::vector<DpOp> ops;                 ///< per-range scratch
-  std::uint64_t cells = 0;               ///< sum of (cap - s + 1) per pass
+  std::uint64_t cells = 0;               ///< sum of (top - s + 1) per pass
 };
 
 /// Lays out the range's passes in plan.ops and returns the row's start
 /// value (the summed profit of zero-size items on the exact branch, else 0).
+/// The exact branch runs its passes in ascending size order, which keeps
+/// dp_table's frontier low for as long as possible.
 double plan_range(DpPlan& plan, std::size_t lo, std::size_t hi,
                   std::int64_t cap) {
   plan.ops.clear();
@@ -111,24 +115,68 @@ double plan_range(DpPlan& plan, std::size_t lo, std::size_t hi,
     }
   }
   plan.touched.clear();
+  if (plan.exact) {
+    std::sort(plan.ops.begin(), plan.ops.end(),
+              [](const DpOp& a, const DpOp& b) { return a.size < b.size; });
+  }
   return base;
 }
 
 /// Forward DP table for items[lo, hi): dp[c] = max profit with total
 /// (integer) size <= c.  Monotone non-decreasing in c.
+///
+/// Each pass relaxes only c in [s, top], top = min(cap, sum of the sizes of
+/// the passes so far).  Past that frontier the table is constant: if
+/// dp[c] == V for every c >= T (the previous sum), then for c >= T + s
+/// both dp[c] and dp[c - s] are V, so the pass stores max(V, V + p) ==
+/// V + p in IEEE arithmetic too (p > 0).  Cells above top therefore hold
+/// dp[top] and are written only when the frontier reaches them, or once
+/// at the end — the same bits as relaxing the whole row.
 std::vector<double> dp_table(DpPlan& plan, std::size_t lo, std::size_t hi,
                              std::int64_t cap) {
   const double base = plan_range(plan, lo, hi, cap);
-  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1, base);
+  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1);
+  double* row = dp.data();
+  row[0] = base;
+  std::int64_t top = 0;
   for (const DpOp& op : plan.ops) {
+    const std::int64_t next = op.size < cap - top ? top + op.size : cap;
+    std::fill(row + top + 1, row + next + 1, row[top]);
+    top = next;
     // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
-    // c = cap..s over the contiguous pooled row; bit-identical to the
+    // c = top..s over the contiguous pooled row; bit-identical to the
     // scalar compare-and-store loop (see util/simd.hpp).
-    util::simd::dp_relax(dp.data(), static_cast<std::size_t>(cap),
+    util::simd::dp_relax(row, static_cast<std::size_t>(top),
                          static_cast<std::size_t>(op.size), op.profit);
-    plan.cells += static_cast<std::uint64_t>(cap - op.size + 1);
+    plan.cells += static_cast<std::uint64_t>(top - op.size + 1);
   }
+  std::fill(row + top + 1, row + cap + 1, row[top]);
   return dp;
+}
+
+/// On the exact branch, a range whose live items' sizes sum to at most
+/// `cap` has one optimum: all of them (every live profit is positive and
+/// every sum exact, so dropping any item loses profit).  Appends them in
+/// index order, as the recursion would, and returns true; else false.
+/// The per-item branch has no such shortcut: a sum can round away a small
+/// profit (2^53 + 0.5 == 2^53), and the table's first maximizer then
+/// leaves that item out.
+bool take_all_if_they_fit(const DpPlan& plan,
+                          const std::vector<std::size_t>& live_prefix,
+                          std::size_t lo, std::size_t hi, std::int64_t cap,
+                          std::vector<std::size_t>& out) {
+  const std::size_t mark = out.size();
+  std::int64_t room = cap;
+  for (std::size_t i = lo; i < hi; ++i) {
+    if (live_prefix[i + 1] == live_prefix[i]) continue;
+    if (plan.sizes[i] > room) {
+      out.resize(mark);
+      return false;
+    }
+    room -= plan.sizes[i];
+    out.push_back(i);
+  }
+  return true;
 }
 
 /// Hirschberg-style divide-and-conquer solution recovery: O(n * cap) time,
@@ -136,9 +184,10 @@ std::vector<double> dp_table(DpPlan& plan, std::size_t lo, std::size_t hi,
 ///
 /// `live_prefix[i]` counts items in [0, i) the DP could ever take (positive
 /// profit, size within the top-level capacity).  Ranges with zero live
-/// items return immediately and ranges with one resolve as a leaf — both
-/// provably recover the same selection the plain recursion would, while
-/// skipping the dp_table passes over dead spans.  The split index stays
+/// items return immediately, ranges with one resolve as a leaf, and on the
+/// exact branch ranges whose live items all fit take them all — each
+/// provably recovers the same selection the plain recursion would, while
+/// skipping the dp_table passes it would spend.  The split index stays
 /// relative to the ORIGINAL item array: compacting dead items out would
 /// move the midpoints, and with tied profits the first-maximizer best_c
 /// rule then recovers a different (equal-profit) optimum — breaking
@@ -155,6 +204,9 @@ void recover(DpPlan& plan, const std::vector<std::size_t>& live_prefix,
     std::size_t i = lo;
     while (live_prefix[i + 1] == live_prefix[lo]) ++i;
     if (plan.sizes[i] <= cap) out.push_back(i);
+    return;
+  }
+  if (plan.exact && take_all_if_they_fit(plan, live_prefix, lo, hi, cap, out)) {
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;

@@ -23,6 +23,18 @@
 //    past 2^53) runs one pass per item in index order, as before.  MRIS's
 //    profits are job weights, integers on the Azure-like and Azure traces.
 //
+//    Either way a pass relaxes only up to the table's frontier: after
+//    passes of total size T the row is constant on c >= T (a pass there
+//    stores max(V, V + p) == V + p, in IEEE arithmetic too), so pass i
+//    relaxes c in [s, min(cap, T_i)] and the cells above are filled with
+//    the frontier's value.  The exact branch runs its passes in ascending
+//    size order, which keeps the frontier low longest.  It also returns a
+//    range whose live items all fit the range's capacity without building
+//    a table: positive profits and exact sums make the full set the only
+//    optimum.  The per-item branch cannot: a sum may round a small profit
+//    away (2^53 + 0.5 == 2^53), and the table's first maximizer then
+//    leaves that item out.
+//
 //  * GREEDY (Remark 1): sort by profit density, take the prefix through the
 //    first non-fitting item.  Profit >= OPT(zeta); size <= zeta + max
 //    chosen v_j <= 2 * zeta; O(n log n) time.  In MRIS every candidate has
@@ -48,8 +60,9 @@ struct Selection {
   std::vector<std::int32_t> tags;  ///< tags of selected items
   double total_profit = 0.0;
   double total_size = 0.0;
-  /// DP cells the solve relaxed: sum of (cap - s + 1) over its dp_relax
-  /// passes (CADP and the exact DP; 0 for the other solvers).
+  /// DP cells the solve relaxed: sum of (top - s + 1) over its dp_relax
+  /// passes, top the pass's frontier (CADP and the exact DP; 0 for the
+  /// other solvers).
   /// Deterministic, so a work counter rather than a timing.
   std::uint64_t dp_cells = 0;
 };

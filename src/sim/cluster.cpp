@@ -30,11 +30,18 @@ Time Cluster::earliest_fit_on(const Job& job, MachineId m,
 }
 
 Time Cluster::earliest_fit(const Job& job, Time not_before,
-                           MachineId& best_machine) const {
+                           MachineId& best_machine,
+                           std::span<const Time> floors) const {
   Time best = std::numeric_limits<Time>::infinity();
   best_machine = kInvalidMachine;
   for (MachineId m = 0; m < num_machines(); ++m) {
-    const Time s = earliest_fit_on(job, m, not_before);
+    const auto mi = static_cast<std::size_t>(m);
+    const Time from =
+        floors.empty() ? not_before : std::max(not_before, floors[mi]);
+    // A machine whose answer is >= best loses the strict comparison below
+    // (lowest index wins ties), so its search may stop at best.
+    const Time s = machines_[mi].earliest_fit(from, job.processing,
+                                              job.demand, 1e-9, best);
     if (s < best) {
       best = s;
       best_machine = m;

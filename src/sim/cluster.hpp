@@ -34,9 +34,11 @@ class Cluster {
   Time earliest_fit_on(const Job& job, MachineId m, Time not_before) const;
 
   /// Earliest start over all machines; returns the chosen machine through
-  /// `best_machine` (lowest index on ties).
-  Time earliest_fit(const Job& job, Time not_before,
-                    MachineId& best_machine) const;
+  /// `best_machine` (lowest index on ties).  `floors`, if given, holds one
+  /// extra not_before per machine (the engine's revealed outages).  Each
+  /// machine's search gives up once it cannot beat the best start so far.
+  Time earliest_fit(const Job& job, Time not_before, MachineId& best_machine,
+                    std::span<const Time> floors = {}) const;
 
   /// Reserves `job` on machine `m` at `start`.  Throws std::logic_error if
   /// infeasible (callers must query first; this guards scheduler bugs).

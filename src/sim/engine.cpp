@@ -121,7 +121,9 @@ class Engine final : public EngineContext {
         epoch_(inst.num_jobs(), 0),
         machine_down_flag_(static_cast<std::size_t>(inst.num_machines()), 0),
         down_until_(static_cast<std::size_t>(inst.num_machines()), 0.0),
-        live_(static_cast<std::size_t>(inst.num_machines())) {
+        live_(static_cast<std::size_t>(inst.num_machines())),
+        outage_floor_(static_cast<std::size_t>(inst.num_machines()),
+                      -std::numeric_limits<Time>::infinity()) {
     if (options_.prune_every < 1) {
       throw std::invalid_argument("RunOptions::prune_every must be >= 1");
     }
@@ -195,26 +197,17 @@ class Engine final : public EngineContext {
   Time earliest_fit_on(JobId id, MachineId m, Time not_before) const override {
     // A revealed outage is a hard no-start zone even for zero-demand jobs
     // (which the capacity block alone would not stop).
-    if (faults_ && m >= 0 && m < cluster_.num_machines() &&
-        machine_down_flag_[static_cast<std::size_t>(m)] &&
-        not_before < down_until_[static_cast<std::size_t>(m)]) {
-      not_before = down_until_[static_cast<std::size_t>(m)];
+    if (m >= 0 && m < cluster_.num_machines()) {
+      not_before =
+          std::max(not_before, outage_floor_[static_cast<std::size_t>(m)]);
     }
     return cluster_.earliest_fit_on(job(id), m, not_before);
   }
 
   Time earliest_fit(JobId id, Time not_before,
                     MachineId& best_machine) const override {
-    Time best = std::numeric_limits<Time>::infinity();
-    best_machine = kInvalidMachine;
-    for (MachineId m = 0; m < cluster_.num_machines(); ++m) {
-      const Time s = earliest_fit_on(id, m, not_before);
-      if (s < best) {
-        best = s;
-        best_machine = m;
-      }
-    }
-    return best;
+    return cluster_.earliest_fit(job(id), not_before, best_machine,
+                                 outage_floor_);
   }
 
   void commit(JobId id, MachineId m, Time start) override {
@@ -750,6 +743,15 @@ class Engine final : public EngineContext {
       epoch_ = r.vec_u64();
       machine_down_flag_ = r.vec_char();
       down_until_ = r.vec_f64();
+      if (machine_down_flag_.size() != outage_floor_.size() ||
+          down_until_.size() != outage_floor_.size()) {
+        throw std::runtime_error("recovery: snapshot machine count mismatch");
+      }
+      for (std::size_t m = 0; m < outage_floor_.size(); ++m) {
+        outage_floor_[m] = machine_down_flag_[m]
+                               ? down_until_[m]
+                               : -std::numeric_limits<Time>::infinity();
+      }
       const std::uint64_t mn = r.u64();
       if (mn != static_cast<std::uint64_t>(inst_.num_machines())) {
         throw std::runtime_error("recovery: snapshot machine count mismatch");
@@ -993,6 +995,9 @@ class Engine final : public EngineContext {
   std::vector<char> machine_down_flag_;
   std::vector<Time> down_until_;        ///< repair time of the live outage
   std::vector<std::vector<LiveRes>> live_;  ///< per machine, commit order
+  /// Per machine: down_until_ while down, -inf while up — the no-start
+  /// floor earliest_fit applies (derived, not serialized).
+  std::vector<Time> outage_floor_;
 };
 
 bool Engine::prepare() {
@@ -1272,6 +1277,7 @@ bool Engine::step(Time stop, bool bounded) {
         const std::size_t mi = static_cast<std::size_t>(e.machine);
         machine_down_flag_[mi] = 1;
         down_until_[mi] = o.up;
+        outage_floor_[mi] = o.up;
         cluster_.block(e.machine, o.down, o.up);
         // Partition the machine's reservations: running jobs (started
         // before the crash) are killed and their work is lost; ones that
@@ -1336,6 +1342,8 @@ bool Engine::step(Time stop, bool bounded) {
       }
       case EventKind::kMachineUp:
         machine_down_flag_[static_cast<std::size_t>(e.machine)] = 0;
+        outage_floor_[static_cast<std::size_t>(e.machine)] =
+            -std::numeric_limits<Time>::infinity();
         scheduler_.on_machine_up(*this, e.machine);
         break;
       case EventKind::kRetryReady:

@@ -159,7 +159,7 @@ ResourceProfile::FitClass* ResourceProfile::fit_class(
 
 Time ResourceProfile::earliest_fit(Time not_before, Time duration,
                                    std::span<const double> demand,
-                                   double tolerance) const {
+                                   double tolerance, Time give_up) const {
   MRIS_EXPECT(demand.size() == static_cast<std::size_t>(num_resources_),
               "earliest_fit: demand dimension != machine resource dimension");
   Time s = std::max(not_before, 0.0);
@@ -194,6 +194,10 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
       ++fit_counters_.bounded;
     }
   }
+  if (s >= give_up) {
+    ++fit_counters_.abandoned;
+    return s;
+  }
   double dmax = 0.0;
   for (const double d : demand) dmax = std::max(dmax, d);
   const std::size_t n = times_.size();
@@ -202,7 +206,8 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
   // One resumable forward pass: a conflict at segment i pushes the
   // candidate start to times_[i+1], and scanning continues at i+1 — never
   // re-searching the breakpoint list from scratch.  Segments whose
-  // headroom covers dmax are skipped with one compare (see fits()).
+  // headroom covers dmax are skipped with one compare (see fits()).  A
+  // candidate at or past give_up ends the scan; it is still a lower bound.
   const std::size_t first = segment_of(s);
   std::size_t i = first;
   for (; i < n; ++i) {
@@ -222,12 +227,18 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
                      "there");
       s = times_[i + 1];
       end = s + duration;
+      if (s >= give_up) {
+        ++fit_counters_.abandoned;
+        ++i;  // segment i was examined
+        break;
+      }
     }
   }
   fit_counters_.segments += i - first;
   if (memo != nullptr) {
-    // Record (duration, s).  Step below - 1 bounded this scan, so its
-    // answer is <= s; an equal answer already implies the new step.
+    // Record (duration, s), a lower bound even when the scan gave up.
+    // Step below - 1 bounded this scan, so its answer is <= s; an equal
+    // answer already implies the new step.
     auto& steps = memo->steps;
     if (below > 0 && steps[below - 1].second == s) return s;
     if (below > 0 && steps[below - 1].first == duration) {

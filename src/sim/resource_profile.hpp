@@ -39,6 +39,14 @@
 //    probes a small open-addressed table, so a row that never repeats
 //    costs one pass over it and a probe or two.  The memo is never
 //    serialized, so snapshots and journals do not depend on it;
+//  * earliest_fit() takes a `give_up` bound (default +inf): a caller that
+//    only wants a start below it — the per-machine argmin, passing the best
+//    start found on an earlier machine — gets a value >= give_up as soon
+//    as the memo's lower bound or the scan's candidate start reaches it,
+//    and the exact answer whenever that answer is below it.  The scan's
+//    candidate never passes the answer, so the candidate it stopped at is
+//    still a lower bound and is recorded as a staircase step like a full
+//    answer;
 //  * release() coalesces adjacent equal segments and prune_before()
 //    compacts everything before the engine's committed horizon into the
 //    leading segment (jobs never start in the past), keeping B proportional
@@ -59,6 +67,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -73,18 +82,21 @@ class StateWriter;
 }  // namespace recovery
 
 /// Deterministic earliest_fit work counters: calls with a positive
-/// duration, segments those calls examined, and calls whose scan started
-/// from a recorded lower bound (memo hits).  Never serialized, so they
-/// count the work of this process only (a resumed run starts from zero).
+/// duration, segments those calls examined, calls whose scan started from a
+/// recorded lower bound (memo hits), and calls that returned at their
+/// give_up bound.  Never serialized, so they count the work of this process
+/// only (a resumed run starts from zero).
 struct FitCounters {
   std::uint64_t queries = 0;
   std::uint64_t segments = 0;
   std::uint64_t bounded = 0;
+  std::uint64_t abandoned = 0;
 
   FitCounters& operator+=(const FitCounters& o) noexcept {
     queries += o.queries;
     segments += o.segments;
     bounded += o.bounded;
+    abandoned += o.abandoned;
     return *this;
   }
 };
@@ -116,10 +128,11 @@ class ResourceProfile {
 
   /// Earliest time s >= not_before such that `demand` fits over
   /// [s, s + duration).  Always exists when every demand entry <= 1
-  /// (the job fits alone after all reservations end).
+  /// (the job fits alone after all reservations end).  When that time is
+  /// >= give_up, returns some value >= give_up instead, possibly early.
   Time earliest_fit(Time not_before, Time duration,
-                    std::span<const double> demand,
-                    double tolerance = 1e-9) const;
+                    std::span<const double> demand, double tolerance = 1e-9,
+                    Time give_up = std::numeric_limits<Time>::infinity()) const;
 
   /// Adds `demand` over [start, start + duration).  Callers must check
   /// fits() first (Cluster enforces this pairing); an MRIS_ENSURE contract

@@ -102,6 +102,31 @@ TEST(CadpTest, HugeSizeIsDeadNotCastOutOfRange) {
   EXPECT_EQ(solve_cadp(huge, 2.0, 0.5).tags, std::vector<std::int32_t>{1});
 }
 
+TEST(CadpTest, AllLiveItemsFitRelaxesNoCells) {
+  // The live items' sizes sum to the capacity, so every scaled size sums
+  // to at most the scaled capacity: all of them are the one optimum, and no
+  // table is built.  The zero-profit and oversize items stay out.
+  const std::vector<Item> items = {
+      {1.0, 3.0, 0}, {2.0, 1.0, 1}, {1.0, 0.0, 2}, {3.0, 2.0, 3},
+      {100.0, 9.0, 4}};
+  const Selection s = solve_cadp(items, 6.0, 0.5);
+  EXPECT_EQ(s.tags, (std::vector<std::int32_t>{0, 1, 3}));
+  EXPECT_EQ(s.total_profit, 6.0);
+  EXPECT_EQ(s.dp_cells, 0u);
+}
+
+TEST(CadpTest, AllFitShortcutStaysOffThePerItemBranch) {
+  // A fractional profit (and 2^53 * 3 live items) sends this to the
+  // per-item passes.  All three fit, but 2^53 + 0.5 rounds to 2^53: the
+  // table never gains from item 1, and the first maximizer leaves it out.
+  // Taking every item that fits would return {0, 1, 2}.
+  const std::vector<Item> items = {
+      {1.0, 0x1p53, 0}, {1.0, 0.5, 1}, {1.0, 0x1p53, 2}};
+  const Selection s = solve_cadp(items, 3.0, 0.5);
+  EXPECT_EQ(s.tags, (std::vector<std::int32_t>{0, 2}));
+  EXPECT_GT(s.dp_cells, 0u);
+}
+
 TEST(CadpTest, RejectsNonFiniteInputs) {
   const double nan = std::numeric_limits<double>::quiet_NaN();
   const double inf = std::numeric_limits<double>::infinity();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 
 #include "core/metrics.hpp"
 
@@ -203,6 +204,70 @@ TEST(EngineTest, EmptyInstanceCompletesTrivially) {
   const RunResult r = run_online(inst, sched);
   EXPECT_EQ(r.num_events, 0u);
   EXPECT_TRUE(r.schedule.complete());
+}
+
+TEST(EngineTest, EarliestFitMatchesPerMachineArgmin) {
+  // ctx.earliest_fit must equal the argmin of ctx.earliest_fit_on over the
+  // machines, lowest index on ties, with every revealed outage applied as a
+  // no-start floor.  The argmin runs before the per-machine calls, so
+  // those also check that its given-up searches leave later unbounded
+  // answers unchanged.
+  class ArgminChecker : public OnlineScheduler {
+   public:
+    std::string name() const override { return "argmin-checker"; }
+    void on_arrival(EngineContext& ctx, JobId job) override {
+      const Time from = ctx.earliest_start(job);
+      for (const Time nb : {from, from + 0.5, from}) {
+        MachineId m = kInvalidMachine;
+        const Time s = ctx.earliest_fit(job, nb, m);
+        Time best = std::numeric_limits<Time>::infinity();
+        MachineId best_m = kInvalidMachine;
+        int at_best = 0;
+        for (MachineId k = 0; k < ctx.num_machines(); ++k) {
+          const Time sk = ctx.earliest_fit_on(job, k, nb);
+          if (sk < best) {
+            best = sk;
+            best_m = k;
+            at_best = 0;
+          }
+          if (sk == best) ++at_best;
+          if (!ctx.machine_up(k)) ++floored;
+        }
+        EXPECT_EQ(s, best) << "job " << job << " not_before " << nb;
+        EXPECT_EQ(m, best_m) << "job " << job << " not_before " << nb;
+        if (at_best > 1) ++ties;
+      }
+      MachineId m = kInvalidMachine;
+      const Time s = ctx.earliest_fit(job, from, m);
+      ctx.commit(job, m, s);
+    }
+    int ties = 0;
+    int floored = 0;
+  };
+  // Every fifth job's demand is below the fit tolerance, so the outage's
+  // capacity block alone would not keep it off a down machine; only the
+  // revealed-outage floor does.
+  InstanceBuilder b(3, 2);
+  for (int j = 0; j < 40; ++j) {
+    if (j % 5 == 0) {
+      b.add(0.5 * (j / 2), 2.0, 1.0, {1e-12, 0.0});
+    } else {
+      b.add(0.5 * (j / 2), 1.0 + (j * 7 % 5), 1.0,
+            {0.25 * (1 + j % 3), 0.5 * (j % 2)});
+    }
+  }
+  const Instance inst = b.build();
+  FaultPlan plan;
+  plan.outages = {{0, 2.0, 6.0}, {1, 3.0, 9.0}, {0, 10.0, 12.0},
+                  {2, 11.0, 13.0}};
+  ArgminChecker sched;
+  RunOptions opts;
+  opts.faults = &plan;
+  const RunResult r = run_online(inst, sched, opts);
+  EXPECT_TRUE(r.schedule.complete());
+  EXPECT_GT(sched.ties, 0);
+  EXPECT_GT(sched.floored, 0);
+  EXPECT_GT(r.fit.abandoned, 0u);
 }
 
 // --- Event ordering at equal timestamps under faults ---------------------

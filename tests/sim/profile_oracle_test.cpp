@@ -1,8 +1,9 @@
 // Randomized consistency of ResourceProfile against a brute-force oracle
 // that stores the raw reservation list: usage queries, window-fit checks,
-// and minimality of earliest_fit, after a history of reserves and
-// releases.  R sweeps 1..9, so the packed usage rows are checked at widths
-// below, at and past one and two groups of four doubles.
+// and minimality of earliest_fit (also under a random give_up bound),
+// after a history of reserves and releases.  R sweeps 1..9, so the packed
+// usage rows are checked at widths below, at and past one and two groups
+// of four doubles.
 #include <gtest/gtest.h>
 
 #include "sim/resource_profile.hpp"
@@ -101,7 +102,17 @@ TEST_P(ProfileOracle, MatchesBruteForceOracle) {
     const Time dur = util::uniform(rng, 0.5, 8.0);
     std::vector<double> demand(static_cast<std::size_t>(R));
     for (double& d : demand) d = util::uniform(rng, 0.05, 1.0);
+    // A bounded call first: it may stop early and record a partial lower
+    // bound, which must not move the unbounded answer checked below.
+    const Time give_up = util::uniform(rng, not_before - 1.0, 70.0);
+    const Time bounded =
+        profile.earliest_fit(not_before, dur, demand, 1e-9, give_up);
     const Time s = profile.earliest_fit(not_before, dur, demand);
+    if (s < give_up) {
+      EXPECT_EQ(bounded, s) << "give_up=" << give_up;
+    } else {
+      EXPECT_GE(bounded, give_up) << "answer=" << s;
+    }
     ASSERT_GE(s, not_before);
     EXPECT_TRUE(oracle_fits(oracle, s, dur, demand));
     // Candidate earlier starts: not_before and every reservation boundary

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <vector>
 
 #include "sim/recovery/state_io.hpp"
@@ -295,16 +296,25 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
   Time clock = 0.0;  // mostly-monotone not_before, like an engine's now
   Time pruned = 0.0;
 
+  // A bounded query must return the cold answer when that answer is below
+  // give_up, and something >= give_up otherwise.
   auto check_query = [&](Time nb, Time dur, const std::vector<double>& d,
-                         double tolerance) {
+                         double tolerance,
+                         Time give_up = std::numeric_limits<Time>::infinity()) {
     const ResourceProfile cold = cold_copy(profile);
-    const Time got = profile.earliest_fit(nb, dur, d, tolerance);
-    EXPECT_EQ(got, cold.earliest_fit(nb, dur, d, tolerance))
-        << "not_before=" << nb << " dur=" << dur;
+    const Time got = profile.earliest_fit(nb, dur, d, tolerance, give_up);
+    const Time want = cold.earliest_fit(nb, dur, d, tolerance);
+    if (want < give_up) {
+      EXPECT_EQ(got, want) << "not_before=" << nb << " dur=" << dur
+                           << " give_up=" << give_up;
+    } else {
+      EXPECT_GE(got, give_up) << "not_before=" << nb << " dur=" << dur
+                              << " answer=" << want;
+    }
     // Below the prune bound the profile answers from the flattened past,
     // which the interval oracle does not model.
     if (nb >= pruned) {
-      EXPECT_EQ(got, oracle_earliest_fit(live, nb, dur, d, tolerance))
+      EXPECT_EQ(want, oracle_earliest_fit(live, nb, dur, d, tolerance))
           << "not_before=" << nb << " dur=" << dur;
     }
     return got;
@@ -374,7 +384,16 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
         nb = clock + grid_time(rng, 0.0, 16.0);
       }
       const double tolerance = util::uniform01(rng) < 0.1 ? 0.0 : 1e-9;
-      check_query(nb, pick_duration(), pick_row(), tolerance);
+      const Time dur = pick_duration();
+      const auto d = pick_row();
+      if (util::uniform01(rng) < 0.5) {
+        // Give up somewhere around the answer (sometimes below not_before),
+        // then ask again without a bound: the warm memo, now holding the
+        // partial step, must still match the cold profile.
+        check_query(nb, dur, d, tolerance,
+                    nb + grid_time(rng, 0.0, 12.0) - 1.0);
+      }
+      check_query(nb, dur, d, tolerance);
     }
   }
   EXPECT_GT(profile.fit_counters().queries, 0u);
@@ -405,6 +424,23 @@ TEST(TimelineMemo, CountsQueriesAndScannedSegmentsOutsideTheSnapshot) {
   // Zero-length queries do no work and count nothing.
   EXPECT_EQ(profile.earliest_fit(3.0, 0.0, d), 3.0);
   EXPECT_EQ(profile.fit_counters().queries, 2u);
+  EXPECT_EQ(profile.fit_counters().abandoned, 0u);
+
+  // A give_up at or below the memo's bound returns that bound unscanned.
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d, 1e-9, 5.0), 15.0);
+  EXPECT_EQ(profile.fit_counters().abandoned, 1u);
+  EXPECT_EQ(profile.fit_counters().segments, cold.segments + 1);
+  // A new row scans [0, 5) — conflicts at 0, 2 and 4 — and stops once its
+  // candidate reaches 5 >= give_up.  The partial answer bounds the next,
+  // unbounded call, which starts at 5 instead of 0.
+  const std::vector<double> half = {0.5};
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half, 1e-9, 4.0), 5.0);
+  EXPECT_EQ(profile.fit_counters().abandoned, 2u);
+  EXPECT_EQ(profile.fit_counters().segments, cold.segments + 6);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half), 15.0);
+  EXPECT_EQ(profile.fit_counters().bounded, 3u);
+  EXPECT_EQ(profile.fit_counters().queries, 5u);
+  EXPECT_EQ(profile.fit_counters().abandoned, 2u);
 
   // Neither the memo nor the counters reach the snapshot bytes.
   recovery::StateWriter after;
