@@ -17,17 +17,92 @@ bool fits_available(std::span<const double> available,
   return true;
 }
 
+namespace {
+
+/// The queue order: heuristic key, ties by job id.
+template <typename A, typename B>
+bool ranks_before(const A& a, const B& b) {
+  if (a.key != b.key) return a.key < b.key;
+  return a.id < b.id;
+}
+
+}  // namespace
+
+std::span<const double> PriorityQueueScheduler::row_of(
+    std::int32_t cls) const {
+  return {rows_.data() + static_cast<std::size_t>(cls) * resources_,
+          resources_};
+}
+
+std::vector<std::int32_t>::iterator PriorityQueueScheduler::find_row(
+    std::span<const double> row) {
+  return std::lower_bound(
+      by_row_.begin(), by_row_.end(), row,
+      [this](std::int32_t cls, std::span<const double> r) {
+        const auto a = row_of(cls);
+        return std::lexicographical_compare(a.begin(), a.end(), r.begin(),
+                                            r.end());
+      });
+}
+
+std::int32_t PriorityQueueScheduler::class_of(std::span<const double> demand) {
+  // Rows that differ only in the sign of a zero share a class: every use
+  // of a row (fits_available, the commit's subtraction, the peak) gives
+  // them the same result.
+  const auto at = find_row(demand);
+  if (at != by_row_.end() && std::ranges::equal(row_of(*at), demand)) {
+    return *at;
+  }
+  std::int32_t cls;
+  if (free_slots_.empty()) {
+    cls = static_cast<std::int32_t>(classes_.size());
+    classes_.emplace_back();
+    rows_.insert(rows_.end(), demand.begin(), demand.end());
+  } else {
+    cls = free_slots_.back();
+    free_slots_.pop_back();
+    const auto at_row = static_cast<std::size_t>(cls) * resources_;
+    std::ranges::copy(demand,
+                      rows_.begin() + static_cast<std::ptrdiff_t>(at_row));
+  }
+  by_row_.insert(at, cls);
+  return cls;
+}
+
+void PriorityQueueScheduler::release_class(std::int32_t cls) {
+  by_row_.erase(find_row(row_of(cls)));
+  free_slots_.push_back(cls);
+}
+
+PriorityQueueScheduler::Head PriorityQueueScheduler::head_of(
+    const Entry& e, std::int32_t cls) const {
+  const auto row = row_of(cls);
+  const auto peak = std::ranges::max_element(row);
+  return {e.key, e.id, cls, static_cast<std::int32_t>(peak - row.begin()),
+          *peak};
+}
+
 void PriorityQueueScheduler::rebuild_if_stale(const EngineContext& ctx) {
   if (!stale_) return;
   stale_ = false;
+  resources_ = static_cast<std::size_t>(ctx.num_resources());
   queued_.assign(ctx.num_jobs(), 0);
-  demand_.clear();
-  for (Entry& e : queue_) {
-    const Job& job = ctx.job(e.id);
-    e.key = heuristic_key(heuristic_, job);
-    demand_.insert(demand_.end(), job.demand.begin(), job.demand.end());
-    queued_[static_cast<std::size_t>(e.id)] = 1;
+  // restored_ is in ascending (key, id) order, so walking it backwards
+  // appends to every class in its descending order.
+  for (auto it = restored_.rbegin(); it != restored_.rend(); ++it) {
+    const Job& job = ctx.job(*it);
+    const std::int32_t cls = class_of(job.demand);
+    classes_[static_cast<std::size_t>(cls)].push_back(
+        {heuristic_key(heuristic_, job), *it});
+    queued_[static_cast<std::size_t>(*it)] = 1;
   }
+  restored_.clear();
+  for (std::size_t c = 0; c < classes_.size(); ++c) {
+    if (classes_[c].empty()) continue;
+    order_.push_back(
+        head_of(classes_[c].back(), static_cast<std::int32_t>(c)));
+  }
+  std::sort(order_.begin(), order_.end(), ranks_before<Head, Head>);
 }
 
 void PriorityQueueScheduler::enqueue(EngineContext& ctx, JobId job) {
@@ -38,20 +113,34 @@ void PriorityQueueScheduler::enqueue(EngineContext& ctx, JobId job) {
   if (queued_.size() < ctx.num_jobs()) queued_.resize(ctx.num_jobs(), 0);
   char& member = queued_[static_cast<std::size_t>(job)];
   if (member) return;
+  member = 1;
   // The key is computed once: a queued job's effective view never changes
   // while it waits (only a committed attempt's loss re-sizes it).
+  resources_ = static_cast<std::size_t>(ctx.num_resources());
   const Job& j = ctx.job(job);
   const Entry entry{heuristic_key(heuristic_, j), job};
+  const std::int32_t cls = class_of(j.demand);
+  ClassJobs& jobs = classes_[static_cast<std::size_t>(cls)];
   const auto pos = std::lower_bound(
-      queue_.begin(), queue_.end(), entry, [](const Entry& a, const Entry& b) {
-        if (a.key != b.key) return a.key < b.key;
-        return a.id < b.id;
-      });
-  const auto row = (pos - queue_.begin()) *
-                   static_cast<std::ptrdiff_t>(ctx.num_resources());
-  queue_.insert(pos, entry);
-  demand_.insert(demand_.begin() + row, j.demand.begin(), j.demand.end());
-  member = 1;
+      jobs.begin(), jobs.end(), entry,
+      [](const Entry& a, const Entry& b) { return ranks_before(b, a); });
+  if (pos == jobs.end()) {
+    // The job heads its class: move the class to its place in order_.
+    const Head head = head_of(entry, cls);
+    const auto at = std::lower_bound(order_.begin(), order_.end(), head,
+                                     ranks_before<Head, Head>);
+    if (jobs.empty()) {
+      order_.insert(at, head);
+    } else {
+      const auto was = std::lower_bound(at, order_.end(), jobs.back(),
+                                        ranks_before<Head, Entry>);
+      MRIS_INVARIANT(was != order_.end() && was->cls == cls,
+                     "a class is missing from the head order");
+      std::move_backward(at, was, was + 1);
+      *at = head;
+    }
+  }
+  jobs.insert(pos, entry);
 }
 
 void PriorityQueueScheduler::on_arrival(EngineContext& ctx, JobId job) {
@@ -71,10 +160,25 @@ void PriorityQueueScheduler::on_machine_up(EngineContext& ctx,
   scan_and_schedule(ctx);
 }
 
+double* PriorityQueueScheduler::free_row(const EngineContext& ctx,
+                                         std::size_t m) {
+  // Exact to read late: a row is read before this scan's first commit to
+  // its machine, and commits to other machines do not change it.
+  if (up_[m] == kUnread) {
+    up_[m] = ctx.machine_up(static_cast<MachineId>(m)) ? kUp : kDown;
+    if (up_[m] == kUp) {
+      ctx.cluster().available_into(
+          static_cast<MachineId>(m), now_,
+          std::span(free_).subspan(m * resources_, resources_));
+    }
+  }
+  return up_[m] == kUp ? free_.data() + m * resources_ : nullptr;
+}
+
 void PriorityQueueScheduler::refresh_max_free(std::size_t resources) {
   max_free_.assign(resources, -std::numeric_limits<double>::infinity());
   for (std::size_t m = 0; m < up_.size(); ++m) {
-    if (!up_[m]) continue;
+    if (up_[m] != kUp) continue;
     for (std::size_t l = 0; l < resources; ++l) {
       max_free_[l] = std::max(max_free_[l], free_[m * resources + l]);
     }
@@ -83,63 +187,112 @@ void PriorityQueueScheduler::refresh_max_free(std::size_t resources) {
 
 void PriorityQueueScheduler::scan_and_schedule(EngineContext& ctx) {
   rebuild_if_stale(ctx);
-  if (queue_.empty()) return;
-  const Time now = ctx.now();
-  const int M = ctx.num_machines();
-  const auto R = static_cast<std::size_t>(ctx.num_resources());
+  if (order_.empty()) return;
+  now_ = ctx.now();
+  const auto M = static_cast<std::size_t>(ctx.num_machines());
+  resources_ = static_cast<std::size_t>(ctx.num_resources());
+  const std::size_t R = resources_;
 
   // Instantaneous free capacity per machine, maintained across commits in
   // this scan.  In a pure PQ run every reservation starts at or before now,
   // so instantaneous fit implies window fit; can_start() still confirms so
   // that subclasses remain correct if mixed with future reservations.
-  free_.resize(static_cast<std::size_t>(M) * R);
-  up_.resize(static_cast<std::size_t>(M));
-  const Cluster& cluster = ctx.cluster();
-  for (MachineId m = 0; m < M; ++m) {
-    const auto mi = static_cast<std::size_t>(m);
-    up_[mi] = ctx.machine_up(m) ? 1 : 0;
-    cluster.available_into(m, now, std::span(free_).subspan(mi * R, R));
+  // With one class queued, rows are read as its jobs reach each machine;
+  // with more, all are read now so that max_free_ can drop a class before
+  // its machine loop.
+  free_.resize(M * R);
+  up_.assign(M, kUnread);
+  const bool prefilter = order_.size() > 1;
+  if (prefilter) {
+    for (std::size_t m = 0; m < M; ++m) free_row(ctx, m);
+    refresh_max_free(R);
   }
-  refresh_max_free(R);
 
-  std::size_t write = 0;
-  for (std::size_t read = 0; read < queue_.size(); ++read) {
-    const Entry entry = queue_[read];
-    const std::span<const double> demand(demand_.data() + read * R, R);
-    bool committed = false;
+  // Visits one job: started, left queued, or its class is dead.  Free
+  // capacity only falls within a scan, so once a row fits on no up machine
+  // no later job of its class fits either.
+  enum class Outcome { kStarted, kKept, kDead };
+  const auto try_start = [&](const Head& e,
+                             std::span<const double> demand) -> Outcome {
     // A job that fails the prefilter fits on no up machine (DESIGN.md).
-    if (fits_available(max_free_, demand) &&
-        ctx.earliest_start(entry.id) <= now) {  // skip retry-gated jobs
-      for (MachineId m = 0; m < M; ++m) {
-        const auto mi = static_cast<std::size_t>(m);
-        if (!up_[mi]) continue;
-        const std::span<double> avail = std::span(free_).subspan(mi * R, R);
-        if (!fits_available(avail, demand)) continue;
-        if (!ctx.can_start(entry.id, m, now)) continue;
-        if (!ctx.try_commit(entry.id, m, now)) continue;
-        MRIS_INVARIANT(
-            entry.key == heuristic_key(heuristic_, ctx.job(entry.id)),
-            "a queued job's cached heuristic key went stale");
-        for (std::size_t l = 0; l < R; ++l) {
-          avail[l] = std::max(0.0, avail[l] - demand[l]);
-        }
-        refresh_max_free(R);
-        committed = true;
-        break;
-      }
+    // The peak resource alone settles most of them without the row.
+    if (prefilter && (e.peak > max_free_[e.peak_at] + 1e-9 ||
+                      !fits_available(max_free_, demand))) {
+      return Outcome::kDead;
     }
-    if (committed) {
-      queued_[static_cast<std::size_t>(entry.id)] = 0;
+    // A retry-gated job is skipped; later jobs of its class may start.
+    if (ctx.earliest_start(e.id) > now_) return Outcome::kKept;
+    bool fits_somewhere = false;
+    for (std::size_t m = 0; m < M; ++m) {
+      double* row = free_row(ctx, m);
+      if (row == nullptr) continue;
+      const std::span<double> avail(row, R);
+      if (!fits_available(avail, demand)) continue;
+      fits_somewhere = true;
+      const auto machine = static_cast<MachineId>(m);
+      if (!ctx.can_start(e.id, machine, now_)) continue;
+      if (!ctx.try_commit(e.id, machine, now_)) continue;
+      MRIS_INVARIANT(e.key == heuristic_key(heuristic_, ctx.job(e.id)),
+                     "a queued job's cached heuristic key went stale");
+      for (std::size_t l = 0; l < R; ++l) {
+        avail[l] = std::max(0.0, avail[l] - demand[l]);
+      }
+      if (prefilter) refresh_max_free(R);
+      return Outcome::kStarted;
+    }
+    // A can_start/try_commit refusal depends on p_j, not only on the row.
+    return fits_somewhere ? Outcome::kKept : Outcome::kDead;
+  };
+
+  // A k-way merge of the classes in global (key, id) order.  order_ yields
+  // each class's head; a class whose next job must be visited in this scan
+  // waits in revisit_.  Every class leaves the merge exactly once: it is
+  // written back to order_ (compacted in place, in order of its new head)
+  // when its first job that stays queued is visited, or released when its
+  // last job starts.
+  const auto later = [](const Cursor& a, const Cursor& b) {
+    return ranks_before(b.head, a.head);
+  };
+  revisit_.clear();
+  std::size_t write = 0;
+  std::size_t read = 0;
+  while (read < order_.size() || !revisit_.empty()) {
+    Cursor cur;
+    if (!revisit_.empty() &&
+        (read == order_.size() || ranks_before(revisit_.front().head,
+                                               order_[read]))) {
+      std::pop_heap(revisit_.begin(), revisit_.end(), later);
+      cur = revisit_.back();
+      revisit_.pop_back();
+    } else {
+      cur = {order_[read++], -1, false};  // -1: the class's head, back()
+    }
+    const Outcome outcome = try_start(cur.head, row_of(cur.head.cls));
+    if (outcome == Outcome::kDead) {
+      if (!cur.kept) order_[write++] = cur.head;
       continue;
     }
-    if (write != read) {
-      queue_[write] = entry;
-      std::copy_n(demand.begin(), R, demand_.begin() + write * R);
+    ClassJobs& jobs = classes_[static_cast<std::size_t>(cur.head.cls)];
+    if (cur.pos < 0) cur.pos = static_cast<std::int32_t>(jobs.size()) - 1;
+    if (outcome == Outcome::kStarted) {
+      queued_[static_cast<std::size_t>(cur.head.id)] = 0;
+      jobs.erase(jobs.begin() + cur.pos);
+      if (jobs.empty()) {
+        release_class(cur.head.cls);
+        continue;
+      }
+    } else if (!cur.kept) {
+      order_[write++] = cur.head;
+      cur.kept = true;
     }
-    ++write;
+    if (cur.pos == 0) continue;
+    const Entry& next = jobs[static_cast<std::size_t>(--cur.pos)];
+    cur.head.key = next.key;
+    cur.head.id = next.id;
+    revisit_.push_back(cur);
+    std::push_heap(revisit_.begin(), revisit_.end(), later);
   }
-  queue_.resize(write);
-  demand_.resize(write * R);
+  order_.resize(write);
 }
 
 Time offline_pq_schedule(
@@ -205,17 +358,31 @@ Time offline_pq_schedule_eventscan(
 }
 
 void PriorityQueueScheduler::save_state(recovery::StateWriter& w) const {
+  if (stale_) {
+    w.vec_i32(restored_);
+    return;
+  }
+  std::vector<Entry> queued;
+  for (const Head& head : order_) {
+    const ClassJobs& jobs = classes_[static_cast<std::size_t>(head.cls)];
+    queued.insert(queued.end(), jobs.begin(), jobs.end());
+  }
+  std::sort(queued.begin(), queued.end(), ranks_before<Entry, Entry>);
   std::vector<JobId> ids;
-  ids.reserve(queue_.size());
-  for (const Entry& e : queue_) ids.push_back(e.id);
+  ids.reserve(queued.size());
+  for (const Entry& e : queued) ids.push_back(e.id);
   w.vec_i32(ids);
 }
 
 void PriorityQueueScheduler::restore_state(recovery::StateReader& r) {
-  // No context here: keys, demand rows and membership are rebuilt by the
-  // first callback after the restore.
-  queue_.clear();
-  for (JobId id : r.vec_i32()) queue_.push_back({0.0, id});
+  // No context here: keys, classes and membership are rebuilt by the first
+  // callback after the restore.
+  classes_.clear();
+  rows_.clear();
+  free_slots_.clear();
+  by_row_.clear();
+  order_.clear();
+  restored_ = r.vec_i32();
   stale_ = true;
 }
 

@@ -7,12 +7,17 @@
 // offline makespan subroutine (Section 5.2), available here as
 // offline_pq_schedule().
 //
-// The online scan costs O(queue * R) reads of cached keys and demand rows
-// per event plus O(M * R) per commit: a job whose demand exceeds, on some
-// resource, the largest free capacity of any up machine is skipped before
-// the machine loop.  That prefilter is exact (DESIGN.md, "PQ scan").
+// Queued jobs are bucketed by exact demand row; each class keeps its jobs
+// in (key, id) order.  A scan visits jobs in the global (key, id) order but
+// drops a class as soon as its row fits on no up machine, because free
+// capacity only falls during a scan.  Per event it costs O(C) for the C
+// queued classes, plus O(log C) per job it actually tries and O(M * R) per
+// commit.  Rows repeat on the paper's traces, so C stays small however
+// long the backlog; when every row is unique, the scan is one pass over
+// the queue (DESIGN.md, "PQ scan").
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -34,18 +39,22 @@ class PriorityQueueScheduler : public OnlineScheduler {
   void on_completion(EngineContext& ctx, JobId job, MachineId machine) override;
   void on_machine_up(EngineContext& ctx, MachineId machine) override;
 
-  // Durability hooks (docs/RECOVERY.md): the sorted pending queue is the
-  // only mutable state (keys, demand rows and membership derive from it);
-  // CA-PQ adds nothing mutable and inherits these.
+  // Durability hooks (docs/RECOVERY.md): the queued ids in (key, id) order
+  // are the only mutable state (keys, classes and membership derive from
+  // them); CA-PQ adds nothing mutable and inherits these.
   void save_state(recovery::StateWriter& w) const override;
   void restore_state(recovery::StateReader& r) override;
+
+  /// Class slots allocated so far, live or recycled (for tests: the table
+  /// is bounded by the live backlog's distinct rows, not by every row seen).
+  std::size_t class_slots() const { return classes_.size(); }
 
  protected:
   /// Scans the heuristic-ordered queue and greedily starts every job that
   /// fits right now.  Shared with CA-PQ.
   void scan_and_schedule(EngineContext& ctx);
 
-  /// Inserts an arrived job into the sorted queue (kept ordered by the
+  /// Inserts an arrived job into its demand class (kept ordered by the
   /// heuristic key so scans don't re-sort the whole pending set per event).
   void enqueue(EngineContext& ctx, JobId job);
 
@@ -56,23 +65,66 @@ class PriorityQueueScheduler : public OnlineScheduler {
     double key;  ///< heuristic key, computed once at enqueue
     JobId id;
   };
+  /// A class's jobs sorted by descending (key, id): the head is back().
+  using ClassJobs = std::vector<Entry>;
+  /// A class and one of its jobs, ordered by that job's (key, id), with
+  /// the class row's largest demand so that most dead classes are told
+  /// without reading the row.
+  struct Head {
+    double key;
+    JobId id;
+    std::int32_t cls;
+    std::int32_t peak_at;  ///< resource of the row's largest demand
+    double peak;           ///< that demand
+  };
+  /// A class's place in a scan's merge: the next of its jobs to visit.
+  struct Cursor {
+    Head head;
+    std::int32_t pos;  ///< index of head's job in the class; -1: back()
+    bool kept;         ///< a job of this class stays queued this scan
+  };
 
-  /// After restore_state() the queue holds ids only: recomputes keys,
-  /// demand rows and membership from `ctx` (no-op otherwise).
+  /// `e` as the head of class `cls`.
+  Head head_of(const Entry& e, std::int32_t cls) const;
+
+  /// After restore_state() only the queued ids are known: rebuilds classes
+  /// and order_ from `ctx` (no-op otherwise).
   void rebuild_if_stale(const EngineContext& ctx);
+
+  std::span<const double> row_of(std::int32_t cls) const;
+  /// The first entry of by_row_ whose row is not below `row`.
+  std::vector<std::int32_t>::iterator find_row(std::span<const double> row);
+  /// The class slot holding `demand`, created (or recycled) if absent.
+  std::int32_t class_of(std::span<const double> demand);
+  /// Returns an emptied class slot to the free list.
+  void release_class(std::int32_t cls);
+
+  /// This scan's free row of machine m, read on first use; nullptr when m
+  /// is down.
+  double* free_row(const EngineContext& ctx, std::size_t m);
 
   /// Per-resource max of free capacity over up machines (-inf if none).
   void refresh_max_free(std::size_t resources);
 
-  std::vector<Entry> queue_;    ///< pending jobs, sorted by (key, id)
-  std::vector<double> demand_;  ///< R-strided demand rows, parallel to queue_
-  std::vector<char> queued_;    ///< membership of queue_, by job id
-  bool stale_ = false;          ///< keys/demand_/queued_ need a rebuild
+  // Queue state.  Every queued job sits in exactly one class; order_ holds
+  // the non-empty classes sorted by their head's (key, id).
+  std::vector<ClassJobs> classes_;      ///< by class slot
+  std::vector<double> rows_;            ///< R-strided demand row per slot
+  std::vector<std::int32_t> free_slots_;
+  std::vector<std::int32_t> by_row_;    ///< live slots, sorted by row
+  std::vector<Head> order_;
+  std::vector<char> queued_;            ///< membership, by job id
+  std::vector<JobId> restored_;         ///< queued ids awaiting a rebuild
+  bool stale_ = false;
+  std::size_t resources_ = 0;           ///< R, the row width
 
-  // Per-event scratch, reused across scans.
-  std::vector<double> free_;      ///< M x R free capacity at now
-  std::vector<char> up_;          ///< machine_up() per machine
-  std::vector<double> max_free_;  ///< per-resource max of free_ over up_
+  // Per-scan scratch, reused across scans.
+  std::vector<Cursor> revisit_;         ///< min-heap by head (key, id)
+  std::vector<double> free_;            ///< M x R free capacity at now
+  enum MachineRow : char { kUnread, kDown, kUp };
+  std::vector<MachineRow> up_;          ///< per machine, read on first use
+  Time now_ = 0.0;
+  std::vector<double> max_free_;        ///< per-resource max of free_ over up_
 };
 
 /// True when `demand` fits within the `available` capacity vector

@@ -1,18 +1,21 @@
 // The PRIORITY-QUEUE scan against a straightforward reference.
 //
-// PriorityQueueScheduler caches each queued job's heuristic key and demand
-// row and skips, before its machine loop, every job that exceeds the
-// largest free capacity of any up machine on some resource.  ReferencePq
-// below is the scan without any of that: keys recomputed per comparison,
-// linear membership search, every queued job probed against every
-// machine.  The two must agree byte for byte (schedule, attempts, event
-// log), and the production scan's context reads per engine event must not
-// grow with the backlog.
+// PriorityQueueScheduler buckets queued jobs by exact demand row, caches
+// each job's heuristic key, and drops a whole class from a scan once its
+// row fits on no up machine.  ReferencePq below is the scan without any of
+// that: keys recomputed per comparison, linear membership search, every
+// queued job probed against every machine.  The two must agree byte for
+// byte (schedule, attempts, event log, saved state) on every class shape:
+// unique rows, a few rows, one row holding hundreds of jobs.  The
+// production scan's context reads per engine event must not grow with the
+// backlog, and its class table must follow the live backlog.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <set>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -23,7 +26,9 @@
 #include "sim/recovery/state_io.hpp"
 #include "testkit/generators.hpp"
 #include "trace/generator.hpp"
+#include "trace/sampling.hpp"
 #include "trace/workload.hpp"
+#include "util/rng.hpp"
 
 namespace mris {
 namespace {
@@ -211,12 +216,43 @@ void expect_matches_reference(const Instance& inst, double time_scale,
   }
 }
 
-Instance azure_like(std::size_t jobs, int machines, std::uint64_t seed) {
+/// The Azure-like trace; with `resources` > 0 it is augmented to that many
+/// resources (Sec 7.5.3), which makes nearly every demand row unique.
+Instance azure_like(std::size_t jobs, int machines, std::uint64_t seed,
+                    std::size_t resources = 0) {
   trace::GeneratorConfig cfg;
   cfg.num_jobs = jobs;
   cfg.seed = seed;
-  return trace::to_instance(
-      trace::merge_storage(trace::generate_azure_like(cfg)), machines);
+  trace::Workload w = trace::merge_storage(trace::generate_azure_like(cfg));
+  if (resources > 0) {
+    util::Xoshiro256 rng(seed);
+    w = trace::augment_resources(w, resources, trace::kCpu, rng);
+  }
+  return trace::to_instance(w, machines);
+}
+
+/// `jobs` jobs drawn over `rows` distinct demand rows (R = 3), released in
+/// bursts of 50 so that every class queues many jobs at once.
+Instance few_rows(std::size_t jobs, std::size_t rows, int machines,
+                  std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::vector<double>> catalog(rows);
+  for (auto& row : catalog) {
+    for (int l = 0; l < 3; ++l) row.push_back(util::uniform(rng, 0.1, 0.6));
+  }
+  InstanceBuilder b(machines, 3);
+  for (std::size_t i = 0; i < jobs; ++i) {
+    b.add(20.0 * static_cast<double>(i / 50), util::uniform(rng, 1.0, 10.0),
+          static_cast<double>(util::uniform_int(rng, 1, 3)),
+          catalog[util::uniform_index(rng, rows)]);
+  }
+  return b.build();
+}
+
+std::size_t distinct_rows(const Instance& inst) {
+  std::set<std::vector<double>> rows;
+  for (const Job& j : inst.jobs()) rows.insert(j.demand);
+  return rows.size();
 }
 
 TEST(PqScanTest, MatchesReferenceOnEveryTestkitFamily) {
@@ -237,6 +273,25 @@ TEST(PqScanTest, MatchesReferenceOnAnAzureLikeBacklog) {
   // hours, like the fault_degradation bench.
   const Instance inst = azure_like(1500, 20, 11);
   expect_matches_reference(inst, 50.0, 5, "azure-like");
+}
+
+TEST(PqScanTest, MatchesReferenceWhenEveryRowIsUnique) {
+  // Every class holds one job, so the head order is the flat queue and
+  // nothing is ever revisited within a scan.
+  const Instance inst = azure_like(800, 4, 12, 20);
+  ASSERT_GE(distinct_rows(inst), inst.num_jobs() * 9 / 10);
+  expect_matches_reference(inst, 50.0, 6, "augmented to R = 20");
+}
+
+TEST(PqScanTest, MatchesReferenceWhenClassesHoldManyJobs) {
+  // One row: a single class of hundreds of jobs, scanned with machine rows
+  // read on first use and no prefilter.  Three rows: the merge interleaves
+  // classes and revisits a class after each start.
+  for (std::size_t rows : {1u, 3u}) {
+    const Instance inst = few_rows(600, rows, 4, 20 + rows);
+    ASSERT_EQ(distinct_rows(inst), rows);
+    expect_matches_reference(inst, 1.0, 9, std::to_string(rows) + " rows");
+  }
 }
 
 TEST(PqScanTest, StreamedRunMatchesBatchReference) {
@@ -284,10 +339,26 @@ TEST(PqScanTest, StreamedRunMatchesBatchReference) {
 
 /// Forwards to the engine's context, counting the cheap reads a scheduler
 /// makes (the set perfbench's traced run reports as sched.ctx_reads).
+/// With `gate` > 0, until `gate` after its release, every third job is
+/// retry-gated (earliest_start() reports it, try_commit() enforces it) and
+/// every job after one of those is refused by can_start() on every
+/// machine, as a reservation ahead would refuse a long job whatever its
+/// row.  `gated` counts the gated answers, `refused` the refusals.
 class CountingContext : public EngineContext {
  public:
-  CountingContext(EngineContext& inner, std::uint64_t& reads)
-      : inner_(inner), reads_(reads) {}
+  CountingContext(EngineContext& inner, std::uint64_t& reads, Time gate,
+                  std::uint64_t& gated, std::uint64_t& refused)
+      : inner_(inner),
+        reads_(reads),
+        gate_(gate),
+        gated_(gated),
+        refused_(refused) {}
+
+  /// The end of `id`'s own gate or refusal window (0 when it has none).
+  Time own_gate(JobId id) const {
+    if (gate_ <= 0.0 || id % 3 == 2) return 0.0;
+    return inner_.job(id).release + gate_;
+  }
 
   Time now() const override { return inner_.now(); }
   int num_machines() const override { return inner_.num_machines(); }
@@ -306,6 +377,10 @@ class CountingContext : public EngineContext {
     return inner_.cluster();
   }
   bool can_start(JobId id, MachineId m, Time start) const override {
+    if (id % 3 == 1 && start < own_gate(id)) {
+      ++refused_;
+      return false;
+    }
     return inner_.can_start(id, m, start);
   }
   Time earliest_fit_on(JobId id, MachineId m, Time t) const override {
@@ -318,6 +393,7 @@ class CountingContext : public EngineContext {
     inner_.commit(id, m, start);
   }
   bool try_commit(JobId id, MachineId m, Time start) override {
+    if (id % 3 != 2 && start < own_gate(id)) return false;
     return inner_.try_commit(id, m, start);
   }
   void schedule_wakeup(Time t) override { inner_.schedule_wakeup(t); }
@@ -327,7 +403,10 @@ class CountingContext : public EngineContext {
   }
   Time earliest_start(JobId id) const override {
     ++reads_;
-    return inner_.earliest_start(id);
+    Time t = inner_.earliest_start(id);
+    if (id % 3 == 0) t = std::max(t, own_gate(id));
+    if (t > inner_.now()) ++gated_;
+    return t;
   }
   bool machine_up(MachineId m) const override {
     ++reads_;
@@ -341,12 +420,21 @@ class CountingContext : public EngineContext {
  private:
   EngineContext& inner_;
   std::uint64_t& reads_;
+  Time gate_;
+  std::uint64_t& gated_;
+  std::uint64_t& refused_;
 };
 
 /// Hands `inner` a CountingContext and tracks the pending high-water mark.
+/// With `gate` > 0 a job with a gate or refusal window of its own is
+/// announced again when it ends, as the engine's kRetryReady does.  The
+/// engine hands a scheduler a gated job only once its gate has passed, and
+/// in a PQ run every fitting job also passes can_start(), so this is how a
+/// test puts such jobs in a queue.
 class CountingScheduler : public OnlineScheduler {
  public:
-  explicit CountingScheduler(OnlineScheduler& inner) : inner_(inner) {}
+  explicit CountingScheduler(OnlineScheduler& inner, Time gate = 0.0)
+      : inner_(inner), gate_(gate) {}
 
   std::string name() const override { return inner_.name(); }
   void on_start(EngineContext& ctx) override {
@@ -355,6 +443,11 @@ class CountingScheduler : public OnlineScheduler {
   }
   void on_arrival(EngineContext& ctx, JobId job) override {
     CountingContext c = wrap(ctx);
+    const Time gate = c.own_gate(job);
+    if (gate > ctx.now()) {
+      ctx.schedule_wakeup(gate);
+      gates_.emplace_back(gate, job);
+    }
     inner_.on_arrival(c, job);
   }
   void on_completion(EngineContext& ctx, JobId job, MachineId m) override {
@@ -364,6 +457,18 @@ class CountingScheduler : public OnlineScheduler {
   void on_wakeup(EngineContext& ctx) override {
     CountingContext c = wrap(ctx);
     inner_.on_wakeup(c);
+    for (std::size_t i = 0; i < gates_.size();) {
+      const auto [gate, job] = gates_[i];
+      if (gate > ctx.now()) {
+        ++i;
+        continue;
+      }
+      gates_.erase(gates_.begin() + static_cast<std::ptrdiff_t>(i));
+      const auto& pending = ctx.pending();
+      if (std::find(pending.begin(), pending.end(), job) != pending.end()) {
+        inner_.on_arrival(c, job);
+      }
+    }
   }
   void on_machine_down(EngineContext& ctx, MachineId m) override {
     CountingContext c = wrap(ctx);
@@ -379,15 +484,19 @@ class CountingScheduler : public OnlineScheduler {
   }
 
   std::uint64_t reads = 0;
+  std::uint64_t gated = 0;    ///< earliest_start() answers later than now
+  std::uint64_t refused = 0;  ///< can_start() refusals of the own window
   std::size_t pending_hwm = 0;
 
  private:
   CountingContext wrap(EngineContext& ctx) {
     pending_hwm = std::max(pending_hwm, ctx.pending().size());
-    return CountingContext(ctx, reads);
+    return CountingContext(ctx, reads, gate_, gated, refused);
   }
 
   OnlineScheduler& inner_;
+  Time gate_;
+  std::vector<std::pair<Time, JobId>> gates_;  ///< announcements due
 };
 
 struct ScanCost {
@@ -428,20 +537,94 @@ TEST(PqScanTest, ContextReadsPerEventDoNotGrowWithTheBacklog) {
   EXPECT_GE(ref_large.reads_per_event, 1.5 * ref_small.reads_per_event);
 }
 
+TEST(PqScanTest, MatchesReferenceWithGatedAndRefusedJobsInsideLiveClasses) {
+  // For 3 time units after its release every third job is retry-gated and
+  // every job after one of those is refused by can_start(), under every
+  // fault plan: the scan meets such heads in classes that still fit and
+  // must go on to the class's later jobs.
+  for (std::size_t rows : {1u, 3u}) {
+    const Instance inst = few_rows(600, rows, 4, 20 + rows);
+    const Time t = last_release(inst);
+    for (const auto& plan : fault_plans(inst, 1.0, 9)) {
+      const FaultPlan* p = plan ? &*plan : nullptr;
+      const std::string where = std::to_string(rows) + " rows" +
+                                (p ? " with faults" : " fault-free");
+      ReferencePq ref(Heuristic::kWsjf);
+      PriorityQueueScheduler pq(Heuristic::kWsjf);
+      CountingScheduler gated_ref(ref, 3.0);
+      CountingScheduler gated_pq(pq, 3.0);
+      EXPECT_EQ("", diff_runs(run(inst, gated_ref, p), run(inst, gated_pq, p)))
+          << where;
+      EXPECT_GT(gated_pq.gated, 0u) << where;
+      EXPECT_GT(gated_pq.refused, 0u) << where;
+
+      ReferencePq ref_ca(Heuristic::kWsjf, t);
+      CollectAllPqScheduler capq(t, Heuristic::kWsjf);
+      CountingScheduler gated_ref_ca(ref_ca, 3.0);
+      CountingScheduler gated_capq(capq, 3.0);
+      EXPECT_EQ("", diff_runs(run(inst, gated_ref_ca, p),
+                              run(inst, gated_capq, p)))
+          << where << " CA-PQ";
+    }
+  }
+}
+
+TEST(PqScanTest, ClassTableIsBoundedByTheLiveBacklog) {
+  // A daemon on continuous demands: every admitted row is new.  A class
+  // slot is recycled when its last job leaves, so the table never holds
+  // more classes than the live backlog once did, not one per row seen.
+  constexpr std::size_t kJobs = 20000;
+  constexpr int kResources = 4;
+  util::Xoshiro256 rng(17);
+  Instance grow(std::vector<Job>{}, 4, kResources);
+  PriorityQueueScheduler pq(Heuristic::kWsjf);
+  CountingScheduler counting(pq);
+  StreamEngine engine(grow, counting);
+  engine.start();
+  Time t = 0.0;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    t += util::exponential(rng, 1.0);
+    Job j;
+    j.release = t;
+    j.processing = util::uniform(rng, 1.0, 10.0);
+    j.weight = static_cast<double>(util::uniform_int(rng, 1, 3));
+    for (int l = 0; l < kResources; ++l) {
+      j.demand.push_back(util::uniform(rng, 0.05, 0.5));
+    }
+    engine.run_until_release(j.release);
+    engine.admit(j);
+  }
+  const RunResult r = engine.finish();
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(r.schedule.assignment(static_cast<JobId>(i)).machine !=
+                kInvalidMachine)
+        << "job " << i << " never started";
+  }
+  ASSERT_LT(counting.pending_hwm, kJobs / 20)
+      << "the stream must drain as it goes for this bound to mean anything";
+  // Every queued job is pending, so the live classes never outnumber the
+  // pending high-water mark.
+  EXPECT_LE(pq.class_slots(), counting.pending_hwm + 2)
+      << "pending high-water " << counting.pending_hwm;
+}
+
 // ---- resume ---------------------------------------------------------------
 
-/// Runs one PQ until just before its `cut`-th arrival callback, then moves
-/// its state into a fresh PQ through save_state/restore_state, which takes
-/// that arrival (an enqueue before any scan) and everything after.  Also
-/// records the saved payload and, for comparison, the snapshot format that
-/// existing state dirs hold: the queued ids in heuristic order, as a
-/// vec_i32.
-class HandoverPq : public OnlineScheduler {
+/// Runs one scheduler until just before its `cut`-th arrival callback,
+/// then moves its state into a fresh copy through save_state /
+/// restore_state, which takes that arrival (an enqueue before any scan)
+/// and everything after.  Records the saved payload, the payload the copy
+/// saves right after its restore (before any callback), and for
+/// comparison the snapshot format that existing state dirs hold: the
+/// queued ids in heuristic order, as a vec_i32.
+template <typename Pq>
+class Handover : public OnlineScheduler {
  public:
-  HandoverPq(Heuristic h, std::size_t cut)
-      : heuristic_(h), first_(h), second_(h), cut_(cut) {}
+  Handover(const Pq& fresh, Heuristic h, std::size_t cut)
+      : heuristic_(h), first_(fresh), second_(fresh), cut_(cut) {}
 
   std::string name() const override { return first_.name(); }
+  void on_start(EngineContext& ctx) override { active().on_start(ctx); }
   void on_arrival(EngineContext& ctx, JobId job) override {
     if (++arrivals_ == cut_) handover(ctx, job);
     active().on_arrival(ctx, job);
@@ -449,11 +632,13 @@ class HandoverPq : public OnlineScheduler {
   void on_completion(EngineContext& ctx, JobId job, MachineId m) override {
     active().on_completion(ctx, job, m);
   }
+  void on_wakeup(EngineContext& ctx) override { active().on_wakeup(ctx); }
   void on_machine_up(EngineContext& ctx, MachineId m) override {
     active().on_machine_up(ctx, m);
   }
 
   std::string saved;     ///< first_'s payload at the cut
+  std::string resaved;   ///< second_'s payload right after its restore
   std::string expected;  ///< vec_i32 of the pending ids in heuristic order
   std::size_t queued_at_cut = 0;
 
@@ -468,6 +653,9 @@ class HandoverPq : public OnlineScheduler {
     saved = w.take();
     recovery::StateReader r(saved);
     second_.restore_state(r);
+    recovery::StateWriter again;
+    second_.save_state(again);
+    resaved = again.take();
     handed_over_ = true;
 
     // The arriving job is pending but not yet queued.
@@ -484,29 +672,66 @@ class HandoverPq : public OnlineScheduler {
   }
 
   Heuristic heuristic_;
-  PriorityQueueScheduler first_;
-  PriorityQueueScheduler second_;
+  Pq first_;
+  Pq second_;
   std::size_t cut_;
   std::size_t arrivals_ = 0;
   bool handed_over_ = false;
 };
 
-TEST(PqScanTest, ResumeWithAnArrivalFirstIsByteIdentical) {
-  const Instance inst = azure_like(6000, 20, 4);
-  PriorityQueueScheduler plain(Heuristic::kWsjf);
+/// Hands `fresh`'s state over at every `step`-th arrival of a fault-free
+/// run of `inst`; each handed-over run must equal the plain one byte for
+/// byte, and both payloads must be the heuristic-ordered pending ids (so
+/// old state dirs resume).  Returns how many cuts landed inside a backlog
+/// of at least 10 jobs.
+template <typename Pq>
+std::size_t expect_handover_identical(const Instance& inst, const Pq& fresh,
+                                      std::size_t step,
+                                      const std::string& what) {
+  Pq plain = fresh;
   const RunResult reference = run(inst, plain, nullptr);
-
   std::size_t mid_backlog = 0;
-  for (std::size_t cut = 500; cut < inst.num_jobs(); cut += 500) {
-    HandoverPq handover(Heuristic::kWsjf, cut);
+  for (std::size_t cut = step; cut < inst.num_jobs(); cut += step) {
+    Handover<Pq> handover(fresh, Heuristic::kWsjf, cut);
+    const std::string where = what + ", cut at arrival " + std::to_string(cut);
     EXPECT_EQ("", diff_runs(reference, run(inst, handover, nullptr)))
-        << "cut at arrival " << cut;
-    // Fault-free, every pending job is queued, so the payload must be
-    // exactly the heuristic-ordered pending ids: old state dirs resume.
-    EXPECT_EQ(handover.expected, handover.saved) << "cut at arrival " << cut;
+        << where;
+    // Fault-free, every pending job is queued.
+    EXPECT_EQ(handover.expected, handover.saved) << where;
+    EXPECT_EQ(handover.expected, handover.resaved) << where;
     if (handover.queued_at_cut >= 10) ++mid_backlog;
   }
-  EXPECT_GE(mid_backlog, 3u) << "too few cuts landed inside a backlog";
+  return mid_backlog;
+}
+
+TEST(PqScanTest, ResumeWithAnArrivalFirstIsByteIdentical) {
+  const Instance inst = azure_like(6000, 20, 4);
+  EXPECT_GE(expect_handover_identical(
+                inst, PriorityQueueScheduler(Heuristic::kWsjf), 500,
+                "azure-like"),
+            3u)
+      << "too few cuts landed inside a backlog";
+}
+
+TEST(PqScanTest, ResumeIsByteIdenticalOnEveryClassShape) {
+  const std::vector<std::pair<std::string, Instance>> cases = {
+      {"unique rows", azure_like(800, 4, 12, 20)},
+      {"one row", few_rows(600, 1, 4, 21)},
+      {"three rows", few_rows(600, 3, 4, 23)},
+  };
+  for (const auto& [what, inst] : cases) {
+    EXPECT_GE(expect_handover_identical(
+                  inst, PriorityQueueScheduler(Heuristic::kWsjf), 60, what),
+              3u)
+        << what << ": too few cuts landed inside a backlog";
+    // CA-PQ: cuts before its activation hand over the collected backlog.
+    const Time t = last_release(inst);
+    EXPECT_GE(expect_handover_identical(
+                  inst, CollectAllPqScheduler(t, Heuristic::kWsjf), 60,
+                  what + " CA-PQ"),
+              3u)
+        << what << " CA-PQ: too few cuts landed inside a backlog";
+  }
 }
 
 }  // namespace
