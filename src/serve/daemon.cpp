@@ -9,11 +9,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "serve/admission_journal.hpp"
 #include "serve/protocol.hpp"
-#include "sim/recovery/journal.hpp"
 #include "sim/recovery/snapshot.hpp"
-#include "sim/recovery/state_io.hpp"
 
 namespace mris::serve {
 
@@ -37,6 +34,22 @@ bool same_job(const Job& a, const Job& b) {
     if (!same_bits(a.demand[i], b.demand[i])) return false;
   }
   return true;
+}
+
+/// The admission journal's records.  A payload behind a valid CRC that
+/// does not decode is corruption, not a torn tail, so it throws.
+std::vector<JobFrame> admission_records(const recovery::JournalContents& log) {
+  std::vector<JobFrame> records;
+  records.reserve(log.payloads.size());
+  for (const std::string& payload : log.payloads) {
+    recovery::StateReader r(payload);
+    records.push_back(decode_job_payload(r));
+    if (!r.done()) {
+      throw std::runtime_error(
+          "serve_stream: trailing bytes in an admission journal record");
+    }
+  }
+  return records;
 }
 
 LatencySummary summarize(std::vector<double>& us) {
@@ -70,14 +83,6 @@ std::uint64_t config_fingerprint(int num_machines, int num_resources,
   return fp.value();
 }
 
-std::uint64_t peek_snapshot_jobs(const std::string& snapshot_path) {
-  const recovery::SnapshotContents snap =
-      recovery::read_snapshot(snapshot_path);
-  if (!snap.ok || snap.payload.size() < 8) return 0;
-  recovery::StateReader r(std::string_view(snap.payload).substr(0, 8));
-  return r.u64();
-}
-
 ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   if (!options.make_scheduler) {
     throw std::invalid_argument("serve_stream: make_scheduler is required");
@@ -105,25 +110,32 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   const std::string admit_path = options.state_dir + "/admissions.mraj";
 
   // ---- Resume scouting (before any engine state exists) ----------------
-  AdmissionLog admitted;  // !ok means fresh start
+  recovery::JournalContents admit_log;  // !ok means fresh start
+  std::vector<JobFrame> admitted;
   std::uint64_t restored_jobs = 0;
   std::uint64_t journal_cut = 0;  // event-journal records inside the snapshot
   bool resuming = false;
   if (durable && options.resume) {
-    admitted = read_admission_journal(admit_path);
-    if (admitted.ok) {
-      if (admitted.fingerprint != cfg_fp) {
+    admit_log = recovery::read_journal(admit_path, kAdmissionJournal);
+    if (admit_log.ok) {
+      if (admit_log.fingerprint != cfg_fp) {
         throw std::runtime_error(
             "serve_stream: admission journal was written by a daemon with a "
             "different configuration (machines/resources/scheduler)");
       }
       resuming = true;
+      admitted = admission_records(admit_log);
       const recovery::SnapshotContents snap = recovery::read_snapshot(snap_path);
       if (snap.ok) {
-        restored_jobs = peek_snapshot_jobs(snap_path);
+        // A streaming snapshot's payload leads with the admitted-job count
+        // it was cut at; without it the daemon resumes journal-only.
+        if (snap.payload.size() >= 8) {
+          recovery::StateReader r(snap.payload);
+          restored_jobs = r.u64();
+        }
         journal_cut = snap.meta.journal_records;
       }
-      if (restored_jobs > admitted.records.size()) {
+      if (restored_jobs > admitted.size()) {
         throw std::runtime_error(
             "serve_stream: snapshot holds more admissions than the admission "
             "journal — the write-ahead invariant was violated");
@@ -145,11 +157,9 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   rec_opts.snapshot_path = snap_path;
   rec_opts.journal_path = journal_path;
   rec_opts.snapshot_every = options.snapshot_every;
-  rec_opts.snapshot_at_wakeups = options.snapshot_at_wakeups;
   rec_opts.resume = resuming;
 
   RunOptions run_opts;
-  run_opts.prune_every = options.prune_every;
   run_opts.on_record = deliver;
   if (durable) run_opts.recovery = &rec_opts;
 
@@ -158,7 +168,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   Instance inst(std::vector<Job>{}, options.num_machines,
                 options.num_resources);
   for (std::uint64_t i = 0; i < restored_jobs; ++i) {
-    inst.append(admitted.records[i].job);
+    inst.append(admitted[i].job);
   }
 
   StreamEngine engine(inst, *scheduler, run_opts);
@@ -177,28 +187,38 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
     // Pre-cut history for the sink/checksum: the engine replays (and
     // re-fires on_record for) only the journal tail beyond the snapshot
     // cut, so the prefix comes from the event journal itself.
-    const recovery::JournalContents events =
-        recovery::read_journal(journal_path);
+    const std::vector<EventRecord> events = recovery::event_records(
+        recovery::read_journal(journal_path, recovery::kEventJournal));
     const std::uint64_t cut =
-        std::min<std::uint64_t>(journal_cut, events.records.size());
-    for (std::uint64_t i = 0; i < cut; ++i) deliver(events.records[i]);
+        std::min<std::uint64_t>(journal_cut, events.size());
+    for (std::uint64_t i = 0; i < cut; ++i) deliver(events[i]);
   }
 
   // ---- Admission journal writer + tail re-admission --------------------
-  AdmissionJournalWriter admit_log;
+  // Write-ahead: every append is synced before the engine admits the job.
+  // A daemon that cannot make an admission durable must not make it.
+  recovery::RecoveryOptions admit_opts;
+  admit_opts.journal_path = admit_path;
+  admit_opts.journal_sync_every = 1;
+  recovery::JournalWriter admit_writer(admit_opts, nullptr, kAdmissionJournal);
+  const auto durable_or_throw = [&admit_path](bool ok) {
+    if (!ok) {
+      throw std::runtime_error("serve_stream: cannot write admission journal " +
+                               admit_path);
+    }
+  };
   if (durable) {
     if (resuming) {
-      if (admitted.torn_bytes > 0) {
-        truncate_admission_journal(admit_path, admitted.valid_bytes);
-      }
-      admit_log.open_append(admit_path);
+      durable_or_throw(admit_log.torn_bytes == 0 ||
+                       recovery::truncate_journal(admit_path,
+                                                  admit_log.valid_bytes));
+      durable_or_throw(admit_writer.open_append());
     } else {
-      admit_log.open_fresh(admit_path, cfg_fp);
+      durable_or_throw(admit_writer.open_fresh(cfg_fp));
     }
   }
-  for (std::uint64_t i = restored_jobs; resuming && i < admitted.records.size();
-       ++i) {
-    const AdmissionRecord& rec = admitted.records[i];
+  for (std::uint64_t i = restored_jobs; i < admitted.size(); ++i) {
+    const JobFrame& rec = admitted[i];
     engine.run_until_release(rec.job.release);
     engine.admit(rec.job);
     ++result.resume_readmitted;
@@ -211,7 +231,8 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   // mris-analyze: allow(determinism-time)
   using Clock = std::chrono::steady_clock;
   std::vector<double> latency_us;
-  const std::uint64_t already = resuming ? admitted.records.size() : 0;
+  const std::uint64_t already = admitted.size();
+  recovery::StateWriter payload;  // reused admission-record buffer
   FrameDecoder decoder(static_cast<std::uint32_t>(options.num_resources));
   Frame frame;
   char buf[4096];
@@ -228,7 +249,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
       if (frame.kind != kFrameJob) continue;  // Hello/End carry no admission
       if (frame.job.seq < already) {
         // Producer replay of an already-journaled admission: verify, skip.
-        const AdmissionRecord& prev = admitted.records[frame.job.seq];
+        const JobFrame& prev = admitted[frame.job.seq];
         if (!same_job(frame.job.job, prev.job)) {
           throw ProtocolError(
               "replayed frame seq " + std::to_string(frame.job.seq) +
@@ -239,7 +260,11 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
       }
       const auto t0 = Clock::now();
       engine.run_until_release(frame.job.job.release);
-      if (durable) admit_log.append(frame.job.seq, frame.job.job);
+      if (durable) {
+        payload.clear();
+        encode_job_payload(payload, frame.job.seq, frame.job.job);
+        durable_or_throw(admit_writer.append(payload.data()));
+      }
       engine.admit(frame.job.job);
       latency_us.push_back(
           std::chrono::duration<double, std::micro>(Clock::now() - t0)
@@ -250,7 +275,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   decoder.finish();
 
   result.run = engine.finish();
-  admit_log.close();
+  admit_writer.close();
   if (options.sink != nullptr) options.sink->flush();
   result.jobs = inst.num_jobs();
   result.placement_checksum = checksum.value();

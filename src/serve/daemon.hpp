@@ -3,19 +3,28 @@
 // serve_stream() is the daemon's core loop, transport-agnostic over a
 // std::istream of protocol frames (serve/protocol.hpp): decode a frame,
 // advance the engine to the admission point (StreamEngine::
-// run_until_release), durably journal the admission (write-ahead,
-// serve/admission_journal.hpp), admit, and stream every resulting
-// EventRecord to the configured sink.  Memory stays bounded by the live
-// backlog: the engine prunes committed calendar history on the prune_every
-// cadence, the sink buffers nothing, and the decoder holds at most one
-// frame.
+// run_until_release), durably journal the admission (write-ahead, see
+// below), admit, and stream every resulting EventRecord to the configured
+// sink.  Memory stays bounded by the live backlog: the engine prunes
+// committed calendar history as jobs complete, the sink buffers nothing,
+// and the decoder holds at most one frame.
+//
+// The admission journal (`admissions.mraj`) records what the engine cannot:
+// the job parameters of a stream the daemon never holds in full.  It is a
+// recovery::JournalWriter log (the event journal's frame layout) with its
+// own magic "MRAJ", version 2, the config fingerprint in its header, and
+// one frame per accepted Job whose payload is the wire Job payload
+// (serve/protocol.hpp, encode_job_payload).  Every append is fsync'd
+// before StreamEngine::admit runs, so the admission journal is always at
+// or ahead of the event journal; a write that fails after the writer's
+// retries makes serve_stream throw rather than admit.
 //
 // Restartability composes the engine's whole-engine snapshots + event
 // journal (docs/RECOVERY.md) with the admission journal:
 //
 //   resume = read admission journal
 //          -> rebuild the instance prefix recorded inside the snapshot
-//             (peek_snapshot_jobs) and restore the engine at its cut
+//             (its payload's leading u64) and restore the engine at its cut
 //          -> feed the event-journal prefix through the sink (pre-cut
 //             history; the engine replays and cross-checks the tail, which
 //             re-fires the sink via RunOptions::on_record)
@@ -38,8 +47,13 @@
 
 #include "serve/sink.hpp"
 #include "sim/engine.hpp"
+#include "sim/recovery/journal.hpp"
 
 namespace mris::serve {
+
+/// The admission journal's header identity: "MRAJ", version 2 (the shared
+/// frame layout; version 1 put the CRC after the payload).
+inline constexpr recovery::JournalFormat kAdmissionJournal{0x4A41524Du, 2};
 
 struct ServeOptions {
   int num_machines = 4;
@@ -53,9 +67,6 @@ struct ServeOptions {
   /// Per-decision metric sink (not owned; may be nullptr for none).
   MetricsSink* sink = nullptr;
 
-  /// Engine calendar prune cadence (RunOptions::prune_every).
-  int prune_every = 32;
-
   /// State directory for durability; empty disables snapshots, both
   /// journals, and resume.  Layout: engine.snap, engine.journal,
   /// admissions.mraj.
@@ -63,7 +74,6 @@ struct ServeOptions {
 
   /// Forwarded to RecoveryOptions (docs/RECOVERY.md).
   std::uint64_t snapshot_every = 0;
-  bool snapshot_at_wakeups = true;
 
   /// Resume from state_dir if it holds a valid prior run; fresh otherwise.
   bool resume = false;
@@ -100,11 +110,6 @@ struct ServeResult {
 /// into a daemon with a different cluster shape or scheduler.
 std::uint64_t config_fingerprint(int num_machines, int num_resources,
                                  const std::string& scheduler_name);
-
-/// The admitted-job count a streaming snapshot's payload was cut at (the
-/// u64 prefix StreamEngine writes), or 0 when the snapshot is missing or
-/// invalid (the daemon then resumes journal-only, re-admitting everything).
-std::uint64_t peek_snapshot_jobs(const std::string& snapshot_path);
 
 /// Runs the daemon loop over `in` until End-of-stream, then drains the
 /// engine.  Throws ProtocolError on malformed input (nothing from the bad

@@ -3,8 +3,6 @@
 #include <cmath>
 #include <vector>
 
-#include "sim/recovery/state_io.hpp"
-
 namespace mris::serve {
 
 namespace {
@@ -21,9 +19,10 @@ void frame_out(std::string& out, std::string_view body) {
   out += c.data();
 }
 
+}  // namespace
+
 void encode_job_payload(recovery::StateWriter& w, std::uint64_t seq,
                         const Job& job) {
-  w.u8(kFrameJob);
   w.u64(seq);
   w.f64(job.release);
   w.f64(job.processing);
@@ -33,7 +32,19 @@ void encode_job_payload(recovery::StateWriter& w, std::uint64_t seq,
   for (double d : job.demand) w.f64(d);
 }
 
-}  // namespace
+JobFrame decode_job_payload(recovery::StateReader& r) {
+  JobFrame f;
+  f.seq = r.u64();
+  f.job.release = r.f64();
+  f.job.processing = r.f64();
+  f.job.weight = r.f64();
+  f.job.tenant = r.i32();
+  const std::uint32_t nr = r.u32();
+  if (nr > r.remaining() / 8) throw std::runtime_error("truncated state");
+  f.job.demand.resize(nr);
+  for (double& d : f.job.demand) d = r.f64();
+  return f;
+}
 
 void encode_hello(std::string& out, std::uint32_t num_resources) {
   recovery::StateWriter w;
@@ -45,6 +56,7 @@ void encode_hello(std::string& out, std::uint32_t num_resources) {
 
 void encode_job(std::string& out, std::uint64_t seq, const Job& job) {
   recovery::StateWriter w;
+  w.u8(kFrameJob);
   encode_job_payload(w, seq, job);
   frame_out(out, w.data());
 }
@@ -149,25 +161,17 @@ void FrameDecoder::validate(Frame& frame, std::string_view payload) const {
     }
     case kFrameJob: {
       if (!saw_hello_) fail("Job before Hello");
-      frame.job.seq = r.u64();
+      frame.job = decode_job_payload(r);
       if (frame.job.seq != jobs_) {
         fail("Job seq " + std::to_string(frame.job.seq) + " (expected " +
              std::to_string(jobs_) + "; duplicated or out-of-order frame)");
       }
-      Job& j = frame.job.job;
-      j = Job{};
-      j.release = r.f64();
-      j.processing = r.f64();
-      j.weight = r.f64();
-      j.tenant = r.i32();
-      const std::uint32_t nr = r.u32();
-      if (nr != num_resources_) {
-        fail("Job declares " + std::to_string(nr) +
+      const Job& j = frame.job.job;
+      if (j.demand.size() != num_resources_) {
+        fail("Job declares " + std::to_string(j.demand.size()) +
              " demands for an R=" + std::to_string(num_resources_) +
              " daemon");
       }
-      j.demand.resize(nr);
-      for (std::uint32_t i = 0; i < nr; ++i) j.demand[i] = r.f64();
       if (!std::isfinite(j.release) || j.release < 0.0) {
         fail("non-finite or negative release");
       }

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "core/job.hpp"
+#include "sim/recovery/state_io.hpp"
 
 namespace mris::serve {
 
@@ -48,9 +49,8 @@ inline constexpr std::uint8_t kFrameHello = 0;
 inline constexpr std::uint8_t kFrameJob = 1;
 inline constexpr std::uint8_t kFrameEnd = 2;
 
-/// Upper bound on `size`: a Job frame for 4096 resources is ~32 KiB, so
-/// 1 MiB rejects garbage length words without bounding real streams.
-inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
+/// Upper bound on `size`, the same bound the journals apply to theirs.
+using recovery::kMaxFrameBytes;
 
 /// Raised on any framing or validation violation.  The message names the
 /// frame index and the violated rule.
@@ -85,6 +85,17 @@ struct Frame {
 void encode_hello(std::string& out, std::uint32_t num_resources);
 void encode_job(std::string& out, std::uint64_t seq, const Job& job);
 void encode_end(std::string& out, std::uint64_t jobs_sent);
+
+/// The Job payload after its kind byte, shared by the wire's Job frame and
+/// the daemon's admission journal record (docs/DAEMON.md):
+///   u64 seq · f64 release · f64 processing · f64 weight · i32 tenant ·
+///   u32 num_resources · num_resources x f64 demand
+void encode_job_payload(recovery::StateWriter& w, std::uint64_t seq,
+                        const Job& job);
+
+/// Reads one Job payload without validating its values; throws
+/// std::runtime_error when the payload is shorter than it claims.
+JobFrame decode_job_payload(recovery::StateReader& r);
 
 /// Convenience: the full wire encoding of an instance-like job list
 /// (Hello + one Job per element in the given order + End).

@@ -19,6 +19,13 @@ namespace mris {
 
 namespace {
 
+/// Completions between committed-horizon calendar prunes
+/// (Cluster::prune_before).  Pruning only discards capacity history the
+/// engine already refuses to commit into (below now), so the cadence never
+/// affects results — only the memory bound: a long-running daemon holds
+/// O(backlog) calendar rather than O(all history).
+constexpr int kPruneEvery = 32;
+
 // Internal event kinds.  The relative order of the original three kinds
 // (completion < arrival < wakeup) is preserved so fault-free runs replay
 // the pre-fault engine byte-for-byte; repairs/crashes slot in between so
@@ -124,9 +131,6 @@ class Engine final : public EngineContext {
         live_(static_cast<std::size_t>(inst.num_machines())),
         outage_floor_(static_cast<std::size_t>(inst.num_machines()),
                       -std::numeric_limits<Time>::infinity()) {
-    if (options_.prune_every < 1) {
-      throw std::invalid_argument("RunOptions::prune_every must be >= 1");
-    }
   }
 
   RunResult run();
@@ -480,7 +484,7 @@ class Engine final : public EngineContext {
     if (streaming_) {
       // The job set is not known upfront and grows between the crashed and
       // the resumed process, so it cannot be part of the identity; job data
-      // integrity is the admission journal's contract (serve/journal.hpp,
+      // integrity is the admission journal's contract (serve/daemon.hpp,
       // per-record CRC + its own config fingerprint).
       fp.mix(std::string_view("stream-v1"));
     } else {
@@ -527,7 +531,7 @@ class Engine final : public EngineContext {
     // Streaming payloads lead with the admitted-job count: a resuming
     // daemon must rebuild the instance prefix from its admission journal
     // *before* the engine can restore (every per-job array below is sized
-    // by it).  serve::peek_snapshot_jobs reads exactly this field.
+    // by it).  serve::serve_stream reads exactly this field.
     if (streaming_) w.u64(inst_.num_jobs());
     w.f64(now_);
     w.u64(seq_);
@@ -826,8 +830,10 @@ class Engine final : public EngineContext {
     bool journal_reusable = false;
     if (rec_->resume) {
       recovery::JournalContents jr;
+      std::vector<EventRecord> journaled;
       if (journal_ != nullptr) {
-        jr = recovery::read_journal(rec_->journal_path);
+        jr = recovery::read_journal(rec_->journal_path,
+                                    recovery::kEventJournal);
         if (jr.ok && jr.fingerprint != fingerprint_) {
           throw std::runtime_error(
               "recovery: journal belongs to a different (instance, "
@@ -844,6 +850,7 @@ class Engine final : public EngineContext {
           }
         }
         journal_reusable = jr.ok;
+        journaled = recovery::event_records(jr);
       }
       recovery::SnapshotContents snap;
       if (snapstore_ != nullptr) {
@@ -864,15 +871,15 @@ class Engine final : public EngineContext {
         // verify — the records are re-derived and re-appended instead.
         const std::size_t cut = static_cast<std::size_t>(
             std::min<std::uint64_t>(snap.meta.journal_records,
-                                    jr.records.size()));
-        verify_tail_.assign(jr.records.begin() + static_cast<std::ptrdiff_t>(cut),
-                            jr.records.end());
+                                    journaled.size()));
+        verify_tail_.assign(journaled.begin() + static_cast<std::ptrdiff_t>(cut),
+                            journaled.end());
         rec_stats_.resumed_from_snapshot = true;
         restored = true;
       } else if (jr.ok) {
         // Journal-only rung: deterministic re-execution from t=0, verified
         // against the entire surviving journal.
-        verify_tail_ = std::move(jr.records);
+        verify_tail_ = std::move(journaled);
         rec_stats_.resumed_journal_only = true;
       }
     }
@@ -896,7 +903,7 @@ class Engine final : public EngineContext {
   void maybe_snapshot(bool was_wakeup) {
     if (snapstore_ == nullptr || snapstore_->dead()) return;
     const bool due =
-        (rec_->snapshot_at_wakeups && was_wakeup) ||
+        was_wakeup ||
         (rec_->snapshot_every > 0 && processed_ % rec_->snapshot_every == 0);
     if (!due) return;
     if (journal_ != nullptr) journal_->sync();
@@ -930,7 +937,7 @@ class Engine final : public EngineContext {
   Cluster cluster_;
   Schedule schedule_;
 
-  /// Completions between committed-horizon prunes (RunOptions::prune_every):
+  /// Completions since the last committed-horizon prune (kPruneEvery):
   /// each prune pays one O(B) compaction per machine, so batching keeps it
   /// amortized O(1) per breakpoint while still bounding B by the live
   /// reservations.
@@ -1260,7 +1267,7 @@ bool Engine::step(Time stop, bool bounded) {
         // Committed-horizon compaction: commits are rejected below
         // now - 1e-9, so calendar history before that is dead weight for
         // every future query.  Batched so the memmove cost amortizes.
-        if (++completions_since_prune_ >= options_.prune_every) {
+        if (++completions_since_prune_ >= kPruneEvery) {
           completions_since_prune_ = 0;
           cluster_.prune_before(std::max(0.0, now_ - 1e-9));
         }

@@ -223,13 +223,6 @@ struct RunOptions {
   /// zero-overhead default path.  See sim/recovery/options.hpp.
   const recovery::RecoveryOptions* recovery = nullptr;
 
-  /// Completions between committed-horizon calendar prunes
-  /// (Cluster::prune_before).  Pruning only discards capacity history the
-  /// engine already refuses to commit into (below now), so the cadence
-  /// never affects results — only the memory bound: a long-running daemon
-  /// holds O(backlog) calendar rather than O(all history).  Must be >= 1.
-  int prune_every = 32;
-
   /// Per-record observer, invoked for every EventRecord the engine emits
   /// (commits included) in emission order — the streaming daemon's metric
   /// sinks hang off this.  Unlike record_events it buffers nothing, so a

@@ -16,31 +16,23 @@ namespace mris::recovery {
 
 namespace {
 
-/// Frames are tiny (25-byte payloads today); anything claiming more than
-/// this is corruption, not a record.
-constexpr std::uint32_t kMaxPayload = 1u << 16;
+constexpr std::size_t kHeaderSize = 4 + 4 + 8;
 
-std::string encode_header(std::uint64_t fingerprint) {
+std::string encode_header(JournalFormat format, std::uint64_t fingerprint) {
   StateWriter w;
-  w.u32(kJournalMagic);
-  w.u32(kJournalVersion);
+  w.u32(format.magic);
+  w.u32(format.version);
   w.u64(fingerprint);
   return w.take();
 }
 
 /// Builds one CRC frame around `payload` into `out` (clearing it first).
 void frame_into(std::string_view payload, StateWriter& out) {
-  MRIS_EXPECT(payload.size() <= kMaxPayload, "journal payload too large");
+  MRIS_EXPECT(payload.size() <= kMaxFrameBytes, "journal payload too large");
   out.clear();
   out.u32(static_cast<std::uint32_t>(payload.size()));
   out.u32(crc32(payload));
   out.raw(payload.data(), payload.size());
-}
-
-std::string frame(const std::string& payload) {
-  StateWriter w;
-  frame_into(payload, w);
-  return w.take();
 }
 
 }  // namespace
@@ -59,7 +51,7 @@ std::string encode_event_record(const EventRecord& rec) {
   return w.take();
 }
 
-EventRecord decode_event_record(const std::string& payload) {
+EventRecord decode_event_record(std::string_view payload) {
   StateReader r(payload);
   const std::uint8_t kind = r.u8();
   if (kind > static_cast<std::uint8_t>(EventRecord::Kind::kRetryReady)) {
@@ -80,8 +72,8 @@ EventRecord decode_event_record(const std::string& payload) {
 // --- JournalWriter --------------------------------------------------------
 
 JournalWriter::JournalWriter(const RecoveryOptions& options,
-                             RecoveryStats* stats)
-    : options_(options), stats_(stats) {}
+                             RecoveryStats* stats, JournalFormat format)
+    : options_(options), stats_(stats), format_(format) {}
 
 JournalWriter::~JournalWriter() { close(); }
 
@@ -99,8 +91,7 @@ bool JournalWriter::open_fresh(std::uint64_t fingerprint) {
     give_up();
     return false;
   }
-  if (!write_bytes(encode_header(fingerprint)) || !sync()) return false;
-  return true;
+  return write_bytes(encode_header(format_, fingerprint)) && sync();
 }
 
 bool JournalWriter::open_append() {
@@ -123,11 +114,9 @@ bool JournalWriter::open_append() {
   return true;
 }
 
-bool JournalWriter::append(const EventRecord& rec) {
+bool JournalWriter::append(std::string_view payload) {
   if (dead_) return false;
-  payload_.clear();
-  encode_event_record(rec, payload_);
-  frame_into(payload_.data(), frame_);
+  frame_into(payload, frame_);
   if (!write_bytes(frame_.data())) return false;
   if (stats_ != nullptr) {
     ++stats_->journal_records;
@@ -137,11 +126,18 @@ bool JournalWriter::append(const EventRecord& rec) {
   return true;
 }
 
+bool JournalWriter::append(const EventRecord& rec) {
+  payload_.clear();
+  encode_event_record(rec, payload_);
+  return append(payload_.data());
+}
+
 void JournalWriter::append_torn(const EventRecord& rec,
                                 std::uint32_t keep_bytes) {
   if (dead_ || file_ == nullptr) return;
-  std::string bytes = frame(encode_event_record(rec));
-  if (keep_bytes < bytes.size()) bytes.resize(keep_bytes);
+  frame_into(encode_event_record(rec), frame_);
+  std::string_view bytes = frame_.data();
+  if (keep_bytes < bytes.size()) bytes = bytes.substr(0, keep_bytes);
   // A crash mid-write takes no retry loop and no bookkeeping: just the
   // partial bytes hitting the disk, flushed so the restarted process sees
   // them.
@@ -224,7 +220,7 @@ void JournalWriter::give_up() {
 
 // --- Reading --------------------------------------------------------------
 
-JournalContents read_journal(const std::string& path) {
+JournalContents read_journal(const std::string& path, JournalFormat format) {
   JournalContents out;
   std::ifstream in(path, std::ios::binary);
   if (!in) {
@@ -235,18 +231,17 @@ JournalContents read_journal(const std::string& path) {
   buffer << in.rdbuf();
   const std::string bytes = buffer.str();
 
-  constexpr std::size_t kHeaderSize = 4 + 4 + 8;
   if (bytes.size() < kHeaderSize) {
     out.error = "journal shorter than its header";
     return out;
   }
   StateReader header(std::string_view(bytes).substr(0, kHeaderSize));
-  if (header.u32() != kJournalMagic) {
+  if (header.u32() != format.magic) {
     out.error = "bad journal magic";
     return out;
   }
   const std::uint32_t version = header.u32();
-  if (version != kJournalVersion) {
+  if (version != format.version) {
     out.error = "unsupported journal version " + std::to_string(version);
     return out;
   }
@@ -261,20 +256,25 @@ JournalContents read_journal(const std::string& path) {
     StateReader fh(std::string_view(bytes).substr(pos, 8));
     const std::uint32_t size = fh.u32();
     const std::uint32_t crc = fh.u32();
-    if (size > kMaxPayload) break;                // corrupt length
+    if (size > kMaxFrameBytes) break;             // corrupt length
     if (bytes.size() - pos - 8 < size) break;     // torn payload
     const std::string_view payload(bytes.data() + pos + 8, size);
     if (crc32(payload) != crc) break;  // corrupt payload
-    try {
-      out.records.push_back(decode_event_record(std::string(payload)));
-    } catch (const std::runtime_error&) {
-      break;  // framed but undecodable — treat as torn
-    }
+    out.payloads.emplace_back(payload);
     pos += 8 + size;
     out.valid_bytes = pos;
   }
   out.torn_bytes = bytes.size() - out.valid_bytes;
   return out;
+}
+
+std::vector<EventRecord> event_records(const JournalContents& contents) {
+  std::vector<EventRecord> records;
+  records.reserve(contents.payloads.size());
+  for (const std::string& p : contents.payloads) {
+    records.push_back(decode_event_record(p));
+  }
+  return records;
 }
 
 bool truncate_journal(const std::string& path, std::uint64_t valid_bytes) {

@@ -1,11 +1,14 @@
-// Write-ahead event journal (docs/RECOVERY.md).
+// Append-only CRC-framed logs (docs/RECOVERY.md): the engine's write-ahead
+// event journal and the daemon's admission journal share this one format.
 //
 // File layout:
 //
-//   header   u32 magic "MRJL" · u32 version · u64 run fingerprint
+//   header   u32 magic · u32 version · u64 fingerprint
 //   frame*   u32 payload size · u32 crc32(payload) · payload
 //
-// One frame per committed EventRecord, in emission order (the same order as
+// The writer frames opaque payloads; a JournalFormat (magic + version)
+// tells the files apart.  The event journal ("MRJL") holds one frame per
+// committed EventRecord, in emission order (the same order as
 // RunResult::log).  Appends are buffered and fsync'd every
 // `journal_sync_every` records, so at most one batch is lost to a crash —
 // plus possibly one *torn* frame if the crash hit mid-write.
@@ -13,13 +16,14 @@
 // Torn-record truncation rule: on read, the journal ends at the first frame
 // that is short, oversized, or fails its CRC; everything from that byte on
 // is discarded (and truncate_journal() makes the cut permanent before a
-// resumed run appends).  A torn frame never yields a record — a record is
+// resumed run appends).  A torn frame never yields a payload — a record is
 // either durable in full or it never happened.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -28,24 +32,31 @@
 
 namespace mris::recovery {
 
-inline constexpr std::uint32_t kJournalMagic = 0x4C4A524Du;  // "MRJL"
-inline constexpr std::uint32_t kJournalVersion = 1;
+/// A journal file's header identity.  A reader refuses a file whose magic
+/// or version differs, so one journal is never replayed as another.
+struct JournalFormat {
+  std::uint32_t magic;
+  std::uint32_t version;
+};
+
+inline constexpr JournalFormat kEventJournal{0x4C4A524Du, 1};  // "MRJL"
 
 /// Serialized EventRecord payload (u8 kind, f64 t, i32 job, i32 machine,
 /// f64 start) — exposed so tests can frame records by hand.  The writer
 /// overload is the canonical encoder; the string form wraps it.
 void encode_event_record(const EventRecord& rec, StateWriter& w);
 std::string encode_event_record(const EventRecord& rec);
-EventRecord decode_event_record(const std::string& payload);
+EventRecord decode_event_record(std::string_view payload);
 
-/// Append-only journal writer with batched fsync and retry/backoff.  All
+/// Append-only journal writer with batched fsync and IO retries.  All
 /// methods are failure-containing: a persistent IO failure (after
 /// `io_max_retries` attempts per operation) marks the writer dead, bumps
-/// stats->journal_failures, and every later call becomes a cheap no-op —
-/// the engine keeps scheduling, just without journal durability.
+/// stats->journal_failures, and every later call returns false or becomes
+/// a cheap no-op.  Writes go to options.journal_path.
 class JournalWriter {
  public:
-  JournalWriter(const RecoveryOptions& options, RecoveryStats* stats);
+  JournalWriter(const RecoveryOptions& options, RecoveryStats* stats,
+                JournalFormat format = kEventJournal);
   ~JournalWriter();
 
   JournalWriter(const JournalWriter&) = delete;
@@ -57,7 +68,10 @@ class JournalWriter {
   /// Re-opens an existing (already truncated-to-valid) journal for append.
   bool open_append();
 
-  /// Appends one CRC-framed record; fsyncs when the batch fills.
+  /// Appends one CRC frame around `payload`; fsyncs when the batch fills.
+  bool append(std::string_view payload);
+
+  /// Appends one engine event, encoded into a reused buffer.
   bool append(const EventRecord& rec);
 
   /// Crash injection: writes only the first `keep_bytes` bytes of the
@@ -84,6 +98,7 @@ class JournalWriter {
 
   const RecoveryOptions& options_;
   RecoveryStats* stats_;
+  JournalFormat format_;
   StateWriter payload_;  ///< reused per-append buffers — one append runs
   StateWriter frame_;    ///< per engine event, so no fresh allocations
   std::FILE* file_ = nullptr;
@@ -93,20 +108,23 @@ class JournalWriter {
   bool dead_ = false;
 };
 
-/// Everything a read of the journal yields: the valid record prefix, how
+/// Everything a read of the journal yields: the valid payload prefix, how
 /// many bytes a torn/corrupt tail cost, and the header fingerprint.
 struct JournalContents {
-  bool ok = false;  ///< header present and well-formed
+  bool ok = false;  ///< header present, well-formed, of the expected format
   std::string error;
   std::uint64_t fingerprint = 0;
-  std::vector<EventRecord> records;
+  std::vector<std::string> payloads;
   std::uint64_t valid_bytes = 0;  ///< header + intact frames
   std::uint64_t torn_bytes = 0;   ///< discarded by the truncation rule
 };
 
-/// Reads a journal, applying the torn-record truncation rule (never
-/// throws; a missing/garbled file reports ok=false).
-JournalContents read_journal(const std::string& path);
+/// Reads a journal of `format`, applying the torn-record truncation rule
+/// (never throws; a missing, garbled or foreign file reports ok=false).
+JournalContents read_journal(const std::string& path, JournalFormat format);
+
+/// The event journal's records, decoded from its payloads.
+std::vector<EventRecord> event_records(const JournalContents& contents);
 
 /// Truncates the file to `valid_bytes` (making a torn-tail cut permanent).
 bool truncate_journal(const std::string& path, std::uint64_t valid_bytes);

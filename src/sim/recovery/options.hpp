@@ -11,7 +11,7 @@
 //     event queue, per-machine timelines, scheduler-visible job views with
 //     PR 3 residual/salvage state, retry/backoff gates, and the scheduler's
 //     own state via OnlineScheduler::save_state — written atomically
-//     (tmp + rename) at gamma_k epoch boundaries (wakeup events) and/or
+//     (tmp + rename) at gamma_k epoch boundaries (wakeup events) and
 //     every `snapshot_every` events.
 //
 // Resume (`resume = true`) restores `snapshot + journal tail`: the engine
@@ -42,7 +42,7 @@ namespace recovery {
 /// Injectable IO fault hooks (tests only; nullptr members are "always
 /// allow").  Each callback returns true to let the operation through and
 /// false to fail it — the writer then retries up to RecoveryOptions::
-/// io_max_retries with exponential backoff before degrading.
+/// io_max_retries times before degrading.
 struct IoHooks {
   std::function<bool(const std::string& path)> allow_open;
   std::function<bool(const std::string& path, std::size_t bytes)> allow_write;
@@ -57,11 +57,10 @@ struct RecoveryOptions {
   std::string journal_path;
 
   /// Snapshot after every N processed events (0 = only at wakeups).
+  /// A snapshot is always taken right after each wakeup event — MRIS's
+  /// gamma_k epoch boundaries, the natural consistent-cut points of
+  /// Algorithm 1.
   std::uint64_t snapshot_every = 0;
-
-  /// Snapshot right after each wakeup event — MRIS's gamma_k epoch
-  /// boundaries, the natural consistent-cut points of Algorithm 1.
-  bool snapshot_at_wakeups = true;
 
   /// Resume from snapshot_path + journal_path if they hold a valid state
   /// for this (instance, scheduler, fault plan); start fresh otherwise.
@@ -72,12 +71,9 @@ struct RecoveryOptions {
   /// batches trade bounded loss for throughput.
   std::uint32_t journal_sync_every = 64;
 
-  /// Transient-IO retry budget per operation before degrading.
+  /// Transient-IO retry budget per operation before degrading (retries
+  /// run back to back, with no backoff).
   int io_max_retries = 3;
-
-  /// Base backoff between IO retries, microseconds (doubles per attempt;
-  /// 0 disables sleeping, which tests use to stay fast).
-  std::uint32_t io_backoff_us = 0;
 
   /// Test hooks for IO fault injection (not owned; may be nullptr).
   const IoHooks* hooks = nullptr;

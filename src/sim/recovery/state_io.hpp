@@ -28,6 +28,11 @@ namespace mris::recovery {
 /// frame journal records and checksum snapshot payloads.
 std::uint32_t crc32(std::string_view data);
 
+/// Upper bound on one CRC frame's length word, shared by both journals and
+/// the daemon's wire protocol: a Job frame for 4096 resources is ~32 KiB,
+/// so 1 MiB rejects garbage length words without bounding real records.
+inline constexpr std::uint32_t kMaxFrameBytes = 1u << 20;
+
 class StateWriter {
  public:
   // The scalar writers are inline: snapshots serialize hundreds of

@@ -11,12 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "exp/schedulers.hpp"
-#include "serve/admission_journal.hpp"
 #include "serve/daemon.hpp"
 #include "serve/protocol.hpp"
 #include "testkit/generators.hpp"
@@ -46,6 +47,12 @@ std::filesystem::path fresh_dir(const std::string& name) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 ServeOptions base_options(const Instance& inst, const std::string& scheduler,
@@ -203,28 +210,97 @@ TEST(DaemonRecoveryTest, AdmissionJournalRoundTripsAndTruncatesTornTails) {
   j.tenant = 4;
   j.demand = {0.25, 0.75};
   {
-    AdmissionJournalWriter w;
-    w.open_fresh(path, 42);
-    w.append(0, j);
-    w.append(1, j);
+    recovery::RecoveryOptions options;
+    options.journal_path = path;
+    options.journal_sync_every = 1;
+    recovery::JournalWriter w(options, nullptr, kAdmissionJournal);
+    ASSERT_TRUE(w.open_fresh(42));
+    for (std::uint64_t seq = 0; seq < 2; ++seq) {
+      recovery::StateWriter payload;
+      encode_job_payload(payload, seq, j);
+      ASSERT_TRUE(w.append(payload.data()));
+    }
   }
-  AdmissionLog log = read_admission_journal(path);
+  const recovery::JournalContents log =
+      recovery::read_journal(path, kAdmissionJournal);
   ASSERT_TRUE(log.ok) << log.error;
   EXPECT_EQ(log.fingerprint, 42u);
-  ASSERT_EQ(log.records.size(), 2u);
-  EXPECT_EQ(log.records[1].seq, 1u);
-  EXPECT_EQ(log.records[0].job.demand, j.demand);
+  ASSERT_EQ(log.payloads.size(), 2u);
+  recovery::StateReader r(log.payloads[1]);
+  const JobFrame back = decode_job_payload(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.seq, 1u);
+  EXPECT_EQ(back.job.demand, j.demand);
   EXPECT_EQ(log.torn_bytes, 0u);
 
   // Tear the tail mid-record: the second record must vanish whole.
   std::filesystem::resize_file(path, log.valid_bytes - 5);
-  AdmissionLog torn = read_admission_journal(path);
+  const recovery::JournalContents torn =
+      recovery::read_journal(path, kAdmissionJournal);
   ASSERT_TRUE(torn.ok);
-  ASSERT_EQ(torn.records.size(), 1u);
+  ASSERT_EQ(torn.payloads.size(), 1u);
   EXPECT_GT(torn.torn_bytes, 0u);
-  EXPECT_TRUE(truncate_admission_journal(path, torn.valid_bytes));
+  EXPECT_TRUE(recovery::truncate_journal(path, torn.valid_bytes));
   EXPECT_EQ(std::filesystem::file_size(path), torn.valid_bytes);
   std::filesystem::remove_all(dir);
+}
+
+TEST(DaemonRecoveryTest, ResumeTruncatesATornAdmissionJournalTail) {
+  GenConfig config;
+  config.num_jobs = 18;
+  const Instance inst =
+      canonical(make_family_instance(Family::kMixed, config, 5));
+  const std::string bytes = encode_stream(
+      inst.jobs(), static_cast<std::uint32_t>(inst.num_resources()));
+  const auto ref_dir = fresh_dir("torn_ref");
+  const DaemonOutput reference =
+      run_to_completion(inst, bytes, ref_dir.string(), false);
+
+  // Cut the stream mid-way, then leave half of the next admission frame on
+  // disk: a crash inside the write-ahead append.
+  const auto dir = fresh_dir("torn_admission");
+  {
+    ServeOptions opts = base_options(inst, "mris", nullptr);
+    opts.state_dir = dir.string();
+    std::istringstream in(bytes.substr(0, bytes.size() / 2));
+    EXPECT_THROW(serve_stream(in, opts), ProtocolError);
+  }
+  const std::filesystem::path admit_path = dir / "admissions.mraj";
+  const recovery::JournalContents before =
+      recovery::read_journal(admit_path.string(), kAdmissionJournal);
+  ASSERT_TRUE(before.ok) << before.error;
+  const std::size_t next = before.payloads.size();
+  ASSERT_LT(next, inst.num_jobs());
+  const std::string durable = file_bytes(admit_path);
+  {
+    recovery::StateWriter payload;
+    encode_job_payload(payload, next, inst.jobs()[next]);
+    recovery::StateWriter frame;
+    frame.u32(static_cast<std::uint32_t>(payload.size()));
+    frame.u32(recovery::crc32(payload.data()));
+    frame.raw(payload.data().data(), payload.size());
+    std::ofstream out(admit_path, std::ios::binary | std::ios::app);
+    out.write(frame.data().data(),
+              static_cast<std::streamsize>(frame.size() / 2));
+  }
+  const recovery::JournalContents torn =
+      recovery::read_journal(admit_path.string(), kAdmissionJournal);
+  ASSERT_EQ(torn.payloads.size(), next);
+  ASSERT_EQ(torn.valid_bytes, durable.size());
+  ASSERT_GT(torn.torn_bytes, 0u);
+
+  const DaemonOutput resumed =
+      run_to_completion(inst, bytes, dir.string(), true);
+  EXPECT_EQ(resumed.checksum, reference.checksum);
+  EXPECT_EQ(resumed.sink, reference.sink);
+  EXPECT_EQ(resumed.result.jobs, inst.num_jobs());
+  // The torn bytes were cut at valid_bytes before the resumed daemon
+  // appended, so the journal is the uninterrupted run's byte for byte.
+  const std::string after = file_bytes(admit_path);
+  EXPECT_EQ(after.substr(0, durable.size()), durable);
+  EXPECT_EQ(after, file_bytes(ref_dir / "admissions.mraj"));
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(ref_dir);
 }
 
 }  // namespace

@@ -265,16 +265,17 @@ TEST(CrashRecoveryTest, ResumeDetectsJournalDivergence) {
   // Doctor one mid-journal record (valid CRC, wrong content): the resumed
   // run's re-derived stream must disagree and abort loudly.
   recovery::JournalContents contents =
-      recovery::read_journal(rec.journal_path);
+      recovery::read_journal(rec.journal_path, recovery::kEventJournal);
   ASSERT_TRUE(contents.ok);
-  ASSERT_GT(contents.records.size(), 4u);
+  const std::vector<EventRecord> records = recovery::event_records(contents);
+  ASSERT_GT(records.size(), 4u);
   recovery::RecoveryStats stats;
   {
     recovery::JournalWriter writer(rec, &stats);
     std::uint64_t fingerprint = contents.fingerprint;
     ASSERT_TRUE(writer.open_fresh(fingerprint));
-    for (std::size_t i = 0; i < contents.records.size(); ++i) {
-      EventRecord r = contents.records[i];
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EventRecord r = records[i];
       if (i == 3) r.t += 1.0;  // the lie
       ASSERT_TRUE(writer.append(r));
     }

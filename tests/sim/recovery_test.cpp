@@ -11,8 +11,11 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "sched/pq.hpp"
+#include "serve/daemon.hpp"
 #include "sim/engine.hpp"
 #include "sim/recovery/journal.hpp"
 #include "sim/recovery/snapshot.hpp"
@@ -34,6 +37,10 @@ using recovery::StateWriter;
 
 std::string temp_path(const std::string& name) {
   return (fs::temp_directory_path() / ("mris_recovery_" + name)).string();
+}
+
+JournalContents read_events(const std::string& path) {
+  return recovery::read_journal(path, recovery::kEventJournal);
 }
 
 EventRecord sample_record(double t) {
@@ -180,12 +187,13 @@ TEST(JournalTest, WriteThenReadBackAllRecords) {
     for (int i = 0; i < 5; ++i) ASSERT_TRUE(writer.append(sample_record(i)));
     ASSERT_TRUE(writer.sync());
   }
-  const JournalContents contents = recovery::read_journal(path);
+  const JournalContents contents = read_events(path);
   ASSERT_TRUE(contents.ok) << contents.error;
   EXPECT_EQ(contents.fingerprint, 0x1234u);
-  ASSERT_EQ(contents.records.size(), 5u);
+  ASSERT_EQ(contents.payloads.size(), 5u);
   EXPECT_EQ(contents.torn_bytes, 0u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(contents.records[i].t, double(i));
+  const std::vector<EventRecord> records = recovery::event_records(contents);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(records[i].t, double(i));
   EXPECT_EQ(stats.journal_records, 5u);
   EXPECT_GT(stats.journal_bytes, 0u);
   fs::remove(path);
@@ -204,14 +212,14 @@ TEST(JournalTest, TornFrameIsTruncatedNeverDecoded) {
     writer.append_torn(sample_record(3.0), 11);  // 11 of 33 frame bytes
     EXPECT_TRUE(writer.dead());
   }
-  const JournalContents contents = recovery::read_journal(path);
+  const JournalContents contents = read_events(path);
   ASSERT_TRUE(contents.ok) << contents.error;
-  ASSERT_EQ(contents.records.size(), 2u);  // the torn record never happened
+  ASSERT_EQ(contents.payloads.size(), 2u);  // the torn record never happened
   EXPECT_EQ(contents.torn_bytes, 11u);
   // Making the cut permanent leaves a cleanly appendable journal.
   ASSERT_TRUE(recovery::truncate_journal(path, contents.valid_bytes));
-  const JournalContents clean = recovery::read_journal(path);
-  EXPECT_EQ(clean.records.size(), 2u);
+  const JournalContents clean = read_events(path);
+  EXPECT_EQ(clean.payloads.size(), 2u);
   EXPECT_EQ(clean.torn_bytes, 0u);
   fs::remove(path);
 }
@@ -235,22 +243,42 @@ TEST(JournalTest, CorruptedPayloadFailsCrcAndTruncatesThere) {
     char byte = 0x5A;
     f.write(&byte, 1);
   }
-  const JournalContents contents = recovery::read_journal(path);
+  const JournalContents contents = read_events(path);
   ASSERT_TRUE(contents.ok);
-  EXPECT_EQ(contents.records.size(), 1u);  // frames 2 and 3 discarded
+  EXPECT_EQ(contents.payloads.size(), 1u);  // frames 2 and 3 discarded
   EXPECT_EQ(contents.valid_bytes, header + frame);
   EXPECT_EQ(contents.torn_bytes, 2 * frame);
   fs::remove(path);
 }
 
 TEST(JournalTest, MissingOrForeignFileReportsNotOk) {
-  EXPECT_FALSE(recovery::read_journal(temp_path("nonexistent.mrjl")).ok);
+  EXPECT_FALSE(read_events(temp_path("nonexistent.mrjl")).ok);
   const std::string path = temp_path("journal_foreign.mrjl");
   {
     std::ofstream f(path, std::ios::binary);
     f << "this is not a journal at all";
   }
-  EXPECT_FALSE(recovery::read_journal(path).ok);
+  EXPECT_FALSE(read_events(path).ok);
+  EXPECT_FALSE(recovery::read_journal(path, serve::kAdmissionJournal).ok);
+
+  // Each journal's magic refuses the other's file: an event journal is
+  // never replayed as admissions, nor the reverse.
+  RecoveryOptions options;
+  options.journal_path = path;
+  const std::pair<recovery::JournalFormat, recovery::JournalFormat> cases[] = {
+      {recovery::kEventJournal, serve::kAdmissionJournal},
+      {serve::kAdmissionJournal, recovery::kEventJournal}};
+  for (const auto& [written, other] : cases) {
+    {
+      JournalWriter writer(options, nullptr, written);
+      ASSERT_TRUE(writer.open_fresh(1));
+      ASSERT_TRUE(writer.append(sample_record(1.0)));
+    }
+    EXPECT_TRUE(recovery::read_journal(path, written).ok);
+    const JournalContents foreign = recovery::read_journal(path, other);
+    EXPECT_FALSE(foreign.ok);
+    EXPECT_TRUE(foreign.payloads.empty());
+  }
   fs::remove(path);
 }
 
@@ -268,9 +296,9 @@ TEST(JournalTest, KillDropsTheUnsyncedBatch) {
   ASSERT_TRUE(writer.append(sample_record(3.0)));
   writer.kill();  // record 3 dies with the stdio buffer
   EXPECT_TRUE(writer.dead());
-  const JournalContents contents = recovery::read_journal(path);
+  const JournalContents contents = read_events(path);
   ASSERT_TRUE(contents.ok);
-  EXPECT_EQ(contents.records.size(), 2u);
+  EXPECT_EQ(contents.payloads.size(), 2u);
   EXPECT_EQ(contents.torn_bytes, 0u);
   fs::remove(path);
 }
@@ -426,9 +454,9 @@ TEST(RecoveryDegradationTest, SnapshotFailureDegradesToJournalOnly) {
   EXPECT_GT(r.recovery.journal_records, 0u);
   // The run still finished and the journal is intact.
   EXPECT_TRUE(validate_schedule(inst, r.schedule).ok);
-  const JournalContents contents = recovery::read_journal(rec.journal_path);
+  const JournalContents contents = read_events(rec.journal_path);
   ASSERT_TRUE(contents.ok);
-  EXPECT_EQ(contents.records.size(), r.recovery.journal_records);
+  EXPECT_EQ(contents.payloads.size(), r.recovery.journal_records);
   fs::remove(rec.snapshot_path);
   fs::remove(rec.journal_path);
 }

@@ -55,7 +55,6 @@ int usage() {
       "        --in F (default: stdin)\n"
       "        --sink null|csv|jsonl [--sink-out F (default: stdout)]\n"
       "        --state-dir D [--snapshot-every N] [--resume]\n"
-      "        --prune-every N (calendar prune cadence, default 32)\n"
       "\n"
       "schedulers: any online scheduler name from `mris simulate`;\n"
       "clairvoyant ones (capq*) see an empty horizon and are not useful\n"
@@ -116,7 +115,6 @@ int cmd_run(const util::Flags& flags) {
   serve::ServeOptions opts;
   opts.num_machines = static_cast<int>(flags.get_int("machines", 4));
   opts.num_resources = static_cast<int>(flags.get_int("resources", 2));
-  opts.prune_every = static_cast<int>(flags.get_int("prune-every", 32));
   opts.state_dir = flags.get("state-dir", "");
   opts.snapshot_every = flags.get_count("snapshot-every", 0);
   opts.resume = flags.get_bool("resume", false);
