@@ -48,6 +48,12 @@ struct DpOp {
   double profit;
 };
 
+/// Largest integer up to which every double sum stays exact.
+constexpr std::int64_t kTwo53 = std::int64_t{1} << 53;
+
+/// (class, count) pairs of one range.
+using ClassCounts = std::vector<std::pair<std::int32_t, std::size_t>>;
+
 /// What solve_integer_core fixes once per solve: how a range of items
 /// becomes dp_relax passes, and the cells those passes relax.
 ///
@@ -74,6 +80,12 @@ struct DpPlan {
   std::vector<std::int32_t> touched;     ///< classes seen in this range
   std::vector<DpOp> ops;                 ///< per-range scratch
   std::uint64_t cells = 0;               ///< sum of (top - s + 1) per pass
+  /// Exact branch: each class's position in descending profit density,
+  /// and the removal-window split's per-node scratch.
+  std::vector<std::int32_t> density_rank;
+  ClassCounts left_counts;
+  ClassCounts right_counts;
+  ClassCounts node_counts;
 };
 
 /// Lays out the range's passes in plan.ops and returns the row's start
@@ -122,6 +134,29 @@ double plan_range(DpPlan& plan, std::size_t lo, std::size_t hi,
   return base;
 }
 
+/// Runs plan.ops over a pooled row of width + 1 cells starting from
+/// row[0] = base, each pass only up to its frontier (see dp_table).
+std::vector<double> run_passes(DpPlan& plan, double base,
+                               std::int64_t width) {
+  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(width) + 1);
+  double* row = dp.data();
+  row[0] = base;
+  std::int64_t top = 0;
+  for (const DpOp& op : plan.ops) {
+    const std::int64_t next = op.size < width - top ? top + op.size : width;
+    std::fill(row + top + 1, row + next + 1, row[top]);
+    top = next;
+    // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
+    // c = top..s over the contiguous pooled row; bit-identical to the
+    // scalar compare-and-store loop (see util/simd.hpp).
+    util::simd::dp_relax(row, static_cast<std::size_t>(top),
+                         static_cast<std::size_t>(op.size), op.profit);
+    plan.cells += static_cast<std::uint64_t>(top - op.size + 1);
+  }
+  std::fill(row + top + 1, row + width + 1, row[top]);
+  return dp;
+}
+
 /// Forward DP table for items[lo, hi): dp[c] = max profit with total
 /// (integer) size <= c.  Monotone non-decreasing in c.
 ///
@@ -135,23 +170,7 @@ double plan_range(DpPlan& plan, std::size_t lo, std::size_t hi,
 std::vector<double> dp_table(DpPlan& plan, std::size_t lo, std::size_t hi,
                              std::int64_t cap) {
   const double base = plan_range(plan, lo, hi, cap);
-  std::vector<double> dp = acquire_dp(static_cast<std::size_t>(cap) + 1);
-  double* row = dp.data();
-  row[0] = base;
-  std::int64_t top = 0;
-  for (const DpOp& op : plan.ops) {
-    const std::int64_t next = op.size < cap - top ? top + op.size : cap;
-    std::fill(row + top + 1, row + next + 1, row[top]);
-    top = next;
-    // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
-    // c = top..s over the contiguous pooled row; bit-identical to the
-    // scalar compare-and-store loop (see util/simd.hpp).
-    util::simd::dp_relax(row, static_cast<std::size_t>(top),
-                         static_cast<std::size_t>(op.size), op.profit);
-    plan.cells += static_cast<std::uint64_t>(top - op.size + 1);
-  }
-  std::fill(row + top + 1, row + cap + 1, row[top]);
-  return dp;
+  return run_passes(plan, base, cap);
 }
 
 /// On the exact branch, a range whose live items' sizes sum to at most
@@ -177,6 +196,165 @@ bool take_all_if_they_fit(const DpPlan& plan,
     out.push_back(i);
   }
   return true;
+}
+
+/// The split the forward tables give: the first c in [0, cap] maximizing
+/// left[c] + right[cap - c], left and right the tables of [lo, mid) and
+/// [mid, hi).  The tables go back to the pool before the caller recurses.
+std::int64_t table_split(DpPlan& plan, std::size_t lo, std::size_t mid,
+                         std::size_t hi, std::int64_t cap) {
+  std::vector<double> left = dp_table(plan, lo, mid, cap);
+  std::vector<double> right = dp_table(plan, mid, hi, cap);
+  double best = -1.0;
+  std::int64_t best_c = 0;
+  for (std::int64_t c = 0; c <= cap; ++c) {
+    const double v = left[static_cast<std::size_t>(c)] +
+                     right[static_cast<std::size_t>(cap - c)];
+    if (v > best) {
+      best = v;
+      best_c = c;
+    }
+  }
+  recycle_dp(std::move(left));
+  recycle_dp(std::move(right));
+  return best_c;
+}
+
+/// Counts the live nonzero-size items of [lo, hi) per class into `out` as
+/// (class, count) and returns their total scaled size, clamped to
+/// 2^53 + 1 once it passes 2^53.
+std::int64_t count_classes(DpPlan& plan, std::size_t lo, std::size_t hi,
+                           std::int64_t cap, ClassCounts& out) {
+  out.clear();
+  std::int64_t total = 0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const std::int64_t s = plan.sizes[i];
+    if (s == 0 || s > cap || !(plan.items[i].profit > 0.0)) continue;
+    const std::int32_t k = plan.class_of[i];
+    if (plan.class_count[static_cast<std::size_t>(k)]++ == 0) {
+      plan.touched.push_back(k);
+    }
+    total = std::min(total + s, kTwo53 + 1);
+  }
+  for (const std::int32_t k : plan.touched) {
+    out.emplace_back(
+        k, std::exchange(plan.class_count[static_cast<std::size_t>(k)], 0));
+  }
+  plan.touched.clear();
+  return total;
+}
+
+/// Profit a density-greedy feasible subset of the node's live items leaves
+/// out: classes in descending profit density, each taking as many items as
+/// still fit `cap`.  Q* <= this window, and the greedy keeps within one
+/// item's profit of the optimum, so the window overshoots Q* by at most the
+/// largest profit.  Stops counting once the window passes `cap`.
+std::int64_t greedy_window(DpPlan& plan, std::int64_t cap) {
+  ClassCounts& node = plan.node_counts;
+  node.clear();
+  for (const ClassCounts* half : {&plan.left_counts, &plan.right_counts}) {
+    for (const auto& [k, m] : *half) {
+      if (plan.class_count[static_cast<std::size_t>(k)] == 0) {
+        plan.touched.push_back(k);
+      }
+      plan.class_count[static_cast<std::size_t>(k)] += m;
+    }
+  }
+  for (const std::int32_t k : plan.touched) {
+    node.emplace_back(
+        k, std::exchange(plan.class_count[static_cast<std::size_t>(k)], 0));
+  }
+  plan.touched.clear();
+  std::sort(node.begin(), node.end(), [&](const auto& a, const auto& b) {
+    return plan.density_rank[static_cast<std::size_t>(a.first)] <
+           plan.density_rank[static_cast<std::size_t>(b.first)];
+  });
+  std::int64_t room = cap;
+  double removed = 0.0;  // a sum of integer profits <= 2^53: exact
+  for (const auto& [k, m] : node) {
+    const DpOp cls = plan.classes[static_cast<std::size_t>(k)];
+    const auto count = static_cast<std::int64_t>(m);
+    const std::int64_t take = std::min(count, room / cls.size);
+    room -= take * cls.size;
+    removed += cls.profit * static_cast<double>(count - take);
+    if (removed > static_cast<double>(cap)) return cap + 1;
+  }
+  return static_cast<std::int64_t>(removed);
+}
+
+/// G[q] for q in [0, window]: the largest scaled size of a subset of the
+/// counted classes with profit <= q.  The class DP with the roles of size
+/// and profit swapped: binary-split pieces relax G[q] = max(G[q],
+/// G[q - p] + s), each only up to its frontier (past it G is constant,
+/// and every piece has s > 0).  Every profit is an integer and every size
+/// sum <= 2^53, so the table is exact.
+std::vector<double> removal_table(DpPlan& plan, const ClassCounts& counts,
+                                  std::int64_t window) {
+  plan.ops.clear();
+  for (auto [k, m] : counts) {
+    const DpOp cls = plan.classes[static_cast<std::size_t>(k)];
+    const auto profit = static_cast<std::int64_t>(cls.profit);
+    // A count c whose profit fits the window is a sum of pieces no larger
+    // than c (plan_range), so pieces past the window are never needed.
+    for (std::size_t piece = 1; m > 0; piece *= 2) {
+      const std::size_t take = std::min(piece, m);
+      m -= take;
+      const auto t = static_cast<std::int64_t>(take);
+      if (profit > window / t) continue;
+      plan.ops.push_back({profit * t, static_cast<double>(cls.size * t)});
+    }
+  }
+  std::sort(plan.ops.begin(), plan.ops.end(),
+            [](const DpOp& a, const DpOp& b) { return a.size < b.size; });
+  return run_passes(plan, 0.0, window);
+}
+
+/// The split table_split returns, solved in profit space over the removed
+/// items (exact branch only; knapsack.hpp has the derivation).  With S_X
+/// the scaled size of side X's live items and Delta = S_L + S_R - cap, the
+/// least removed profit is Q* = min{q1 + q2 : G_L[q1] + G_R[q2] >= Delta},
+/// and the first maximizer is best_c = S_L - max{G_L[q1] : q1 <= Q*,
+/// G_L[q1] + G_R[Q* - q1] >= Delta}: the smallest c keeps the least on the
+/// left.  Returns -1 when the window would be wider than the forward
+/// tables (window > cap) or a size sum could round (S_L + S_R > 2^53).
+std::int64_t window_split(DpPlan& plan, std::size_t lo, std::size_t mid,
+                          std::size_t hi, std::int64_t cap) {
+  const std::int64_t left_size =
+      count_classes(plan, lo, mid, cap, plan.left_counts);
+  const std::int64_t right_size =
+      count_classes(plan, mid, hi, cap, plan.right_counts);
+  if (left_size + right_size > kTwo53) return -1;
+  const std::int64_t excess = left_size + right_size - cap;
+  if (excess <= 0) return left_size;  // everything fits: Q* = 0
+  const std::int64_t window = greedy_window(plan, cap);
+  if (window > cap) return -1;
+  std::vector<double> left = removal_table(plan, plan.left_counts, window);
+  std::vector<double> right = removal_table(plan, plan.right_counts, window);
+  const double need = static_cast<double>(excess);
+  // Two pointers: the least q2 meeting `need` falls as q1 grows.
+  std::int64_t q_star = 2 * window + 1;
+  std::int64_t q2 = window;
+  for (std::int64_t q1 = 0; q1 <= window && q1 < q_star; ++q1) {
+    const double g1 = left[static_cast<std::size_t>(q1)];
+    while (q2 > 0 && g1 + right[static_cast<std::size_t>(q2 - 1)] >= need) {
+      --q2;
+    }
+    if (g1 + right[static_cast<std::size_t>(q2)] >= need) {
+      q_star = std::min(q_star, q1 + q2);
+    }
+  }
+  MRIS_INVARIANT(q_star <= window,
+                 "CADP: the greedy window must bound the removed profit");
+  double removed_left = 0.0;
+  for (std::int64_t q1 = 0; q1 <= q_star; ++q1) {
+    const double g1 = left[static_cast<std::size_t>(q1)];
+    if (g1 + right[static_cast<std::size_t>(q_star - q1)] >= need) {
+      removed_left = std::max(removed_left, g1);
+    }
+  }
+  recycle_dp(std::move(left));
+  recycle_dp(std::move(right));
+  return left_size - static_cast<std::int64_t>(removed_left);
 }
 
 /// Hirschberg-style divide-and-conquer solution recovery: O(n * cap) time,
@@ -210,22 +388,21 @@ void recover(DpPlan& plan, const std::vector<std::size_t>& live_prefix,
     return;
   }
   const std::size_t mid = lo + (hi - lo) / 2;
-  std::int64_t best_c = 0;
-  {
-    std::vector<double> left = dp_table(plan, lo, mid, cap);
-    std::vector<double> right = dp_table(plan, mid, hi, cap);
-    double best = -1.0;
-    for (std::int64_t c = 0; c <= cap; ++c) {
-      const double v = left[static_cast<std::size_t>(c)] +
-                       right[static_cast<std::size_t>(cap - c)];
-      if (v > best) {
-        best = v;
-        best_c = c;
-      }
+  SplitAudit& audit = split_audit();
+  std::int64_t best_c = plan.exact ? window_split(plan, lo, mid, hi, cap) : -1;
+  if (best_c < 0) {
+    best_c = table_split(plan, lo, mid, hi, cap);
+    ++audit.table;
+  } else {
+    ++audit.window;
+    if (audit.cross_check) {
+      const std::uint64_t cells = plan.cells;
+      MRIS_INVARIANT(table_split(plan, lo, mid, hi, cap) == best_c,
+                     "CADP: removal-window split differs from the forward "
+                     "tables' first maximizer");
+      plan.cells = cells;
     }
-    recycle_dp(std::move(left));
-    recycle_dp(std::move(right));
-  }  // return the tables to the pool before recursing
+  }
   recover(plan, live_prefix, lo, mid, best_c, out);
   recover(plan, live_prefix, mid, hi, cap - best_c, out);
 }
@@ -249,7 +426,7 @@ Selection finish(const std::vector<Item>& items,
 bool integral_profits(const std::vector<Item>& items,
                       const std::vector<std::int64_t>& sizes,
                       std::int64_t cap, std::uint64_t live_count) {
-  constexpr std::uint64_t kTwo53 = std::uint64_t{1} << 53;
+  constexpr auto kLimit = static_cast<std::uint64_t>(kTwo53);
   double max_profit = 0.0;
   for (std::size_t i = 0; i < items.size(); ++i) {
     const double p = items[i].profit;
@@ -257,8 +434,8 @@ bool integral_profits(const std::vector<Item>& items,
     if (p != std::floor(p)) return false;
     max_profit = std::max(max_profit, p);
   }
-  if (!(max_profit <= static_cast<double>(kTwo53))) return false;
-  return live_count <= kTwo53 / static_cast<std::uint64_t>(max_profit);
+  if (!(max_profit <= static_cast<double>(kLimit))) return false;
+  return live_count <= kLimit / static_cast<std::uint64_t>(max_profit);
 }
 
 Selection solve_integer_core(const std::vector<Item>& items,
@@ -298,6 +475,25 @@ Selection solve_integer_core(const std::vector<Item>& items,
       plan.class_of[i] = static_cast<std::int32_t>(plan.classes.size() - 1);
     }
     plan.class_count.assign(plan.classes.size(), 0);
+    // Rank the classes by profit density for the removal window's greedy.
+    // A per-class key keeps the comparison a strict weak order.
+    std::vector<std::int32_t> by_density(plan.classes.size());
+    std::iota(by_density.begin(), by_density.end(), 0);
+    const auto density = [&](std::int32_t k) {
+      const DpOp& c = plan.classes[static_cast<std::size_t>(k)];
+      return c.profit / static_cast<double>(c.size);
+    };
+    std::sort(by_density.begin(), by_density.end(),
+              [&](std::int32_t a, std::int32_t b) {
+                const double da = density(a);
+                const double db = density(b);
+                return da != db ? da > db : a < b;
+              });
+    plan.density_rank.resize(plan.classes.size());
+    for (std::size_t r = 0; r < by_density.size(); ++r) {
+      plan.density_rank[static_cast<std::size_t>(by_density[r])] =
+          static_cast<std::int32_t>(r);
+    }
   }
   std::vector<std::size_t> chosen;
   recover(plan, live_prefix, 0, items.size(), cap, chosen);
@@ -339,6 +535,13 @@ bool denser(const Item& a, const Item& b) {
 }
 
 }  // namespace
+
+SplitAudit& split_audit() {
+  // A per-thread test hook: counters only, read by the thread that solved.
+  // mris-analyze: allow(ts-global)
+  thread_local SplitAudit audit;
+  return audit;
+}
 
 Selection solve_bruteforce(const std::vector<Item>& items, double capacity) {
   const std::size_t n = items.size();

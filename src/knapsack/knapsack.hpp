@@ -35,6 +35,23 @@
 //    away (2^53 + 0.5 == 2^53), and the table's first maximizer then
 //    leaves that item out.
 //
+//    The exact branch also solves most splits without the capacity tables.
+//    recover() needs only best_c, the first maximizer of left[c] +
+//    right[cap - c].  Let S_X and P_X be the scaled size and profit of side
+//    X's live items (size <= the node's cap), Delta = S_L + S_R - cap, and
+//    G_X[q] the largest scaled size of a subset of X with profit <= q (the
+//    class DP with size and profit swapped).  Then left[c] = P_L - min{q :
+//    G_L[q] >= S_L - c}, so the best split removes the least profit Q* =
+//    min{q1 + q2 : G_L[q1] + G_R[q2] >= Delta} (a two-pointer sweep), and
+//    best_c = S_L - max{G_L[q1] : q1 <= Q*, G_L[q1] + G_R[Q* - q1] >=
+//    Delta}: the smallest c removes the most from the left.  G needs only
+//    q <= U, the profit a density-greedy feasible set leaves out (U - Q* <=
+//    the largest profit), so its tables are U + 1 cells wide instead of
+//    cap + 1.  MRIS takes most of its pending jobs, so U is small: on the
+//    largest perfbench solve Q* = 574 against cap = 18.5k.  A node falls
+//    back to the forward tables when U > cap, or when S_L + S_R > 2^53
+//    (double sizes would round); the per-item branch always uses them.
+//
 //  * GREEDY (Remark 1): sort by profit density, take the prefix through the
 //    first non-fitting item.  Profit >= OPT(zeta); size <= zeta + max
 //    chosen v_j <= 2 * zeta; O(n log n) time.  In MRIS every candidate has
@@ -61,11 +78,25 @@ struct Selection {
   double total_profit = 0.0;
   double total_size = 0.0;
   /// DP cells the solve relaxed: sum of (top - s + 1) over its dp_relax
-  /// passes, top the pass's frontier (CADP and the exact DP; 0 for the
-  /// other solvers).
+  /// passes, top the pass's frontier, in capacity-indexed tables and in
+  /// the removal window's profit-indexed ones (CADP and the exact DP; 0
+  /// for the other solvers).
   /// Deterministic, so a work counter rather than a timing.
   std::uint64_t dp_cells = 0;
 };
+
+/// How the calling thread's CADP / exact-DP solves found their recover()
+/// split points: `window` by the removal window, `table` by the forward
+/// capacity tables.  With `cross_check` set, every window split is also
+/// computed from the forward tables and a mismatch fails an
+/// MRIS_INVARIANT (dp_cells leaves the check's cells out).  A test hook:
+/// nothing in the solvers' results depends on it.
+struct SplitAudit {
+  bool cross_check = false;
+  std::uint64_t window = 0;
+  std::uint64_t table = 0;
+};
+SplitAudit& split_audit();
 
 /// Exhaustive 2^n search; exact within `capacity`.  Requires n <= 30.
 Selection solve_bruteforce(const std::vector<Item>& items, double capacity);

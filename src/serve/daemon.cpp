@@ -112,8 +112,8 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   // ---- Resume scouting (before any engine state exists) ----------------
   recovery::JournalContents admit_log;  // !ok means fresh start
   std::vector<JobFrame> admitted;
+  recovery::SnapshotContents snap;  // handed to the engine, read once
   std::uint64_t restored_jobs = 0;
-  std::uint64_t journal_cut = 0;  // event-journal records inside the snapshot
   bool resuming = false;
   if (durable && options.resume) {
     admit_log = recovery::read_journal(admit_path, kAdmissionJournal);
@@ -125,15 +125,12 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
       }
       resuming = true;
       admitted = admission_records(admit_log);
-      const recovery::SnapshotContents snap = recovery::read_snapshot(snap_path);
-      if (snap.ok) {
-        // A streaming snapshot's payload leads with the admitted-job count
-        // it was cut at; without it the daemon resumes journal-only.
-        if (snap.payload.size() >= 8) {
-          recovery::StateReader r(snap.payload);
-          restored_jobs = r.u64();
-        }
-        journal_cut = snap.meta.journal_records;
+      snap = recovery::read_snapshot(snap_path);
+      // A streaming snapshot's payload leads with the admitted-job count
+      // it was cut at; without it the daemon resumes journal-only.
+      if (snap.ok && snap.payload.size() >= 8) {
+        recovery::StateReader r(snap.payload);
+        restored_jobs = r.u64();
       }
       if (restored_jobs > admitted.size()) {
         throw std::runtime_error(
@@ -158,6 +155,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   rec_opts.journal_path = journal_path;
   rec_opts.snapshot_every = options.snapshot_every;
   rec_opts.resume = resuming;
+  if (resuming) rec_opts.snapshot = &snap;
 
   RunOptions run_opts;
   run_opts.on_record = deliver;
@@ -173,6 +171,7 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
 
   StreamEngine engine(inst, *scheduler, run_opts);
   engine.start();
+  snap = {};  // restored (or refused); drop the payload
   result.resumed_from_snapshot = engine.resumed_from_snapshot();
   if (resuming && !result.resumed_from_snapshot && restored_jobs > 0) {
     // The scout accepted a snapshot the engine then refused — the instance
@@ -186,12 +185,8 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
     result.resume_restored = restored_jobs;
     // Pre-cut history for the sink/checksum: the engine replays (and
     // re-fires on_record for) only the journal tail beyond the snapshot
-    // cut, so the prefix comes from the event journal itself.
-    const std::vector<EventRecord> events = recovery::event_records(
-        recovery::read_journal(journal_path, recovery::kEventJournal));
-    const std::uint64_t cut =
-        std::min<std::uint64_t>(journal_cut, events.size());
-    for (std::uint64_t i = 0; i < cut; ++i) deliver(events[i]);
+    // cut, so the prefix is the journal's, as the engine decoded it.
+    for (const EventRecord& rec : engine.take_resumed_history()) deliver(rec);
   }
 
   // ---- Admission journal writer + tail re-admission --------------------

@@ -2,8 +2,20 @@
 // committed (irrevocable) job reservations and provides the placement
 // queries shared by every scheduler: feasibility "now", earliest feasible
 // start (backfilling), and remaining capacity snapshots.
+//
+// The earliest_fit lower-bound memo (resource_profile.hpp) lives here: a
+// registry of up to kMaxFitClasses demand rows, each keyed by the row's
+// exact bytes, and one FitStaircase per (class, machine).  A placement
+// hashes the job's row once and hands each machine its staircase, instead
+// of each machine looking the row up again.  Rows first seen once the
+// registry is full (continuous demands) run the plain scan.  release() and
+// release_until() clear that machine's staircases, and restore_state()
+// clears all of them; when no staircase holds a step any more, the
+// registry empties too, so later rows can take classes.  The memo is a
+// pure cache: never serialized, and no answer depends on it.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -95,8 +107,31 @@ class Cluster {
   void restore_state(recovery::StateReader& r);
 
  private:
+  /// The memo class of `demand`, created on first use; -1 once the
+  /// registry holds kMaxFitClasses other rows.
+  int fit_class(std::span<const double> demand) const;
+
+  /// Machine m's staircase for class k (nullptr for k == -1).
+  FitStaircase* staircase(int k, std::size_t m) const {
+    return k < 0 ? nullptr
+                 : &stairs_[static_cast<std::size_t>(k) * machines_.size() +
+                            m];
+  }
+
+  /// Forgets machine m's recorded answers (its usage went down).
+  void clear_staircases(std::size_t m);
+  void clear_fit_memo();
+
   int num_resources_;
   std::vector<ResourceProfile> machines_;
+  /// Memo registry: per class the hash of its row and the row itself
+  /// (fit_rows_[k * R .. (k + 1) * R)); an open-addressed index over them
+  /// by hash, each slot 0 (empty) or a class index + 1, allocated by the
+  /// first lookup; and the staircases, class-major.
+  mutable std::vector<std::uint64_t> fit_keys_;
+  mutable std::vector<double> fit_rows_;
+  mutable std::vector<std::uint8_t> fit_slots_;
+  mutable std::vector<FitStaircase> stairs_;
 };
 
 }  // namespace mris

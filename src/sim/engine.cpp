@@ -8,6 +8,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/faults/crash.hpp"
 #include "sim/recovery/journal.hpp"
@@ -161,6 +162,9 @@ class Engine final : public EngineContext {
   void admit(JobId id);
 
   bool restored() const noexcept { return restored_; }
+  std::vector<EventRecord> take_resumed_history() {
+    return std::exchange(resumed_history_, {});
+  }
   std::size_t events_processed() const noexcept { return processed_; }
   std::size_t replay_remaining() const noexcept {
     return verify_tail_.size() - verify_pos_;
@@ -852,9 +856,14 @@ class Engine final : public EngineContext {
         journal_reusable = jr.ok;
         journaled = recovery::event_records(jr);
       }
-      recovery::SnapshotContents snap;
+      recovery::SnapshotContents read;
+      const recovery::SnapshotContents& snap =
+          rec_->snapshot != nullptr && snapstore_ != nullptr ? *rec_->snapshot
+                                                             : read;
       if (snapstore_ != nullptr) {
-        snap = recovery::read_snapshot(rec_->snapshot_path);
+        if (rec_->snapshot == nullptr) {
+          read = recovery::read_snapshot(rec_->snapshot_path);
+        }
         if (snap.ok && snap.meta.fingerprint != fingerprint_) {
           throw std::runtime_error(
               "recovery: snapshot belongs to a different (instance, "
@@ -874,6 +883,12 @@ class Engine final : public EngineContext {
                                     journaled.size()));
         verify_tail_.assign(journaled.begin() + static_cast<std::ptrdiff_t>(cut),
                             journaled.end());
+        if (streaming_) {
+          // The daemon's sink needs the pre-cut history too; hand it the
+          // records decoded here instead of reading the journal again.
+          journaled.resize(cut);
+          resumed_history_ = std::move(journaled);
+        }
         rec_stats_.resumed_from_snapshot = true;
         restored = true;
       } else if (jr.ok) {
@@ -1005,6 +1020,10 @@ class Engine final : public EngineContext {
   /// Per machine: down_until_ while down, -inf while up — the no-start
   /// floor earliest_fit applies (derived, not serialized).
   std::vector<Time> outage_floor_;
+
+  /// Streaming snapshot resume: the journaled records before the cut
+  /// (take_resumed_history).  Last, so the hot members keep their offsets.
+  std::vector<EventRecord> resumed_history_;
 };
 
 bool Engine::prepare() {
@@ -1460,6 +1479,10 @@ void StreamEngine::start() {
 
 bool StreamEngine::resumed_from_snapshot() const {
   return impl_->engine.restored();
+}
+
+std::vector<EventRecord> StreamEngine::take_resumed_history() {
+  return impl_->engine.take_resumed_history();
 }
 
 JobId StreamEngine::admit(const Job& job) {

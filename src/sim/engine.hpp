@@ -282,6 +282,13 @@ class StreamEngine {
   /// the caller must then skip re-admitting the restored prefix.
   bool resumed_from_snapshot() const;
 
+  /// After a snapshot resume: the journaled event records before the
+  /// snapshot's cut, which start() decoded from the event journal.
+  /// on_record re-fires only for the tail past the cut, so a caller
+  /// rebuilding a sink replays these first.  Moved out: empty on a second
+  /// call, and on any other start.
+  std::vector<EventRecord> take_resumed_history();
+
   /// Appends the job to the instance (the id is assigned, `job.id` is
   /// ignored) and schedules its arrival.  Admissions must be fed in
   /// non-decreasing release order and the release must not lie in the

@@ -39,6 +39,8 @@ struct CrashPlan;  // sim/faults/crash.hpp
 
 namespace recovery {
 
+struct SnapshotContents;  // sim/recovery/snapshot.hpp
+
 /// Injectable IO fault hooks (tests only; nullptr members are "always
 /// allow").  Each callback returns true to let the operation through and
 /// false to fail it — the writer then retries up to RecoveryOptions::
@@ -65,6 +67,12 @@ struct RecoveryOptions {
   /// Resume from snapshot_path + journal_path if they hold a valid state
   /// for this (instance, scheduler, fault plan); start fresh otherwise.
   bool resume = false;
+
+  /// The snapshot at snapshot_path, when the caller has already read it
+  /// for this resume (not owned; may be nullptr): the engine restores from
+  /// it instead of reading the file a second time.  serve_stream reads the
+  /// snapshot before the engine exists, for its admitted-job count.
+  const SnapshotContents* snapshot = nullptr;
 
   /// Journal fsync batching: flush + fsync every N appended records (and
   /// always at the end of the run).  1 = synchronous, paper-safe; larger

@@ -1,9 +1,7 @@
 #include "sim/resource_profile.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <stdexcept>
 
@@ -22,31 +20,6 @@ constexpr double kContractSlack = 1e-6;
 /// Tiny negative residues above this threshold (exclusive) are clamped to
 /// zero by release — the floating-point-dust rule.
 constexpr double kDustThreshold = -1e-12;
-
-/// earliest_fit memo classes per profile.  Past the cap (continuous demand
-/// vectors) new classes run the plain scan.
-constexpr std::size_t kMaxFitClasses = 64;
-
-/// Slots of the open-addressed table that finds a key's class: twice the
-/// cap, so a lookup that matches no class probes ~2.5 slots on average.
-constexpr std::size_t kFitSlotBits = 7;
-constexpr std::size_t kFitSlots = std::size_t{1} << kFitSlotBits;
-static_assert(kFitSlots >= 2 * kMaxFitClasses && kMaxFitClasses < 256);
-
-/// Hash of a memo key's bit patterns (its top bits pick the slot).  The
-/// per-entry products are independent (no serial multiply chain), which
-/// keeps the pass cheap on wide rows.
-std::uint64_t fit_key(std::span<const double> demand, double tolerance) {
-  constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
-  std::uint64_t h = std::bit_cast<std::uint64_t>(tolerance);
-  std::uint64_t m = kMul;
-  for (const double d : demand) {
-    h += std::bit_cast<std::uint64_t>(d) * m;
-    m += 2 * kMul;  // a distinct odd multiplier per position
-  }
-  h ^= h >> 32;
-  return h * kMul;
-}
 
 }  // namespace
 
@@ -132,34 +105,10 @@ bool ResourceProfile::fits(Time start, Time duration,
   return true;
 }
 
-ResourceProfile::FitClass* ResourceProfile::fit_class(
-    std::span<const double> demand, double tolerance) const {
-  // Keys compare by bytes: only a bit-identical row and tolerance share a
-  // staircase.  A row that matches no class costs one hash pass and a few
-  // probes, whatever the number of classes.
-  if (fit_slots_.empty()) fit_slots_.assign(kFitSlots, 0);
-  const std::uint64_t key = fit_key(demand, tolerance);
-  const std::size_t bytes = demand.size() * sizeof(double);
-  std::size_t slot = key >> (64 - kFitSlotBits);
-  // The table is at most half full, so an empty slot ends every probe run.
-  for (; fit_slots_[slot] != 0; slot = (slot + 1) % kFitSlots) {
-    FitClass& c = fit_memo_[fit_slots_[slot] - 1];
-    if (c.key == key &&
-        std::memcmp(&c.tolerance, &tolerance, sizeof tolerance) == 0 &&
-        std::memcmp(c.demand.data(), demand.data(), bytes) == 0) {
-      return &c;
-    }
-  }
-  if (fit_memo_.size() == kMaxFitClasses) return nullptr;
-  fit_memo_.push_back(
-      {key, {demand.begin(), demand.end()}, tolerance, 0.0, {}});
-  fit_slots_[slot] = static_cast<std::uint8_t>(fit_memo_.size());
-  return &fit_memo_.back();
-}
-
 Time ResourceProfile::earliest_fit(Time not_before, Time duration,
                                    std::span<const double> demand,
-                                   double tolerance, Time give_up) const {
+                                   double tolerance, Time give_up,
+                                   FitStaircase* memo) const {
   MRIS_EXPECT(demand.size() == static_cast<std::size_t>(num_resources_),
               "earliest_fit: demand dimension != machine resource dimension");
   Time s = std::max(not_before, 0.0);
@@ -168,8 +117,7 @@ Time ResourceProfile::earliest_fit(Time not_before, Time duration,
   // Lower-bound memo (header comment).  Below pruned_before_ the flattened
   // past may hold less usage than when an answer was recorded, so such
   // queries bypass it.
-  FitClass* memo =
-      s >= pruned_before_ ? fit_class(demand, tolerance) : nullptr;
+  if (s < pruned_before_) memo = nullptr;
   // Steps [0, below) have durations <= `duration`; the last of them holds
   // the best lower bound.
   std::size_t below = 0;
@@ -336,7 +284,6 @@ void ResourceProfile::release_until(Time start, Time end,
   MRIS_EXPECT(demand.size() == static_cast<std::size_t>(num_resources_),
               "release: demand dimension != machine resource dimension");
   if (!(end > start)) return;
-  clear_fit_memo();  // freed capacity can move earliest fits earlier
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);
   for (std::size_t i = first; i < last; ++i) {
@@ -415,8 +362,7 @@ void ResourceProfile::restore_state(recovery::StateReader& r) {
   usage_ = r.vec_f64();
   headroom_ = r.vec_f64();
   pruned_before_ = r.f64();
-  hint_ = 0;  // pure caches: any in-range hint is valid, the memo rebuilds
-  clear_fit_memo();
+  hint_ = 0;  // a pure cache: any in-range hint is valid
   if (times_.empty() || usage_.size() != times_.size() * width_ ||
       headroom_.size() != times_.size()) {
     throw std::runtime_error(

@@ -23,26 +23,26 @@
 //    amortized O(1) — queries are const but update the mutable hint, which
 //    makes a profile NOT safe to share across threads (each simulation owns
 //    its cluster, so this never happens in-tree);
-//  * earliest_fit() keeps a lower-bound memo per demand class (the exact
-//    demand row's bytes plus the tolerance): a staircase of (duration,
-//    answer) pairs from earlier calls, increasing in both.  A call with the
-//    same row, duration p and a not_before no smaller than the recorded
-//    ones starts the unchanged scan at max(not_before, answer of the
-//    largest recorded duration <= p).  The scan returns the minimum
-//    feasible start, which never decreases as not_before or p grows or as
-//    usage is added (add/force_reserve), and prune_before leaves
-//    [pruned_before(), +inf) unchanged — so a recorded answer is a lower
-//    bound on today's and the scan from it returns the same double.
-//    release()/release_until() and restore_state() clear the memo; queries
-//    below pruned_before() and classes past a fixed per-profile cap
-//    (continuous demands) bypass it.  A lookup hashes the row once and
-//    probes a small open-addressed table, so a row that never repeats
-//    costs one pass over it and a probe or two.  The memo is never
-//    serialized, so snapshots and journals do not depend on it;
+//  * earliest_fit() reads and extends an optional caller-owned lower-bound
+//    memo, a FitStaircase: (duration, answer) pairs from earlier calls with
+//    one demand row and tolerance, increasing in both.  A call with that
+//    row, duration p and a not_before no smaller than the recorded ones
+//    starts the unchanged scan at max(not_before, answer of the largest
+//    recorded duration <= p).  The scan returns the minimum feasible start,
+//    which never decreases as not_before or p grows or as usage is added
+//    (add/force_reserve), and prune_before leaves [pruned_before(), +inf)
+//    unchanged — so a recorded answer is a lower bound on today's and the
+//    scan from it returns the same double.  The profile holds no memo of
+//    its own: Cluster keeps one staircase per (machine, demand class),
+//    hashes a job's row once per placement instead of once per machine,
+//    and clears a machine's staircases when release()/release_until() or
+//    restore_state() may have moved its answers earlier.  Queries below
+//    pruned_before() ignore the staircase.  Staircases are never
+//    serialized, so snapshots and journals do not depend on them;
 //  * earliest_fit() takes a `give_up` bound (default +inf): a caller that
 //    only wants a start below it — the per-machine argmin, passing the best
 //    start found on an earlier machine — gets a value >= give_up as soon
-//    as the memo's lower bound or the scan's candidate start reaches it,
+//    as the staircase's lower bound or the scan's candidate start reaches it,
 //    and the exact answer whenever that answer is below it.  The scan's
 //    candidate never passes the answer, so the candidate it stopped at is
 //    still a lower bound and is recorded as a staircase step like a full
@@ -52,9 +52,9 @@
 //    leading segment (jobs never start in the past), keeping B proportional
 //    to *live* reservations instead of all reservations ever made;
 //  * fits() and available_at() are allocation-free (available_at() can
-//    write into a caller span), earliest_fit() allocates only when its memo
-//    grows, and reserve/release stage the split segment in a reused scratch
-//    buffer.
+//    write into a caller span), earliest_fit() allocates only when the
+//    caller's staircase grows, and reserve/release stage the split segment
+//    in a reused scratch buffer.
 //
 // Interval-exact endpoints: reserve/force_reserve/release compute the
 // half-open interval's end as start + duration exactly once.  Fault paths
@@ -101,6 +101,21 @@ struct FitCounters {
   }
 };
 
+/// One earliest_fit lower-bound memo (see the header comment): the largest
+/// not_before recorded and a (duration, answer) staircase, both strictly
+/// increasing.  Valid for one profile and one (demand row, tolerance)
+/// while that profile only gains usage; its owner clears it when the
+/// profile releases usage or is restored.
+struct FitStaircase {
+  Time floor = 0.0;
+  std::vector<std::pair<Time, Time>> steps;
+
+  void clear() noexcept {
+    floor = 0.0;
+    steps.clear();
+  }
+};
+
 class ResourceProfile {
  public:
   /// Creates an empty profile with `num_resources` unit-capacity resources.
@@ -130,9 +145,12 @@ class ResourceProfile {
   /// [s, s + duration).  Always exists when every demand entry <= 1
   /// (the job fits alone after all reservations end).  When that time is
   /// >= give_up, returns some value >= give_up instead, possibly early.
+  /// `memo`, if given, is this profile's staircase for (demand, tolerance):
+  /// it bounds the scan from below and records the answer.
   Time earliest_fit(Time not_before, Time duration,
                     std::span<const double> demand, double tolerance = 1e-9,
-                    Time give_up = std::numeric_limits<Time>::infinity()) const;
+                    Time give_up = std::numeric_limits<Time>::infinity(),
+                    FitStaircase* memo = nullptr) const;
 
   /// Adds `demand` over [start, start + duration).  Callers must check
   /// fits() first (Cluster enforces this pairing); an MRIS_ENSURE contract
@@ -141,7 +159,7 @@ class ResourceProfile {
   /// Precondition of reserve, force_reserve and force_reserve_until: every
   /// demand entry is >= 0 (Job::demand lies in [0, 1]; outage blocks add
   /// 1.0).  Usage then only grows between releases, which the earliest_fit
-  /// memo relies on; demand is removed only through release().
+  /// staircases rely on; demand is removed only through release().
   void reserve(Time start, Time duration, std::span<const double> demand);
 
   /// Adds `demand` over [start, start + duration) with no capacity
@@ -185,8 +203,8 @@ class ResourceProfile {
   const FitCounters& fit_counters() const noexcept { return fit_counters_; }
 
   /// Serializes the timeline (breakpoints, usage rows, headroom, prune
-  /// bound) into an engine snapshot; the scan hint and the earliest_fit
-  /// memo are pure caches, reset on restore.  See docs/RECOVERY.md.
+  /// bound) into an engine snapshot; the scan hint is a pure cache, reset
+  /// on restore.  See docs/RECOVERY.md.
   void save_state(recovery::StateWriter& w) const;
   void restore_state(recovery::StateReader& r);
 
@@ -205,26 +223,6 @@ class ResourceProfile {
   /// Returns the affected segment range [first, last).
   std::pair<std::size_t, std::size_t> add(Time start, Time end,
                                           std::span<const double> demand);
-
-  /// One earliest_fit memo class: the hash of its key, an exact demand row
-  /// and tolerance, the largest not_before recorded for it, and its
-  /// (duration, answer) staircase, both strictly increasing.
-  struct FitClass {
-    std::uint64_t key;
-    std::vector<double> demand;
-    double tolerance;
-    Time floor;
-    std::vector<std::pair<Time, Time>> steps;
-  };
-
-  /// The memo class of (demand, tolerance), created on first use; nullptr
-  /// once the profile holds kMaxFitClasses other classes.
-  FitClass* fit_class(std::span<const double> demand, double tolerance) const;
-
-  void clear_fit_memo() const {
-    fit_memo_.clear();
-    fit_slots_.clear();
-  }
 
   /// Erases breakpoint i (merging segment i into segment i-1) whenever the
   /// two usage rows are bitwise equal; scans boundaries in [lo, hi].
@@ -246,11 +244,6 @@ class ResourceProfile {
   /// Scan hint: last segment index returned by segment_of().  Purely a
   /// performance cache — any value < times_.size() is valid.
   mutable std::size_t hint_ = 0;
-  /// earliest_fit lower-bound memo (see header comment); a pure cache.
-  mutable std::vector<FitClass> fit_memo_;
-  /// Open-addressed index over fit_memo_ by key hash: each slot is 0
-  /// (empty) or a class index + 1.  Allocated by the first lookup.
-  mutable std::vector<std::uint8_t> fit_slots_;
   mutable FitCounters fit_counters_;
 };
 

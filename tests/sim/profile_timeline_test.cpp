@@ -12,8 +12,11 @@
 
 #include <algorithm>
 #include <limits>
+#include <map>
+#include <utility>
 #include <vector>
 
+#include "sim/cluster.hpp"
 #include "sim/recovery/state_io.hpp"
 #include "sim/resource_profile.hpp"
 #include "util/rng.hpp"
@@ -22,6 +25,7 @@ namespace mris {
 namespace {
 
 constexpr double kGrid = 1.0 / 64.0;
+constexpr Time kNoBound = std::numeric_limits<Time>::infinity();
 
 struct Interval {
   Time start;
@@ -259,8 +263,8 @@ TEST(TimelinePrune, PruningPastEverythingCollapsesToOneSegment) {
   EXPECT_EQ(profile.usage_at(1e9, 1), 0.0);
 }
 
-/// A profile restored from a snapshot of `profile`: same timeline, empty
-/// earliest_fit memo.
+/// A profile restored from a snapshot of `profile`: same timeline, and
+/// queried below without a staircase.
 ResourceProfile cold_copy(const ResourceProfile& profile) {
   recovery::StateWriter w;
   profile.save_state(w);
@@ -274,8 +278,10 @@ ResourceProfile cold_copy(const ResourceProfile& profile) {
 // same demand row comes back: queries here draw rows from a catalog of four
 // and durations from a small set, so nearly every query hits a warm
 // staircase, interleaved with every mutation the memo must survive or
-// forget.  Every answer is checked against the interval oracle and against a
-// snapshot-restored copy whose memo is empty.
+// forget.  The test owns the staircases, one per (row, tolerance), and
+// clears them where Cluster does: on release and on restore.  Every answer
+// is checked against the interval oracle and against a snapshot-restored
+// copy queried without a staircase.
 class TimelineMemoHot : public ::testing::TestWithParam<int> {};
 
 TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
@@ -292,6 +298,7 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
   };
 
   ResourceProfile profile(resources);
+  std::map<std::pair<std::vector<double>, double>, FitStaircase> stairs;
   std::vector<Interval> live;
   Time clock = 0.0;  // mostly-monotone not_before, like an engine's now
   Time pruned = 0.0;
@@ -302,7 +309,8 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
                          double tolerance,
                          Time give_up = std::numeric_limits<Time>::infinity()) {
     const ResourceProfile cold = cold_copy(profile);
-    const Time got = profile.earliest_fit(nb, dur, d, tolerance, give_up);
+    const Time got = profile.earliest_fit(nb, dur, d, tolerance, give_up,
+                                          &stairs[{d, tolerance}]);
     const Time want = cold.earliest_fit(nb, dur, d, tolerance);
     if (want < give_up) {
       EXPECT_EQ(got, want) << "not_before=" << nb << " dur=" << dur
@@ -349,6 +357,7 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
         profile.release(iv.start, iv.end - iv.start, iv.demand);
       }
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      stairs.clear();  // freed capacity can move earliest fits earlier
     } else if (roll < 0.45) {  // advance the clock and prune behind it
       clock += grid_time(rng, 0.0, 2.0);
       if (util::uniform01(rng) < 0.5) {
@@ -360,6 +369,7 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
       profile.save_state(w);
       recovery::StateReader r(w.data());
       profile.restore_state(r);
+      stairs.clear();
     } else if (roll < 0.49 && pruned > 0.0) {
       // The same queries below the prune bound, before and after a further
       // prune flattens more of the past: the memo must stay out of it.
@@ -370,7 +380,7 @@ TEST_P(TimelineMemoHot, WarmMemoMatchesOracleAndColdProfile) {
       pruned = clock;
       profile.prune_before(clock);
       for (const auto& d : catalog) check_query(nb, dur, d, 1e-9);
-    } else if (roll < 0.50) {  // more classes than the memo holds
+    } else if (roll < 0.50) {  // rows that never repeat
       for (int k = 0; k < 80; ++k) {
         check_query(clock + grid_time(rng, 0.0, 4.0), pick_duration(),
                     grid_demand(rng, resources, 0.75), 1e-9);
@@ -404,6 +414,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TimelineMemoHot, ::testing::Range(0, 16));
 TEST(TimelineMemo, CountsQueriesAndScannedSegmentsOutsideTheSnapshot) {
   ResourceProfile profile(1);
   const std::vector<double> d = {0.75};
+  FitStaircase memo;  // d's staircase
   for (int k = 0; k < 8; ++k) profile.reserve(2.0 * k, 1.0, d);
   recovery::StateWriter before;
   profile.save_state(before);
@@ -411,76 +422,87 @@ TEST(TimelineMemo, CountsQueriesAndScannedSegmentsOutsideTheSnapshot) {
   // The first query walks all eight busy segments and the gaps between
   // them; the second, for the same row and duration, starts at the
   // recorded answer and examines one segment.
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d), 15.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d, 1e-9, kNoBound, &memo), 15.0);
   const FitCounters cold = profile.fit_counters();
   EXPECT_EQ(cold.queries, 1u);
   EXPECT_GT(cold.segments, 8u);
   EXPECT_EQ(cold.bounded, 0u);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d), 15.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d, 1e-9, kNoBound, &memo), 15.0);
   EXPECT_EQ(profile.fit_counters().queries, 2u);
   EXPECT_EQ(profile.fit_counters().segments, cold.segments + 1);
   EXPECT_EQ(profile.fit_counters().bounded, 1u);
 
   // Zero-length queries do no work and count nothing.
-  EXPECT_EQ(profile.earliest_fit(3.0, 0.0, d), 3.0);
+  EXPECT_EQ(profile.earliest_fit(3.0, 0.0, d, 1e-9, kNoBound, &memo), 3.0);
   EXPECT_EQ(profile.fit_counters().queries, 2u);
   EXPECT_EQ(profile.fit_counters().abandoned, 0u);
 
   // A give_up at or below the memo's bound returns that bound unscanned.
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d, 1e-9, 5.0), 15.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, d, 1e-9, 5.0, &memo), 15.0);
   EXPECT_EQ(profile.fit_counters().abandoned, 1u);
   EXPECT_EQ(profile.fit_counters().segments, cold.segments + 1);
   // A new row scans [0, 5) — conflicts at 0, 2 and 4 — and stops once its
   // candidate reaches 5 >= give_up.  The partial answer bounds the next,
   // unbounded call, which starts at 5 instead of 0.
   const std::vector<double> half = {0.5};
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half, 1e-9, 4.0), 5.0);
+  FitStaircase half_memo;
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half, 1e-9, 4.0, &half_memo), 5.0);
   EXPECT_EQ(profile.fit_counters().abandoned, 2u);
   EXPECT_EQ(profile.fit_counters().segments, cold.segments + 6);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half), 15.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, half, 1e-9, kNoBound, &half_memo),
+            15.0);
   EXPECT_EQ(profile.fit_counters().bounded, 3u);
   EXPECT_EQ(profile.fit_counters().queries, 5u);
   EXPECT_EQ(profile.fit_counters().abandoned, 2u);
 
-  // Neither the memo nor the counters reach the snapshot bytes.
+  // Neither the staircases nor the counters reach the snapshot bytes.
   recovery::StateWriter after;
   profile.save_state(after);
   EXPECT_EQ(before.data(), after.data());
 }
 
 TEST(TimelineMemo, PastTheClassCapNewRowsRunThePlainScanUntilARelease) {
-  ResourceProfile profile(2);
+  // The class registry lives in Cluster; a one-machine cluster shows it.
+  Cluster cluster(1, 2);
   const std::vector<double> busy = {0.75, 0.75};
-  for (int k = 0; k < 8; ++k) profile.reserve(2.0 * k, 1.0, busy);
+  for (int k = 0; k < 8; ++k) cluster.force_reserve(0, 2.0 * k, 1.0, busy);
+  const auto query = [&cluster](const std::vector<double>& row) {
+    Job job;
+    job.processing = 1.5;
+    job.demand = row;
+    return cluster.earliest_fit_on(job, 0, 0.0);
+  };
   // 64 rows that never repeat take every class of the memo.
   for (int k = 0; k < 64; ++k) {
     const std::vector<double> row = {0.5, 0.25 + k / 1024.0};
-    EXPECT_EQ(profile.earliest_fit(0.0, 1.5, row), 15.0);
+    EXPECT_EQ(query(row), 15.0);
   }
-  EXPECT_EQ(profile.fit_counters().bounded, 0u);
+  EXPECT_EQ(cluster.fit_counters().bounded, 0u);
   // A row first seen past the cap gets no class: both calls scan from 0.
   const std::vector<double> late = {0.5, 0.5};
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 15.0);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 15.0);
-  EXPECT_EQ(profile.fit_counters().bounded, 0u);
+  EXPECT_EQ(query(late), 15.0);
+  EXPECT_EQ(query(late), 15.0);
+  EXPECT_EQ(cluster.fit_counters().bounded, 0u);
   // A release empties the memo, and the row then gets a class.
-  profile.release(14.0, 1.0, busy);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 13.0);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.5, late), 13.0);
-  EXPECT_EQ(profile.fit_counters().bounded, 1u);
+  cluster.release(0, 14.0, 1.0, busy);
+  EXPECT_EQ(query(late), 13.0);
+  EXPECT_EQ(query(late), 13.0);
+  EXPECT_EQ(cluster.fit_counters().bounded, 1u);
 }
 
 TEST(TimelineMemo, QueriesBelowThePruneBoundBypassIt) {
   ResourceProfile profile(1);
   const std::vector<double> full = {1.0};
+  FitStaircase memo;
   profile.reserve(0.0, 5.0, full);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full), 5.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full, 1e-9, kNoBound, &memo), 5.0);
   // Flattening [0, 10) into the free segment at t = 10 frees the past.  A
   // query there is meaningless to the engine, but it must still answer
   // from the profile as it is, not from the answer recorded before.
   profile.prune_before(10.0);
-  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full), 0.0);
-  EXPECT_EQ(profile.earliest_fit(10.0, 1.0, full), 10.0);
+  EXPECT_EQ(profile.earliest_fit(0.0, 1.0, full, 1e-9, kNoBound, &memo), 0.0);
+  EXPECT_EQ(profile.earliest_fit(10.0, 1.0, full, 1e-9, kNoBound, &memo),
+            10.0);
 }
 
 }  // namespace
