@@ -21,6 +21,7 @@ class CollectAllPqScheduler : public PriorityQueueScheduler {
   }
 
   void on_start(EngineContext& ctx) override {
+    PriorityQueueScheduler::on_start(ctx);
     ctx.schedule_wakeup(last_release_);
   }
 

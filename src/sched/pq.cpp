@@ -160,19 +160,58 @@ void PriorityQueueScheduler::on_machine_up(EngineContext& ctx,
   scan_and_schedule(ctx);
 }
 
+void PriorityQueueScheduler::on_start(EngineContext& /*ctx*/) { reset(); }
+
+void PriorityQueueScheduler::reset() {
+  // The class table's row width and the membership bitmap belong to one
+  // run; versions count the changes of one cluster object, so a row read
+  // in another run could carry a matching key.
+  classes_.clear();
+  rows_.clear();
+  free_slots_.clear();
+  by_row_.clear();
+  order_.clear();
+  queued_.clear();
+  restored_.clear();
+  stale_ = false;
+  row_keys_.clear();
+  max_stale_ = true;
+}
+
 double* PriorityQueueScheduler::free_row(const EngineContext& ctx,
+                                         const Cluster& cluster,
                                          std::size_t m) {
   // Exact to read late: a row is read before this scan's first commit to
   // its machine, and commits to other machines do not change it.
   if (up_[m] == kUnread) {
     up_[m] = ctx.machine_up(static_cast<MachineId>(m)) ? kUp : kDown;
-    if (up_[m] == kUp) {
-      ctx.cluster().available_into(
-          static_cast<MachineId>(m), now_,
-          std::span(free_).subspan(m * resources_, resources_));
-    }
+    if (up_[m] == kUp) read_row(cluster, m);
   }
   return up_[m] == kUp ? free_.data() + m * resources_ : nullptr;
+}
+
+void PriorityQueueScheduler::read_row(const Cluster& cluster, std::size_t m) {
+  const auto machine = static_cast<MachineId>(m);
+  RowKey& key = row_keys_[m];
+  const std::uint64_t version = cluster.version(machine);
+  if (key.version == version && key.from <= now_ && now_ < key.until) return;
+  const std::span<double> row(free_.data() + m * resources_, resources_);
+  if (!max_stale_) std::ranges::copy(row, was_.begin());
+  key = {version, now_, cluster.available_until(machine, now_, row)};
+  if (!max_stale_) note_row_change(m);
+}
+
+void PriorityQueueScheduler::note_row_change(std::size_t m) {
+  const double* row = free_.data() + m * resources_;
+  for (std::size_t l = 0; l < resources_; ++l) {
+    if (row[l] >= max_free_[l]) {
+      max_free_[l] = row[l];
+    } else if (was_[l] == max_free_[l]) {
+      // The row held this max and fell below it; another may hold it too.
+      max_stale_ = true;
+      return;
+    }
+  }
 }
 
 void PriorityQueueScheduler::refresh_max_free(std::size_t resources) {
@@ -183,6 +222,7 @@ void PriorityQueueScheduler::refresh_max_free(std::size_t resources) {
       max_free_[l] = std::max(max_free_[l], free_[m * resources + l]);
     }
   }
+  max_stale_ = false;
 }
 
 void PriorityQueueScheduler::scan_and_schedule(EngineContext& ctx) {
@@ -197,15 +237,35 @@ void PriorityQueueScheduler::scan_and_schedule(EngineContext& ctx) {
   // this scan.  In a pure PQ run every reservation starts at or before now,
   // so instantaneous fit implies window fit; can_start() still confirms so
   // that subclasses remain correct if mixed with future reservations.
-  // With one class queued, rows are read as its jobs reach each machine;
-  // with more, all are read now so that max_free_ can drop a class before
-  // its machine loop.
-  free_.resize(M * R);
+  // A row is re-read from the timeline only when its cached key no longer
+  // covers now.  With one class queued, rows are checked as its jobs reach
+  // each machine; with more, all are checked now so that max_free_ can drop
+  // a class before its machine loop.  max_free_ follows the rows that
+  // change and is rebuilt only when a row that held a max falls or the up
+  // set moves.
+  const Cluster& cluster = ctx.cluster();
+  if (row_keys_.size() != M || free_.size() != M * R) {
+    row_keys_.assign(M, RowKey{});
+    free_.assign(M * R, 0.0);
+    was_.assign(R, 0.0);
+    max_up_.assign(M, 0);
+    max_stale_ = true;
+  }
   up_.assign(M, kUnread);
   const bool prefilter = order_.size() > 1;
   if (prefilter) {
-    for (std::size_t m = 0; m < M; ++m) free_row(ctx, m);
-    refresh_max_free(R);
+    for (std::size_t m = 0; m < M; ++m) {
+      const bool up = ctx.machine_up(static_cast<MachineId>(m));
+      if (up != (max_up_[m] != 0)) {
+        max_up_[m] = up ? 1 : 0;
+        max_stale_ = true;
+      }
+      up_[m] = up ? kUp : kDown;
+      if (up) read_row(cluster, m);
+    }
+    if (max_stale_) refresh_max_free(R);
+  } else {
+    max_stale_ = true;  // rows may change below without max_free_
   }
 
   // Visits one job: started, left queued, or its class is dead.  Free
@@ -224,7 +284,7 @@ void PriorityQueueScheduler::scan_and_schedule(EngineContext& ctx) {
     if (ctx.earliest_start(e.id) > now_) return Outcome::kKept;
     bool fits_somewhere = false;
     for (std::size_t m = 0; m < M; ++m) {
-      double* row = free_row(ctx, m);
+      double* row = free_row(ctx, cluster, m);
       if (row == nullptr) continue;
       const std::span<double> avail(row, R);
       if (!fits_available(avail, demand)) continue;
@@ -234,10 +294,15 @@ void PriorityQueueScheduler::scan_and_schedule(EngineContext& ctx) {
       if (!ctx.try_commit(e.id, machine, now_)) continue;
       MRIS_INVARIANT(e.key == heuristic_key(heuristic_, ctx.job(e.id)),
                      "a queued job's cached heuristic key went stale");
+      if (prefilter) std::ranges::copy(avail, was_.begin());
       for (std::size_t l = 0; l < R; ++l) {
         avail[l] = std::max(0.0, avail[l] - demand[l]);
       }
-      if (prefilter) refresh_max_free(R);
+      row_keys_[m] = {};  // the row no longer mirrors the timeline
+      if (prefilter) {
+        note_row_change(m);
+        if (max_stale_) refresh_max_free(R);
+      }
       return Outcome::kStarted;
     }
     // A can_start/try_commit refusal depends on p_j, not only on the row.
@@ -377,11 +442,7 @@ void PriorityQueueScheduler::save_state(recovery::StateWriter& w) const {
 void PriorityQueueScheduler::restore_state(recovery::StateReader& r) {
   // No context here: keys, classes and membership are rebuilt by the first
   // callback after the restore.
-  classes_.clear();
-  rows_.clear();
-  free_slots_.clear();
-  by_row_.clear();
-  order_.clear();
+  reset();
   restored_ = r.vec_i32();
   stale_ = true;
 }

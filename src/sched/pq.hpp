@@ -10,11 +10,15 @@
 // Queued jobs are bucketed by exact demand row; each class keeps its jobs
 // in (key, id) order.  A scan visits jobs in the global (key, id) order but
 // drops a class as soon as its row fits on no up machine, because free
-// capacity only falls during a scan.  Per event it costs O(C) for the C
-// queued classes, plus O(log C) per job it actually tries and O(M * R) per
-// commit.  Rows repeat on the paper's traces, so C stays small however
-// long the backlog; when every row is unique, the scan is one pass over
-// the queue (DESIGN.md, "PQ scan").
+// capacity only falls during a scan.  Machines' free rows are kept across
+// scans and re-read only when a machine's timeline version changed or now
+// left the segment the row was read from; the per-resource max over up
+// machines follows the rows that change.  Per event a scan costs O(C) for
+// the C queued classes, plus O(log C) per job it actually tries and O(R)
+// per row re-read (O(M * R) only when a row that held a max falls or the
+// up set changes).  Rows repeat on the paper's traces, so C stays small
+// however long the backlog; when every row is unique, the scan is one
+// pass over the queue (DESIGN.md, "PQ scan").
 #pragma once
 
 #include <cstdint>
@@ -35,6 +39,7 @@ class PriorityQueueScheduler : public OnlineScheduler {
     return "PQ-" + heuristic_name(heuristic_);
   }
 
+  void on_start(EngineContext& ctx) override;
   void on_arrival(EngineContext& ctx, JobId job) override;
   void on_completion(EngineContext& ctx, JobId job, MachineId machine) override;
   void on_machine_up(EngineContext& ctx, MachineId machine) override;
@@ -99,12 +104,24 @@ class PriorityQueueScheduler : public OnlineScheduler {
   /// Returns an emptied class slot to the free list.
   void release_class(std::int32_t cls);
 
-  /// This scan's free row of machine m, read on first use; nullptr when m
-  /// is down.
-  double* free_row(const EngineContext& ctx, std::size_t m);
+  /// This scan's free row of machine m, checked on first use; nullptr when
+  /// m is down.
+  double* free_row(const EngineContext& ctx, const Cluster& cluster,
+                   std::size_t m);
+
+  /// Re-reads machine m's row at now_ unless its key still covers it.
+  void read_row(const Cluster& cluster, std::size_t m);
+
+  /// Keeps a fresh max_free_ exact after machine m's row moved from was_
+  /// to its new value, or marks it stale when a max may have fallen.
+  void note_row_change(std::size_t m);
 
   /// Per-resource max of free capacity over up machines (-inf if none).
   void refresh_max_free(std::size_t resources);
+
+  /// Empties the queue and drops every cached row (a new run or a
+  /// restore: versions are keys into one cluster object only).
+  void reset();
 
   // Queue state.  Every queued job sits in exactly one class; order_ holds
   // the non-empty classes sorted by their head's (key, id).
@@ -120,11 +137,24 @@ class PriorityQueueScheduler : public OnlineScheduler {
 
   // Per-scan scratch, reused across scans.
   std::vector<Cursor> revisit_;         ///< min-heap by head (key, id)
-  std::vector<double> free_;            ///< M x R free capacity at now
   enum MachineRow : char { kUnread, kDown, kUp };
   std::vector<MachineRow> up_;          ///< per machine, read on first use
   Time now_ = 0.0;
-  std::vector<double> max_free_;        ///< per-resource max of free_ over up_
+
+  // Machine rows, kept across scans.  free_'s row m is machine m's free
+  // capacity at every t in [from, until) while its timeline version is
+  // `version`; a commit edits the row in place and voids its key.
+  struct RowKey {
+    std::uint64_t version = 0;
+    Time from = 0.0;
+    Time until = 0.0;  ///< [0, 0): no row cached
+  };
+  std::vector<RowKey> row_keys_;        ///< per machine
+  std::vector<double> free_;            ///< M x R free capacity
+  std::vector<double> was_;             ///< a row before its last change
+  std::vector<double> max_free_;        ///< per-resource max of free_ over up
+  std::vector<char> max_up_;            ///< the up set max_free_ covers
+  bool max_stale_ = true;               ///< max_free_ needs a rebuild
 };
 
 /// True when `demand` fits within the `available` capacity vector

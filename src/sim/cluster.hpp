@@ -93,6 +93,17 @@ class Cluster {
   /// (size == num_resources()).
   void available_into(MachineId m, Time t, std::span<double> out) const;
 
+  /// available_into, returning the end of t's segment on machine `m`: the
+  /// row stays exact over [t, end) while version(m) is unchanged
+  /// (ResourceProfile::available_until).
+  Time available_until(MachineId m, Time t, std::span<double> out) const {
+    return machine(m).available_until(t, out);
+  }
+
+  /// Machine `m`'s timeline version (ResourceProfile::version): a cache key
+  /// for rows read from it, valid for this cluster object only.
+  std::uint64_t version(MachineId m) const { return machine(m).version(); }
+
   /// earliest_fit work summed over machines (see FitCounters).
   FitCounters fit_counters() const;
 

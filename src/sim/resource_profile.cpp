@@ -73,12 +73,19 @@ std::vector<double> ResourceProfile::available_at(Time t) const {
 }
 
 void ResourceProfile::available_at(Time t, std::span<double> out) const {
+  available_until(t, out);
+}
+
+Time ResourceProfile::available_until(Time t, std::span<double> out) const {
   MRIS_EXPECT(out.size() == static_cast<std::size_t>(num_resources_),
               "available_at: output dimension != machine resource dimension");
-  const double* row = usage_.data() + segment_of(t) * width_;
+  const std::size_t i = segment_of(t);
+  const double* row = usage_.data() + i * width_;
   for (std::size_t l = 0; l < out.size(); ++l) {
     out[l] = std::max(0.0, 1.0 - row[l]);
   }
+  return i + 1 < times_.size() ? times_[i + 1]
+                               : std::numeric_limits<Time>::infinity();
 }
 
 bool ResourceProfile::fits(Time start, Time duration,
@@ -225,6 +232,7 @@ std::size_t ResourceProfile::ensure_breakpoint(Time t) {
 
 std::pair<std::size_t, std::size_t> ResourceProfile::add(
     Time start, Time end, std::span<const double> demand) {
+  ++version_;
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);  // exclusive segment
   // Each mutated row's headroom is recomputed in the same pass.
@@ -284,6 +292,7 @@ void ResourceProfile::release_until(Time start, Time end,
   MRIS_EXPECT(demand.size() == static_cast<std::size_t>(num_resources_),
               "release: demand dimension != machine resource dimension");
   if (!(end > start)) return;
+  ++version_;
   const std::size_t first = ensure_breakpoint(std::max(start, 0.0));
   const std::size_t last = ensure_breakpoint(end);
   for (std::size_t i = first; i < last; ++i) {
@@ -330,6 +339,7 @@ void ResourceProfile::prune_before(Time t) {
   pruned_before_ = std::max(pruned_before_, t);
   const std::size_t i = segment_of(t);
   if (i == 0) return;
+  ++version_;
   // Flatten the committed past: the leading segment takes over the usage of
   // the segment containing t, and every breakpoint in (0, times_[i]] goes
   // away.  Queries at or after times_[i] are untouched.
@@ -363,6 +373,7 @@ void ResourceProfile::restore_state(recovery::StateReader& r) {
   headroom_ = r.vec_f64();
   pruned_before_ = r.f64();
   hint_ = 0;  // a pure cache: any in-range hint is valid
+  ++version_;
   if (times_.empty() || usage_.size() != times_.size() * width_ ||
       headroom_.size() != times_.size()) {
     throw std::runtime_error(

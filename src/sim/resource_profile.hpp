@@ -54,7 +54,17 @@
 //  * fits() and available_at() are allocation-free (available_at() can
 //    write into a caller span), earliest_fit() allocates only when the
 //    caller's staircase grows, and reserve/release stage the split segment
-//    in a reused scratch buffer.
+//    in a reused scratch buffer;
+//  * version() changes whenever the stored profile does (add, so
+//    reserve/force_reserve/force_reserve_until; release/release_until;
+//    prune_before when it compacts; restore_state), and never on a query.
+//    available_until() writes available_at()'s row and returns the end of
+//    t's segment, so a caller may keep that row for every t' in [t, end)
+//    while version() is unchanged (the PQ scan's per-machine row cache).
+//    The version counts the changes of one object and is never
+//    serialized, so two profiles (say, one restored from a snapshot of the
+//    other) may show the same version with different contents: a caller
+//    keeps its cached rows for one profile object and one run.
 //
 // Interval-exact endpoints: reserve/force_reserve/release compute the
 // half-open interval's end as start + duration exactly once.  Fault paths
@@ -135,6 +145,15 @@ class ResourceProfile {
   /// Allocation-free variant: writes the remaining capacity at time t into
   /// `out` (size must equal num_resources()).
   void available_at(Time t, std::span<double> out) const;
+
+  /// available_at(t, out), returning the end of t's segment (+inf for the
+  /// last): `out` equals available_at(t') for every t' in [t, end) until
+  /// version() changes.
+  Time available_until(Time t, std::span<double> out) const;
+
+  /// Bumped by every change to the stored profile, never by a query (see
+  /// the header comment).  Not serialized.
+  std::uint64_t version() const noexcept { return version_; }
 
   /// True if adding `demand` over [start, start + duration) keeps every
   /// resource within capacity 1 + tolerance.
@@ -245,6 +264,7 @@ class ResourceProfile {
   /// performance cache — any value < times_.size() is valid.
   mutable std::size_t hint_ = 0;
   mutable FitCounters fit_counters_;
+  std::uint64_t version_ = 0;
 };
 
 }  // namespace mris

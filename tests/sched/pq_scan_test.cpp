@@ -335,6 +335,67 @@ TEST(PqScanTest, StreamedRunMatchesBatchReference) {
   }
 }
 
+// ---- one scheduler object, several runs ----------------------------------
+
+/// Runs `second` on a scheduler that has already run `first`, and on a
+/// fresh one; the two second runs must agree byte for byte.
+template <typename Pq>
+void expect_reuse_matches_fresh(const Pq& fresh, const Instance& first,
+                                const FaultPlan* first_plan,
+                                const Instance& second,
+                                const FaultPlan* second_plan,
+                                const std::string& what) {
+  Pq reused = fresh;
+  run(first, reused, first_plan);
+  Pq unused = fresh;
+  EXPECT_EQ("", diff_runs(run(second, unused, second_plan),
+                          run(second, reused, second_plan)))
+      << what;
+}
+
+TEST(PqScanTest, ReusedSchedulerMatchesAFreshOneOnAnotherInstance) {
+  // Machine rows are cached under timeline versions, which count the
+  // changes of one cluster object only; a new run must not read a row
+  // cached in the last one.
+  const Instance a = azure_like(800, 4, 12);
+  const Instance b = azure_like(800, 4, 13, 20);
+  for (const auto& plan : fault_plans(b, 50.0, 3)) {
+    const FaultPlan* p = plan ? &*plan : nullptr;
+    const std::string where = p ? " with faults" : " fault-free";
+    expect_reuse_matches_fresh(PriorityQueueScheduler(Heuristic::kWsjf), a,
+                               nullptr, b, p, "PQ" + where);
+    expect_reuse_matches_fresh(PriorityQueueScheduler(Heuristic::kWsjf), b, p,
+                               a, nullptr, "PQ, runs swapped" + where);
+    const Time t = last_release(b);
+    expect_reuse_matches_fresh(CollectAllPqScheduler(t, Heuristic::kWsjf), b,
+                               p, b, p, "CA-PQ" + where);
+  }
+}
+
+TEST(PqScanTest, ReusedSchedulerDoesNotMatchAVersionFromTheLastRun) {
+  // The first run ends with machine 0's row cached at version 1 (one
+  // commit) over [1, 100), with 0.4 free.  In the second run an outage
+  // takes machine 0 to version 1 without a scan reading it, and at t = 2,
+  // inside that range, machine 0 is free: the job must start there.
+  InstanceBuilder first(2, 1);
+  first.add(0.0, 100.0, 1.0, {0.6});
+  first.add(1.0, 10.0, 1.0, {0.6});
+  InstanceBuilder second(2, 1);
+  second.add(2.0, 1.0, 1.0, {0.6});
+  const Instance a = first.build();
+  const Instance b = second.build();
+  FaultPlan outage;
+  outage.outages.push_back({0, 0.5, 1.5});
+
+  PriorityQueueScheduler fresh(Heuristic::kWsjf);
+  const RunResult expected = run(b, fresh, &outage);
+  ASSERT_EQ(expected.schedule.assignment(0).machine, 0);
+  expect_reuse_matches_fresh(PriorityQueueScheduler(Heuristic::kWsjf), a,
+                             nullptr, b, &outage, "PQ");
+  expect_reuse_matches_fresh(CollectAllPqScheduler(0.0, Heuristic::kWsjf), a,
+                             nullptr, b, &outage, "CA-PQ");
+}
+
 // ---- scan cost --------------------------------------------------------
 
 /// Forwards to the engine's context, counting the cheap reads a scheduler
@@ -343,16 +404,20 @@ TEST(PqScanTest, StreamedRunMatchesBatchReference) {
 /// retry-gated (earliest_start() reports it, try_commit() enforces it) and
 /// every job after one of those is refused by can_start() on every
 /// machine, as a reservation ahead would refuse a long job whatever its
-/// row.  `gated` counts the gated answers, `refused` the refusals.
+/// row.  `gated` counts the gated answers, `refused` the refusals.  With
+/// `flap` > 0, machine floor(now / flap) mod M reports itself down while
+/// its timeline stays as it is.
 class CountingContext : public EngineContext {
  public:
   CountingContext(EngineContext& inner, std::uint64_t& reads, Time gate,
-                  std::uint64_t& gated, std::uint64_t& refused)
+                  std::uint64_t& gated, std::uint64_t& refused,
+                  Time flap = 0.0)
       : inner_(inner),
         reads_(reads),
         gate_(gate),
         gated_(gated),
-        refused_(refused) {}
+        refused_(refused),
+        flap_(flap) {}
 
   /// The end of `id`'s own gate or refusal window (0 when it has none).
   Time own_gate(JobId id) const {
@@ -410,6 +475,10 @@ class CountingContext : public EngineContext {
   }
   bool machine_up(MachineId m) const override {
     ++reads_;
+    if (flap_ > 0.0 &&
+        static_cast<long long>(inner_.now() / flap_) % num_machines() == m) {
+      return false;
+    }
     return inner_.machine_up(m);
   }
   Time checkpointed_progress(JobId id) const override {
@@ -423,6 +492,7 @@ class CountingContext : public EngineContext {
   Time gate_;
   std::uint64_t& gated_;
   std::uint64_t& refused_;
+  Time flap_;
 };
 
 /// Hands `inner` a CountingContext and tracks the pending high-water mark.
@@ -487,11 +557,12 @@ class CountingScheduler : public OnlineScheduler {
   std::uint64_t gated = 0;    ///< earliest_start() answers later than now
   std::uint64_t refused = 0;  ///< can_start() refusals of the own window
   std::size_t pending_hwm = 0;
+  Time flap = 0.0;  ///< see CountingContext
 
  private:
   CountingContext wrap(EngineContext& ctx) {
     pending_hwm = std::max(pending_hwm, ctx.pending().size());
-    return CountingContext(ctx, reads, gate_, gated, refused);
+    return CountingContext(ctx, reads, gate_, gated, refused, flap);
   }
 
   OnlineScheduler& inner_;
@@ -565,6 +636,30 @@ TEST(PqScanTest, MatchesReferenceWithGatedAndRefusedJobsInsideLiveClasses) {
       EXPECT_EQ("", diff_runs(run(inst, gated_ref_ca, p),
                               run(inst, gated_capq, p)))
           << where << " CA-PQ";
+    }
+  }
+}
+
+TEST(PqScanTest, MatchesReferenceWhenMachinesGoDownWithoutATimelineChange) {
+  // A machine that reports itself down keeps its timeline version, so its
+  // cached row stays valid while max_free_ must leave it out, and take it
+  // back in when the machine is up again.
+  const std::vector<std::pair<std::string, Instance>> cases = {
+      {"three rows", few_rows(600, 3, 4, 23)},
+      {"unique rows", azure_like(800, 4, 12, 20)},
+  };
+  for (const auto& [what, inst] : cases) {
+    for (const auto& plan : fault_plans(inst, 1.0, 4)) {
+      const FaultPlan* p = plan ? &*plan : nullptr;
+      const std::string where = what + (p ? " with faults" : " fault-free");
+      ReferencePq ref(Heuristic::kWsjf);
+      PriorityQueueScheduler pq(Heuristic::kWsjf);
+      CountingScheduler flapping_ref(ref);
+      CountingScheduler flapping_pq(pq);
+      flapping_ref.flap = flapping_pq.flap = 3.0;
+      EXPECT_EQ("", diff_runs(run(inst, flapping_ref, p),
+                              run(inst, flapping_pq, p)))
+          << where;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
 #include <utility>
@@ -504,6 +505,130 @@ TEST(TimelineMemo, QueriesBelowThePruneBoundBypassIt) {
   EXPECT_EQ(profile.earliest_fit(10.0, 1.0, full, 1e-9, kNoBound, &memo),
             10.0);
 }
+
+// ---- version() and available_until() --------------------------------------
+
+TEST(TimelineVersion, EveryMutationBumpsItAndNoQueryDoes) {
+  ResourceProfile profile(2);
+  const std::vector<double> d = {0.25, 0.5};
+  std::uint64_t seen = profile.version();
+  const auto bumped = [&](const char* what) {
+    EXPECT_GT(profile.version(), seen) << what;
+    seen = profile.version();
+  };
+  profile.reserve(1.0, 4.0, d);
+  bumped("reserve");
+  profile.force_reserve(2.0, 4.0, d);
+  bumped("force_reserve");
+  profile.force_reserve_until(3.0, 9.0, d);
+  bumped("force_reserve_until");
+  profile.release(2.0, 4.0, d);
+  bumped("release");
+  profile.release_until(3.0, 9.0, d);
+  bumped("release_until");
+  profile.reserve(6.0, 2.0, d);
+  bumped("reserve");
+  profile.prune_before(3.0);
+  bumped("prune_before");
+
+  FitStaircase memo;
+  std::vector<double> row(2);
+  EXPECT_TRUE(profile.fits(0.0, 1.0, d));
+  const std::vector<double> full = {1.0, 1.0};
+  EXPECT_EQ(profile.earliest_fit(0.0, 10.0, full, 1e-9, kNoBound, &memo),
+            8.0);
+  profile.available_at(4.0, row);
+  EXPECT_EQ(profile.available_at(7.0), (std::vector<double>{0.75, 0.5}));
+  EXPECT_EQ(profile.available_until(7.0, row), 8.0);
+  EXPECT_EQ(profile.usage_at(7.0, 1), 0.5);
+  EXPECT_EQ(profile.version(), seen) << "a query changed the version";
+
+  recovery::StateWriter w;
+  profile.save_state(w);
+  EXPECT_EQ(profile.version(), seen) << "save_state changed the version";
+  recovery::StateReader r(w.data());
+  profile.restore_state(r);
+  bumped("restore_state");
+}
+
+TEST(TimelineVersion, ClusterBumpsOnlyTheMachineItChanges) {
+  Cluster cluster(3, 1);
+  Job job;
+  job.id = 0;
+  job.processing = 2.0;
+  job.demand = {0.5};
+  const auto versions = [&] {
+    return std::vector<std::uint64_t>{cluster.version(0), cluster.version(1),
+                                      cluster.version(2)};
+  };
+  std::vector<std::uint64_t> before = versions();
+  cluster.reserve(job, 1, 0.0);
+  std::vector<std::uint64_t> after = versions();
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_GT(after[1], before[1]);
+  EXPECT_EQ(after[2], before[2]);
+  before = after;
+  cluster.block(2, 1.0, 3.0);
+  cluster.release(1, 0.0, 2.0, job.demand);
+  after = versions();
+  EXPECT_EQ(after[0], before[0]);
+  EXPECT_GT(after[1], before[1]);
+  EXPECT_GT(after[2], before[2]);
+  MachineId best = kInvalidMachine;
+  EXPECT_EQ(cluster.earliest_fit(job, 0.0, best), 0.0);
+  EXPECT_EQ(versions(), after) << "a query changed a version";
+}
+
+TEST(TimelineVersion, AvailableUntilReturnsTheNextBreakpoint) {
+  ResourceProfile profile(1);
+  std::vector<double> row(1);
+  EXPECT_EQ(profile.available_until(3.0, row), kNoBound);
+  EXPECT_EQ(row[0], 1.0);
+  profile.reserve(2.0, 3.0, std::vector<double>{0.5});
+  profile.reserve(5.0, 2.0, std::vector<double>{0.25});
+  const std::vector<std::pair<Time, Time>> cases = {
+      {0.0, 2.0}, {1.5, 2.0}, {2.0, 5.0}, {4.0, 5.0},
+      {5.0, 7.0}, {7.0, kNoBound}, {100.0, kNoBound}};
+  for (const auto& [t, end] : cases) {
+    EXPECT_EQ(profile.available_until(t, row), end) << "t=" << t;
+  }
+}
+
+class TimelineAvailableUntil : public ::testing::TestWithParam<int> {};
+
+TEST_P(TimelineAvailableUntil, RowHoldsUpToTheReturnedEnd) {
+  // Every time below is a multiple of 1/64, so probing each grid point of
+  // [t, end) visits every segment the range could cross.
+  util::Xoshiro256 rng(0xa7a11ULL + static_cast<std::uint64_t>(GetParam()));
+  const int resources = 1 + static_cast<int>(util::uniform_index(rng, 3));
+  ResourceProfile profile(resources);
+  const std::vector<Interval> live = run_mixed_ops(profile, rng, resources, 60);
+  if (util::uniform01(rng) < 0.5) {
+    profile.prune_before(grid_time(rng, 0.0, 20.0));
+  }
+  std::vector<double> row(static_cast<std::size_t>(resources));
+  std::vector<double> at(row.size());
+  for (int probe = 0; probe < 60; ++probe) {
+    const Time t =
+        std::max(profile.pruned_before(), grid_time(rng, 0.0, 60.0));
+    const Time end = profile.available_until(t, row);
+    ASSERT_GT(end, t);
+    EXPECT_EQ(end == kNoBound, t >= profile.horizon()) << "t=" << t;
+    profile.available_at(t, at);
+    EXPECT_EQ(row, at) << "t=" << t;
+    for (std::size_t l = 0; l < row.size(); ++l) {
+      EXPECT_EQ(row[l], std::max(0.0, 1.0 - oracle_usage(live, t, l)))
+          << "t=" << t << " l=" << l;
+    }
+    const Time last = std::min(end, profile.horizon() + 1.0);
+    for (Time u = t; u < last; u += kGrid) {
+      profile.available_at(u, at);
+      ASSERT_EQ(row, at) << "t=" << t << " end=" << end << " u=" << u;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, TimelineAvailableUntil, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace mris
