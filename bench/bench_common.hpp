@@ -27,7 +27,6 @@
 #include "trace/generator.hpp"
 #include "trace/sampling.hpp"
 #include "util/env.hpp"
-#include "util/simd.hpp"
 
 namespace mris::bench {
 
@@ -148,16 +147,14 @@ inline void json_array(std::FILE* f, const std::vector<double>& xs) {
   std::fputc(']', f);
 }
 
-/// The shared provenance object (git SHA, compiler, flags, and "simd": the
-/// path dp_relax runs on this CPU, "avx2" or "scalar"), without
+/// The shared provenance object (git SHA, compiler, flags), without
 /// surrounding whitespace — every BENCH_*.json writer embeds exactly this,
 /// so the block never drifts between benches.
 inline std::string provenance_json() {
   return std::string("\"provenance\": {\"git_sha\": \"") +
          json_escape(MRIS_BENCH_GIT_SHA) + "\", \"compiler\": \"" +
          json_escape(MRIS_BENCH_COMPILER) + "\", \"flags\": \"" +
-         json_escape(MRIS_BENCH_FLAGS) + "\", \"simd\": \"" +
-         util::simd::dp_relax_path() + "\"}";
+         json_escape(MRIS_BENCH_FLAGS) + "\"}";
 }
 
 /// Writes the per-bench JSON summary (schema 2): bench name, seed/reps/

@@ -15,7 +15,7 @@
 // encode_run_result(): durability must never change the scheduling outcome,
 // and a divergence fails the bench (exit 1).
 //
-// Results go to results/BENCH_recovery.json.  Like BENCH_profile.json it
+// Results go to results/BENCH_recovery.json.  Like BENCH_daemon.json it
 // carries wall-clock timings, so it is EXCLUDED from the determinism CI
 // byte-diff; the committed baseline documents the < 10% overhead target.
 #include "bench_common.hpp"
@@ -137,9 +137,8 @@ ArmResult run_arm(const std::string& name, const Instance& inst,
 int run() {
   bench::print_header("recovery_overhead",
                       "snapshot + WAL wall-clock cost (docs/RECOVERY.md)");
-  // Sized like the micro_profile workloads (10k-20k jobs) — the overhead
-  // target is stated against those, and the journal's per-event cost only
-  // means something relative to realistic per-event scheduler work.
+  // 12k jobs: the journal's per-event cost only means something relative
+  // to realistic per-event scheduler work.
   const Instance inst =
       to_instance(bench::base_workload(bench::scaled(12000)), /*machines=*/8);
 

@@ -23,10 +23,6 @@ time — series whose name is the prefix or starts with "<prefix>:":
         results/results_fault_degradation.csv
     ./scripts/plot_results.py --metric XOVER-AWCT \
         results/results_fault_degradation.csv
-
-`BENCH_profile.json` carries per-workload speedup rows (micro_profile's
-`workloads`) instead of x/y series; those files render as a horizontal
-speedup bar chart.
 """
 import argparse
 import collections
@@ -72,36 +68,6 @@ def load_series_json(path):
     return data
 
 
-def speedup_rows(doc):
-    """Extracts (label, speedup) rows from a BENCH file that carries
-    per-workload timing rows instead of x/y series (BENCH_profile.json:
-    micro_profile's `workloads` vs LegacyProfile)."""
-    return [(w["name"], w["speedup"]) for w in doc.get("workloads", [])
-            if "speedup" in w]
-
-
-def plot_speedup_bars(path, rows, args, plt):
-    fig, ax = plt.subplots(figsize=(7, 0.5 + 0.4 * len(rows)))
-    labels = [name for name, _ in rows]
-    values = [v for _, v in rows]
-    pos = range(len(rows))
-    ax.barh(pos, values, color="tab:blue")
-    ax.axvline(1.0, color="black", linewidth=0.8)
-    ax.set_yticks(list(pos), labels=labels, fontsize=8)
-    ax.invert_yaxis()
-    for p, v in zip(pos, values):
-        ax.text(v, p, f" {v:.2f}x", va="center", fontsize=8)
-    title = (os.path.basename(path)
-             .removeprefix("BENCH_").removesuffix(".json"))
-    ax.set_title(title)
-    ax.set_xlabel("speedup (x, higher is better)")
-    ax.grid(True, axis="x", alpha=0.3)
-    out = os.path.splitext(path)[0] + ".png"
-    fig.tight_layout()
-    fig.savefig(out, dpi=150)
-    print(f"wrote {out}")
-
-
 def load_series(path):
     if path.endswith(".json"):
         return load_series_json(path)
@@ -109,13 +75,6 @@ def load_series(path):
 
 
 def plot_file(path, args, plt):
-    if path.endswith(".json"):
-        with open(path) as f:
-            doc = json.load(f)
-        rows = speedup_rows(doc)
-        if rows and "series" not in doc:
-            plot_speedup_bars(path, rows, args, plt)
-            return
     data = load_series(path)
     if args.metric:
         data = collections.OrderedDict(

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "util/contracts.hpp"
-#include "util/simd.hpp"
 
 namespace mris::knapsack {
 
@@ -146,11 +145,12 @@ std::vector<double> run_passes(DpPlan& plan, double base,
     const std::int64_t next = op.size < width - top ? top + op.size : width;
     std::fill(row + top + 1, row + next + 1, row[top]);
     top = next;
-    // Branchless descending relaxation dp[c] = max(dp[c], dp[c-s] + p) for
-    // c = top..s over the contiguous pooled row; bit-identical to the
-    // scalar compare-and-store loop (see util/simd.hpp).
-    util::simd::dp_relax(row, static_cast<std::size_t>(top),
-                         static_cast<std::size_t>(op.size), op.profit);
+    // Descending relaxation dp[c] = max(dp[c], dp[c - s] + p) for
+    // c = top..s: every read dp[c - s] sees the value from before this op.
+    for (std::int64_t c = top; c >= op.size; --c) {
+      const double cand = row[c - op.size] + op.profit;
+      if (cand > row[c]) row[c] = cand;
+    }
     plan.cells += static_cast<std::uint64_t>(top - op.size + 1);
   }
   std::fill(row + top + 1, row + width + 1, row[top]);

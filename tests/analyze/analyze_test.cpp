@@ -728,10 +728,10 @@ TEST(LintRuleTest, RawSimdSparesLookalikesAndTheSimdLayer) {
   // Identifiers merely containing the prefixes are not intrinsics.
   EXPECT_TRUE(lint("int comm_mm = 0; double x_mm256 = 1.0;").empty());
   EXPECT_TRUE(lint("shared_memory__m256 = nullptr;").empty());
-  // The kernel layer itself owns the intrinsics (path-suffix exemption).
-  EXPECT_TRUE(lint("__m256d v = _mm256_add_pd(a, b);\n#pragma once\n",
-                   "src/util/simd.hpp")
-                  .empty());
+  // No path is exempt: the rule holds in every file.
+  EXPECT_TRUE(has_rule(lint("__m256d v = _mm256_add_pd(a, b);\n#pragma once\n",
+                            "src/util/simd.hpp"),
+                       "raw-simd", 1));
   // Suppressions work like every other rule.
   EXPECT_FALSE(has_rule(lint("__m256d v;  // mris-analyze: allow(raw-simd)"),
                         "raw-simd"));

@@ -1,4 +1,4 @@
-// Open-coded vector intrinsics outside src/util/simd.hpp: both the include
+// Open-coded x86 vector intrinsics, which no file may hold: both the include
 // and every _mm*/__m256 token must trip the raw-simd rule.
 #include <immintrin.h>
 

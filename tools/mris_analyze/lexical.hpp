@@ -12,11 +12,11 @@
 //                     global-qualified ::write (durable writes go through
 //                     JournalWriter/SnapshotStore)
 //   raw-simd          immintrin.h-family includes and _mm*/__m128/__m256/
-//                     __m512 identifiers
+//                     __m512 identifiers, in every file
 //
 // Files implementing a rule are exempt from it: util/rng.hpp (both
-// determinism rules), util/contracts.hpp (naked-assert), anything under
-// sim/recovery/ (raw-io) and util/simd.hpp (raw-simd).
+// determinism rules), util/contracts.hpp (naked-assert) and anything under
+// sim/recovery/ (raw-io).
 //
 // The rules match identifier tokens (a call is an identifier followed by
 // `(`), so prose and identifiers that merely contain a rule word

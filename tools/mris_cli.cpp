@@ -161,14 +161,12 @@ int cmd_simulate(const util::Flags& flags) {
   const std::string state_dir =
       resume_from.empty() ? flags.get("state-dir", "") : resume_from;
   const bool durable = !state_dir.empty();
+  rec.snapshot_every = flags.get_count("snapshot-every", 0);
   if (durable) {
     std::filesystem::create_directories(state_dir);
     rec.snapshot_path = state_dir + "/engine.mrsn";
     rec.journal_path = state_dir + "/engine.mrjl";
-    rec.snapshot_every = flags.get_count("snapshot-every", 64);
     rec.resume = !resume_from.empty();
-  } else {
-    (void)flags.get_count("snapshot-every", 0);  // meaningless without a dir
   }
 
   Schedule sched;
