@@ -11,9 +11,10 @@
 // For each arm the bench runs `MRIS_REPS` timed pairs and reports the best
 // (minimum) wall-clock of each side — the standard way to strip scheduler
 // noise from a cold-cache comparison — plus the durable run's snapshot /
-// journal volume.  Every pair is also checked byte-identical via
-// encode_run_result(): durability must never change the scheduling outcome,
-// and a divergence fails the bench (exit 1).
+// journal volume.  Every pair is also checked byte-identical, record stream
+// included, via faults::first_difference(): durability must never change
+// the scheduling outcome, and a divergence fails the bench (exit 1).  Both
+// sides of a pair collect their records.
 //
 // Results go to results/BENCH_recovery.json.  Like BENCH_daemon.json it
 // carries wall-clock timings, so it is EXCLUDED from the determinism CI
@@ -96,30 +97,34 @@ ArmResult run_arm(const std::string& name, const Instance& inst,
   r.durable_ms = 1e300;
   r.identical = true;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    RunResult plain;
+    faults::RecordedRun plain;
     {
       const std::unique_ptr<OnlineScheduler> s = make_scheduler();
       const auto t0 = std::chrono::steady_clock::now();
-      plain = run_online(inst, *s, plain_options);
+      plain = faults::run_recorded(inst, *s, plain_options);
       r.plain_ms = std::min(r.plain_ms, ms_since(t0));
     }
-    RunResult durable;
+    faults::RecordedRun durable;
     {
       RunOptions durable_options = plain_options;
       durable_options.recovery = &rec;
       const std::unique_ptr<OnlineScheduler> s = make_scheduler();
       const auto t0 = std::chrono::steady_clock::now();
-      durable = run_online(inst, *s, durable_options);
+      durable = faults::run_recorded(inst, *s, durable_options);
       r.durable_ms = std::min(r.durable_ms, ms_since(t0));
     }
-    r.events = plain.num_events;
-    r.snapshots = durable.recovery.snapshots_taken;
-    r.snapshot_bytes = durable.recovery.snapshot_bytes;
-    r.journal_records = durable.recovery.journal_records;
-    r.journal_bytes = durable.recovery.journal_bytes;
-    if (faults::encode_run_result(plain) != faults::encode_run_result(durable))
-      r.identical = false;
+    const recovery::RecoveryStats& stats = durable.result.recovery;
+    r.events = plain.result.num_events;
+    r.snapshots = stats.snapshots_taken;
+    r.snapshot_bytes = stats.snapshot_bytes;
+    r.journal_records = stats.journal_records;
+    r.journal_bytes = stats.journal_bytes;
+    const std::string diff = faults::first_difference(plain, durable);
+    if (!diff.empty()) std::fprintf(stderr, "%s: %s\n", name.c_str(),
+                                    diff.c_str());
+    r.identical = r.identical && diff.empty();
   }
+  std::filesystem::remove_all(dir);
 
   std::printf("%-14s jobs=%-6zu events=%-7llu plain=%8.2f ms  "
               "durable=%8.2f ms  overhead=%5.1f%%  snapshots=%llu  "

@@ -143,13 +143,6 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   // ---- Engine assembly -------------------------------------------------
   ServeResult result;
   PlacementChecksum checksum;
-  const auto deliver = [&](const EventRecord& rec) {
-    if (rec.kind == EventRecord::Kind::kCommit) {
-      checksum.note(rec.job, rec.machine, rec.start);
-    }
-    if (options.sink != nullptr) options.sink->event(rec);
-  };
-
   recovery::RecoveryOptions rec_opts;
   rec_opts.snapshot_path = snap_path;
   rec_opts.journal_path = journal_path;
@@ -158,7 +151,12 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
   if (resuming) rec_opts.snapshot = &snap;
 
   RunOptions run_opts;
-  run_opts.on_record = deliver;
+  run_opts.on_record = [&](const EventRecord& rec) {
+    if (rec.kind == EventRecord::Kind::kCommit) {
+      checksum.note(rec.job, rec.machine, rec.start);
+    }
+    if (options.sink != nullptr) options.sink->event(rec);
+  };
   if (durable) run_opts.recovery = &rec_opts;
 
   // The growing job store.  On snapshot resume it must hold exactly the
@@ -181,13 +179,9 @@ ServeResult serve_stream(std::istream& in, const ServeOptions& options) {
         "serve_stream: engine rejected the snapshot the resume scout "
         "accepted; state directory is inconsistent");
   }
-  if (result.resumed_from_snapshot) {
-    result.resume_restored = restored_jobs;
-    // Pre-cut history for the sink/checksum: the engine replays (and
-    // re-fires on_record for) only the journal tail beyond the snapshot
-    // cut, so the prefix is the journal's, as the engine decoded it.
-    for (const EventRecord& rec : engine.take_resumed_history()) deliver(rec);
-  }
+  // On a snapshot resume, start() already fed the sink and checksum the
+  // journal's pre-cut records; the tail re-fires as the engine re-executes.
+  if (result.resumed_from_snapshot) result.resume_restored = restored_jobs;
 
   // ---- Admission journal writer + tail re-admission --------------------
   // Write-ahead: every append is synced before the engine admits the job.

@@ -24,10 +24,10 @@
 //
 //   resume = read admission journal
 //          -> rebuild the instance prefix recorded inside the snapshot
-//             (its payload's leading u64) and restore the engine at its cut
-//          -> feed the event-journal prefix through the sink (pre-cut
-//             history; the engine replays and cross-checks the tail, which
-//             re-fires the sink via RunOptions::on_record)
+//             (its payload's leading u64) and restore the engine at its cut;
+//             the engine feeds the event journal's pre-cut records to the
+//             sink through RunOptions::on_record, then replays and
+//             cross-checks the tail, which re-fires it the same way
 //          -> re-admit the admission-journal tail
 //          -> continue with the live stream.
 //

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <set>
@@ -80,33 +81,14 @@ void put_u64(char* p, std::uint64_t v) {
 }
 void put_f64(char* p, double v) { put_u64(p, std::bit_cast<std::uint64_t>(v)); }
 
-/// The EventRecord a popped internal event will be logged/journaled as.
+/// The EventRecord a popped internal event is emitted and journaled as.
 EventRecord to_record(const Event& e, Time now) {
-  EventRecord rec;
-  rec.t = now;
-  rec.job = e.job;
-  rec.machine = e.machine;
-  switch (e.kind) {
-    case EventKind::kArrival:
-      rec.kind = EventRecord::Kind::kArrival;
-      break;
-    case EventKind::kCompletion:
-      rec.kind = EventRecord::Kind::kCompletion;
-      break;
-    case EventKind::kWakeup:
-      rec.kind = EventRecord::Kind::kWakeup;
-      break;
-    case EventKind::kMachineDown:
-      rec.kind = EventRecord::Kind::kMachineDown;
-      break;
-    case EventKind::kMachineUp:
-      rec.kind = EventRecord::Kind::kMachineUp;
-      break;
-    case EventKind::kRetryReady:
-      rec.kind = EventRecord::Kind::kRetryReady;
-      break;
-  }
-  return rec;
+  using K = EventRecord::Kind;
+  // Indexed by EventKind.
+  static constexpr K kKinds[] = {K::kCompletion, K::kMachineUp,
+                                 K::kMachineDown, K::kArrival,
+                                 K::kWakeup,     K::kRetryReady};
+  return {kKinds[static_cast<int>(e.kind)], now, e.job, e.machine, 0.0};
 }
 
 class Engine final : public EngineContext {
@@ -162,14 +144,6 @@ class Engine final : public EngineContext {
   void admit(JobId id);
 
   bool restored() const noexcept { return restored_; }
-  std::vector<EventRecord> take_resumed_history() {
-    return std::exchange(resumed_history_, {});
-  }
-  std::size_t events_processed() const noexcept { return processed_; }
-  std::size_t replay_remaining() const noexcept {
-    return verify_tail_.size() - verify_pos_;
-  }
-  const recovery::RecoveryStats& stats() const noexcept { return rec_stats_; }
 
   // EngineContext -----------------------------------------------------
   Time now() const override { return now_; }
@@ -445,17 +419,13 @@ class Engine final : public EngineContext {
 
   // Durability subsystem (docs/RECOVERY.md) -----------------------------
 
-  /// Funnels every emitted EventRecord through the durability layer: into
-  /// the event log (when recording), verified against the journal tail
+  /// Funnels every emitted EventRecord to the on_record observer and
+  /// through the durability layer: verified against the journal tail
   /// (while resuming), or appended to the journal (once past the tail).
   /// The journal is the authoritative record stream — a resumed run that
   /// re-derives a different record than the journal holds is corrupt or
   /// nondeterministic, and aborts loudly rather than completing wrong.
   void record(const EventRecord& rec) {
-    if (options_.record_events) log_.push_back(rec);
-    // The streaming daemon's metric sinks: unbuffered, so they re-fire
-    // during a resume's journal-tail replay and the sink output of a
-    // resumed run is byte-identical to an uninterrupted one.
     if (options_.on_record) options_.on_record(rec);
     if (rec_ == nullptr) return;
     if (verify_pos_ < verify_tail_.size()) {
@@ -475,11 +445,10 @@ class Engine final : public EngineContext {
     ++records_emitted_;
   }
 
-  /// Everything that identifies a run: instance, scheduler, fault plan,
-  /// and the record_events flag (it changes the snapshot payload).  A
-  /// snapshot or journal written under a different fingerprint refuses to
-  /// resume — recovering state into the wrong run would silently corrupt
-  /// results.
+  /// Everything that identifies a run: instance, scheduler and fault plan.
+  /// A snapshot or journal written under a different fingerprint refuses
+  /// to resume — recovering state into the wrong run would silently
+  /// corrupt results.
   std::uint64_t compute_fingerprint() const {
     recovery::Fingerprint fp;
     fp.mix(std::string_view(scheduler_.name()));
@@ -502,7 +471,6 @@ class Engine final : public EngineContext {
         for (double d : j.demand) fp.mix(d);
       }
     }
-    fp.mix(static_cast<std::uint64_t>(options_.record_events ? 1 : 0));
     fp.mix(static_cast<std::uint64_t>(faults_ != nullptr ? 1 : 0));
     if (faults_ != nullptr) {
       fp.mix(static_cast<std::uint64_t>(faults_->outages.size()));
@@ -569,17 +537,6 @@ class Engine final : public EngineContext {
     w.vec_char(released_);
     w.vec_char(committed_);
     w.vec_f64(std::vector<double>(wakeups_.begin(), wakeups_.end()));
-    w.u8(options_.record_events ? 1 : 0);
-    if (options_.record_events) {
-      w.u64(log_.size());
-      for (const EventRecord& rec : log_) {
-        w.u8(static_cast<std::uint8_t>(rec.kind));
-        w.f64(rec.t);
-        w.i32(rec.job);
-        w.i32(rec.machine);
-        w.f64(rec.start);
-      }
-    }
     w.u8(faults_ != nullptr ? 1 : 0);
     if (faults_ != nullptr) {
       w.u64(attempts_.size());
@@ -685,30 +642,6 @@ class Engine final : public EngineContext {
     }
     wakeups_.clear();
     for (double t : r.vec_f64()) wakeups_.insert(t);
-    const bool had_log = r.u8() != 0;
-    if (had_log != options_.record_events) {
-      throw std::runtime_error(
-          "recovery: snapshot was taken with a different record_events "
-          "setting; refusing to resume");
-    }
-    if (had_log) {
-      const std::uint64_t n = r.u64();
-      log_.clear();
-      log_.reserve(static_cast<std::size_t>(n));
-      for (std::uint64_t i = 0; i < n; ++i) {
-        EventRecord rec;
-        const std::uint8_t kind = r.u8();
-        if (kind > static_cast<std::uint8_t>(EventRecord::Kind::kRetryReady)) {
-          throw std::runtime_error("recovery: bad record kind in snapshot");
-        }
-        rec.kind = static_cast<EventRecord::Kind>(kind);
-        rec.t = r.f64();
-        rec.job = r.i32();
-        rec.machine = r.i32();
-        rec.start = r.f64();
-        log_.push_back(rec);
-      }
-    }
     const bool had_faults = r.u8() != 0;
     if (had_faults != (faults_ != nullptr)) {
       throw std::runtime_error(
@@ -883,11 +816,13 @@ class Engine final : public EngineContext {
                                     journaled.size()));
         verify_tail_.assign(journaled.begin() + static_cast<std::ptrdiff_t>(cut),
                             journaled.end());
-        if (streaming_) {
-          // The daemon's sink needs the pre-cut history too; hand it the
-          // records decoded here instead of reading the journal again.
-          journaled.resize(cut);
-          resumed_history_ = std::move(journaled);
+        // The observer sees the uninterrupted run's stream: the pre-cut
+        // records come from the journal (forward execution re-fires the
+        // tail), so no snapshot has to carry the history.
+        if (options_.on_record) {
+          for (std::size_t i = 0; i < cut; ++i) {
+            options_.on_record(journaled[i]);
+          }
         }
         rec_stats_.resumed_from_snapshot = true;
         restored = true;
@@ -948,7 +883,6 @@ class Engine final : public EngineContext {
   const Instance& inst_;
   OnlineScheduler& scheduler_;
   RunOptions options_;
-  std::vector<EventRecord> log_;
   Cluster cluster_;
   Schedule schedule_;
 
@@ -1020,10 +954,6 @@ class Engine final : public EngineContext {
   /// Per machine: down_until_ while down, -inf while up — the no-start
   /// floor earliest_fit applies (derived, not serialized).
   std::vector<Time> outage_floor_;
-
-  /// Streaming snapshot resume: the journaled records before the cut
-  /// (take_resumed_history).  Last, so the hot members keep their offsets.
-  std::vector<EventRecord> resumed_history_;
 };
 
 bool Engine::prepare() {
@@ -1223,7 +1153,7 @@ bool Engine::step(Time stop, bool bounded) {
     if (rec_ != nullptr && verify_pos_ < verify_tail_.size()) {
       ++rec_stats_.resume_replayed_events;
     }
-    if (options_.record_events || rec_ != nullptr || options_.on_record) {
+    if (rec_ != nullptr || options_.on_record) {
       record(to_record(e, now_));
     }
     switch (e.kind) {
@@ -1405,35 +1335,20 @@ RunResult Engine::finalize() {
     journal_->sync();
     note_degradation();
   }
-  RunResult result{std::move(schedule_), processed_, std::move(log_),
-                   std::move(attempts_), rec_stats_, cluster_.fit_counters()};
+  RunResult result{std::move(schedule_), processed_, std::move(attempts_),
+                   rec_stats_, cluster_.fit_counters()};
   return result;
 }
 
 }  // namespace
 
 const char* event_kind_name(EventRecord::Kind kind) {
-  switch (kind) {
-    case EventRecord::Kind::kArrival:
-      return "arrival";
-    case EventRecord::Kind::kCompletion:
-      return "completion";
-    case EventRecord::Kind::kWakeup:
-      return "wakeup";
-    case EventRecord::Kind::kCommit:
-      return "commit";
-    case EventRecord::Kind::kMachineDown:
-      return "machine-down";
-    case EventRecord::Kind::kMachineUp:
-      return "machine-up";
-    case EventRecord::Kind::kJobFailed:
-      return "job-failed";
-    case EventRecord::Kind::kRequeue:
-      return "requeue";
-    case EventRecord::Kind::kRetryReady:
-      return "retry-ready";
-  }
-  return "?";
+  // Indexed by EventRecord::Kind.
+  static constexpr const char* kNames[] = {
+      "arrival",    "completion", "wakeup",  "commit",     "machine-down",
+      "machine-up", "job-failed", "requeue", "retry-ready"};
+  const auto i = static_cast<std::size_t>(kind);
+  return i < std::size(kNames) ? kNames[i] : "?";
 }
 
 RunResult run_online(const Instance& inst, OnlineScheduler& scheduler,
@@ -1481,10 +1396,6 @@ bool StreamEngine::resumed_from_snapshot() const {
   return impl_->engine.restored();
 }
 
-std::vector<EventRecord> StreamEngine::take_resumed_history() {
-  return impl_->engine.take_resumed_history();
-}
-
 JobId StreamEngine::admit(const Job& job) {
   impl_->require_live("admit");
   // Checked before the append, so a rejected job never enters the store.
@@ -1506,24 +1417,6 @@ RunResult StreamEngine::finish() {
   while (impl_->engine.step(0.0, /*bounded=*/false)) {
   }
   return impl_->engine.finalize();
-}
-
-Time StreamEngine::now() const { return impl_->engine.now(); }
-
-std::size_t StreamEngine::jobs_admitted() const {
-  return impl_->inst.num_jobs();
-}
-
-std::size_t StreamEngine::events_processed() const {
-  return impl_->engine.events_processed();
-}
-
-std::size_t StreamEngine::replay_remaining() const {
-  return impl_->engine.replay_remaining();
-}
-
-const recovery::RecoveryStats& StreamEngine::recovery_stats() const {
-  return impl_->engine.stats();
 }
 
 }  // namespace mris

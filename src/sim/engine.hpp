@@ -170,7 +170,8 @@ class EngineContext {
   virtual Time checkpointed_progress(JobId /*id*/) const { return 0.0; }
 };
 
-/// One entry of the optional engine event log (observability/debugging).
+/// One entry of the engine's record stream, handed to RunOptions::on_record
+/// (and, under RunOptions::recovery, appended to the event journal).
 struct EventRecord {
   enum class Kind {
     kArrival,
@@ -197,7 +198,6 @@ const char* event_kind_name(EventRecord::Kind kind);
 struct RunResult {
   Schedule schedule;
   std::size_t num_events = 0;  ///< processed engine events (diagnostics)
-  std::vector<EventRecord> log;  ///< populated when requested
   /// Execution attempts, in completion/kill order.  Populated only when a
   /// fault plan was supplied (fault-free runs: exactly one successful
   /// attempt per job, so the schedule says it all).
@@ -212,8 +212,6 @@ struct RunResult {
 };
 
 struct RunOptions {
-  bool record_events = false;  ///< fill RunResult::log (commits included)
-
   /// Optional fault plan (not owned; must outlive the run).  nullptr or an
   /// empty plan selects the zero-overhead fault-free path.
   const FaultPlan* faults = nullptr;
@@ -224,11 +222,13 @@ struct RunOptions {
   const recovery::RecoveryOptions* recovery = nullptr;
 
   /// Per-record observer, invoked for every EventRecord the engine emits
-  /// (commits included) in emission order — the streaming daemon's metric
-  /// sinks hang off this.  Unlike record_events it buffers nothing, so a
-  /// long-running run stays bounded-memory.  During a snapshot/journal
-  /// resume the hook re-fires for the replayed tail, letting a sink rebuild
-  /// its output byte-identically to an uninterrupted run.
+  /// (commits included) in emission order — the only way records leave the
+  /// engine: the daemon's sinks, `mris simulate --log-events` and the run
+  /// comparison (faults::RecordedRun) hang off it.  The engine buffers
+  /// nothing, so a long-running run stays bounded-memory.  On a snapshot
+  /// resume the hook first fires for the event journal's records before the
+  /// cut (a resume without a journal has none to give), then for the
+  /// re-executed tail, so an observer sees the uninterrupted run's stream.
   std::function<void(const EventRecord&)> on_record;
 };
 
@@ -274,20 +274,14 @@ class StreamEngine {
   StreamEngine& operator=(const StreamEngine&) = delete;
 
   /// Initializes recovery (possibly restoring a snapshot of a previous
-  /// daemon at its cut) and fires on_start on a fresh run.  Call once,
-  /// before anything else.
+  /// daemon at its cut, and re-firing on_record for the journal's records
+  /// before it) and fires on_start on a fresh run.  Call once, before
+  /// anything else.
   void start();
 
   /// True after start() when the run resumed from a whole-engine snapshot —
   /// the caller must then skip re-admitting the restored prefix.
   bool resumed_from_snapshot() const;
-
-  /// After a snapshot resume: the journaled event records before the
-  /// snapshot's cut, which start() decoded from the event journal.
-  /// on_record re-fires only for the tail past the cut, so a caller
-  /// rebuilding a sink replays these first.  Moved out: empty on a second
-  /// call, and on any other start.
-  std::vector<EventRecord> take_resumed_history();
 
   /// Appends the job to the instance (the id is assigned, `job.id` is
   /// ignored) and schedules its arrival.  Admissions must be fed in
@@ -302,13 +296,6 @@ class StreamEngine {
   /// Drains all remaining events and finishes the run (final feasibility
   /// checks included).  The engine is spent afterwards.
   RunResult finish();
-
-  Time now() const;
-  std::size_t jobs_admitted() const;    ///< == inst.num_jobs()
-  std::size_t events_processed() const;
-  /// Journal records still to be re-derived and verified (resume only).
-  std::size_t replay_remaining() const;
-  const recovery::RecoveryStats& recovery_stats() const;
 
  private:
   struct Impl;

@@ -1,9 +1,9 @@
 #include "sim/faults/crash.hpp"
 
-#include <algorithm>
+#include <bit>
+#include <cstdio>
 #include <filesystem>
 
-#include "sim/recovery/journal.hpp"
 #include "sim/recovery/state_io.hpp"
 #include "util/contracts.hpp"
 
@@ -20,73 +20,92 @@ std::uint64_t mix64(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-/// Human-readable first difference between two run results, for reports.
-std::string first_difference(const RunResult& a, const RunResult& b) {
-  if (a.num_events != b.num_events) {
-    return "event counts differ: " + std::to_string(a.num_events) + " vs " +
-           std::to_string(b.num_events);
+/// One compared field of a recorded run: its row ("job", "record",
+/// "attempt"; "" for a count), the row's index, the field's name, and its
+/// value's bits.  Every value is held as a double (ids, kinds and counts
+/// convert exactly) and compared by its IEEE pattern, so -0.0 and NaN
+/// compare exactly.
+struct Field {
+  const char* row;
+  std::size_t index;
+  const char* name;
+  std::uint64_t bits;
+};
+
+/// Every field of a run, in encoding order.  Each count precedes its rows,
+/// so two runs' lists stay aligned up to their first difference.
+std::vector<Field> fields(const RecordedRun& run) {
+  std::vector<Field> out;
+  const auto add = [&out](const char* row, std::size_t i, const char* name,
+                          double v) {
+    out.push_back({row, i, name, std::bit_cast<std::uint64_t>(v)});
+  };
+  const RunResult& r = run.result;
+  add("", 0, "event count", static_cast<double>(r.num_events));
+  add("", 0, "job count", static_cast<double>(r.schedule.num_jobs()));
+  for (std::size_t i = 0; i < r.schedule.num_jobs(); ++i) {
+    const Assignment& a = r.schedule.assignment(static_cast<JobId>(i));
+    add("job", i, "machine", a.machine);
+    add("job", i, "start", a.start);
   }
-  const std::size_t jobs =
-      std::min(a.schedule.num_jobs(), b.schedule.num_jobs());
-  if (a.schedule.num_jobs() != b.schedule.num_jobs()) {
-    return "schedule sizes differ";
+  add("", 0, "record count", static_cast<double>(run.records.size()));
+  for (std::size_t i = 0; i < run.records.size(); ++i) {
+    const EventRecord& e = run.records[i];
+    add("record", i, "kind", static_cast<int>(e.kind));
+    add("record", i, "t", e.t);
+    add("record", i, "job", e.job);
+    add("record", i, "machine", e.machine);
+    add("record", i, "start", e.start);
   }
-  for (std::size_t i = 0; i < jobs; ++i) {
-    const Assignment& x = a.schedule.assignment(static_cast<JobId>(i));
-    const Assignment& y = b.schedule.assignment(static_cast<JobId>(i));
-    if (x.machine != y.machine || x.start != y.start) {
-      return "job " + std::to_string(i) + " placed at (m" +
-             std::to_string(x.machine) + ", t=" + std::to_string(x.start) +
-             ") vs (m" + std::to_string(y.machine) +
-             ", t=" + std::to_string(y.start) + ")";
-    }
+  add("", 0, "attempt count", static_cast<double>(r.attempts.size()));
+  for (std::size_t i = 0; i < r.attempts.size(); ++i) {
+    const Attempt& a = r.attempts[i];
+    add("attempt", i, "job", a.job);
+    add("attempt", i, "machine", a.machine);
+    add("attempt", i, "start", a.start);
+    add("attempt", i, "end", a.end);
+    add("attempt", i, "outcome", static_cast<int>(a.outcome));
+    add("attempt", i, "restore", a.restore);
+    add("attempt", i, "progress_in", a.progress_in);
+    add("attempt", i, "progress_out", a.progress_out);
   }
-  if (a.log.size() != b.log.size()) {
-    return "event log lengths differ: " + std::to_string(a.log.size()) +
-           " vs " + std::to_string(b.log.size());
-  }
-  for (std::size_t i = 0; i < a.log.size(); ++i) {
-    if (recovery::encode_event_record(a.log[i]) !=
-        recovery::encode_event_record(b.log[i])) {
-      return "event log diverges at record " + std::to_string(i) + " (" +
-             event_kind_name(a.log[i].kind) + " vs " +
-             event_kind_name(b.log[i].kind) + ")";
-    }
-  }
-  if (a.attempts.size() != b.attempts.size()) {
-    return "attempt counts differ: " + std::to_string(a.attempts.size()) +
-           " vs " + std::to_string(b.attempts.size());
-  }
-  return "results differ (encoded bytes), difference not localized";
+  return out;
+}
+
+std::string show(const Field& f) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", std::bit_cast<double>(f.bits));
+  return buf;
 }
 
 }  // namespace
 
-std::string encode_run_result(const RunResult& result) {
+RecordedRun run_recorded(const Instance& inst, OnlineScheduler& scheduler,
+                         RunOptions options) {
+  RecordedRun run;
+  options.on_record = [&run](const EventRecord& rec) {
+    run.records.push_back(rec);
+  };
+  run.result = run_online(inst, scheduler, options);
+  return run;
+}
+
+std::string encode_run_result(const RecordedRun& run) {
   recovery::StateWriter w;
-  w.u64(result.schedule.num_jobs());
-  for (std::size_t i = 0; i < result.schedule.num_jobs(); ++i) {
-    const Assignment& a = result.schedule.assignment(static_cast<JobId>(i));
-    w.i32(a.machine);
-    w.f64(a.start);
-  }
-  w.u64(result.num_events);
-  w.u64(result.log.size());
-  for (const EventRecord& rec : result.log) {
-    w.str(recovery::encode_event_record(rec));
-  }
-  w.u64(result.attempts.size());
-  for (const Attempt& a : result.attempts) {
-    w.i32(a.job);
-    w.i32(a.machine);
-    w.f64(a.start);
-    w.f64(a.end);
-    w.u8(static_cast<std::uint8_t>(a.outcome));
-    w.f64(a.restore);
-    w.f64(a.progress_in);
-    w.f64(a.progress_out);
-  }
+  for (const Field& f : fields(run)) w.u64(f.bits);
   return w.take();
+}
+
+std::string first_difference(const RecordedRun& a, const RecordedRun& b) {
+  const std::vector<Field> x = fields(a);
+  const std::vector<Field> y = fields(b);
+  for (std::size_t i = 0; i < x.size() && i < y.size(); ++i) {
+    if (x[i].bits == y[i].bits) continue;
+    const std::string row =
+        *x[i].row ? x[i].row + (" " + std::to_string(x[i].index)) + " " : "";
+    return row + x[i].name + ": " + show(x[i]) + " vs " + show(y[i]);
+  }
+  return {};
 }
 
 CrashReplayReport run_crash_trial(
@@ -111,17 +130,17 @@ CrashReplayReport run_crash_trial(
   // (1) The pristine reference: an uninterrupted run with no durability
   // machinery at all — recovery must reproduce THIS, so any bias the
   // journaling layer introduced would also be caught.
-  RunResult baseline;
+  RecordedRun baseline;
   {
     RunOptions plain = base_options;
     plain.recovery = nullptr;
     auto scheduler = make_scheduler();
-    baseline = run_online(inst, *scheduler, plain);
+    baseline = run_recorded(inst, *scheduler, plain);
   }
-  report.baseline_events = baseline.num_events;
-  if (trial.kill_after_events > baseline.num_events) {
+  if (trial.kill_after_events > baseline.result.num_events) {
     report.detail = "kill point " + std::to_string(trial.kill_after_events) +
-                    " past the run's " + std::to_string(baseline.num_events) +
+                    " past the run's " +
+                    std::to_string(baseline.result.num_events) +
                     " events; crash would never fire";
     return report;
   }
@@ -149,21 +168,20 @@ CrashReplayReport run_crash_trial(
   }
 
   // (3) The survivor: a fresh process resuming from whatever the crash
-  // left on disk.
-  RunResult resumed;
+  // left on disk.  Its records before the snapshot cut come from the
+  // journal, the rest from re-execution.
+  RecordedRun resumed;
   {
     recovery::RecoveryOptions resume = durable;
     resume.resume = true;
     RunOptions options = base_options;
     options.recovery = &resume;
     auto scheduler = make_scheduler();
-    resumed = run_online(inst, *scheduler, options);
+    resumed = run_recorded(inst, *scheduler, options);
   }
-  report.resumed = resumed.recovery;
+  report.resumed = resumed.result.recovery;
 
-  report.identical =
-      encode_run_result(baseline) == encode_run_result(resumed);
-  if (!report.identical) report.detail = first_difference(baseline, resumed);
+  report.detail = first_difference(baseline, resumed);
   return report;
 }
 

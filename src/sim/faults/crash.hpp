@@ -9,8 +9,11 @@
 // The harness below turns that into the recovery correctness oracle this
 // repo treats as the acceptance bar: for any (instance, scheduler, fault
 // plan, crash point), run once uninterrupted, run once crashed + resumed,
-// and require the resumed run's schedule, event log, attempts, and metrics
-// to be BYTE-identical to the uninterrupted run.
+// and require the resumed run's schedule, record stream, attempts, and
+// metrics to be BYTE-identical to the uninterrupted run.
+//
+// RecordedRun / first_difference are the one way two runs are compared in
+// the tree: harness, testkit oracles, tests and recovery_overhead alike.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +70,34 @@ struct CrashTrial {
 
 /// Outcome of one trial: uninterrupted vs crashed+resumed.
 struct CrashReplayReport {
-  bool identical = false;  ///< resumed result byte-identical to baseline
-  std::string detail;      ///< first difference, empty when identical
-  std::uint64_t baseline_events = 0;
+  /// Empty when the resumed run is byte-identical to the baseline; else
+  /// their first difference, or why the trial could not run.
+  std::string detail;
   CrashTrial trial;
   recovery::RecoveryStats resumed;  ///< stats of the resumed run
 };
 
-/// Canonical byte encoding of a RunResult (schedule, event count, log,
-/// attempts) — two results are byte-identical iff these strings are equal.
-/// Durability counters are excluded: they describe the recovery machinery,
-/// not the scheduling outcome.
-std::string encode_run_result(const RunResult& result);
+/// A finished run and its record stream, collected through
+/// RunOptions::on_record.
+struct RecordedRun {
+  RunResult result;
+  std::vector<EventRecord> records;
+};
+
+/// run_online with a collecting on_record (replacing any in `options`).
+RecordedRun run_recorded(const Instance& inst, OnlineScheduler& scheduler,
+                         RunOptions options);
+
+/// Canonical byte encoding of a recorded run (schedule, event count,
+/// records, attempts) — two runs are byte-identical iff these strings are
+/// equal.  Durability counters and fit counters are excluded: they
+/// describe the machinery, not the scheduling outcome.
+std::string encode_run_result(const RecordedRun& run);
+
+/// "" when the two runs encode identically, else their first difference,
+/// naming the placement, record field, attempt field or count that
+/// differs.
+std::string first_difference(const RecordedRun& a, const RecordedRun& b);
 
 /// Runs `trial` against a baseline: (1) uninterrupted run with NO recovery
 /// machinery at all (so journaling bias would also be caught), (2) run with

@@ -8,8 +8,8 @@
 //
 // The writer frames opaque payloads; a JournalFormat (magic + version)
 // tells the files apart.  The event journal ("MRJL") holds one frame per
-// committed EventRecord, in emission order (the same order as
-// RunResult::log).  Appends are buffered and fsync'd every
+// committed EventRecord, in emission order (the order RunOptions::on_record
+// sees them).  Appends are buffered and fsync'd every
 // `journal_sync_every` records, so at most one batch is lost to a crash —
 // plus possibly one *torn* frame if the crash hit mid-write.
 //

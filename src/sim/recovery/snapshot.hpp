@@ -29,7 +29,7 @@
 namespace mris::recovery {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x4E53524Du;  // "MRSN"
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// Resume-relevant metadata stored ahead of the opaque payload.
 struct SnapshotMeta {

@@ -181,27 +181,10 @@ OracleResult fault_replay_determinism(const Instance& inst,
   opts.faults = plan.empty() ? nullptr : &plan;
   const auto run_once = [&] {
     const auto scheduler = exp::make_scheduler(spec, inst);
-    return run_online(inst, *scheduler, opts);
+    return faults::run_recorded(inst, *scheduler, opts);
   };
-  const RunResult a = run_once();
-  const RunResult b = run_once();
-  if (a.num_events != b.num_events) {
-    return fail("event counts differ: " + std::to_string(a.num_events) +
-                " vs " + std::to_string(b.num_events));
-  }
-  const std::string diff = diff_schedules(a.schedule, b.schedule, 1.0);
-  if (!diff.empty()) return fail("schedules differ: " + diff);
-  if (a.attempts.size() != b.attempts.size()) {
-    return fail("attempt counts differ");
-  }
-  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-    const Attempt& x = a.attempts[i];
-    const Attempt& y = b.attempts[i];
-    if (x.job != y.job || x.machine != y.machine || x.start != y.start ||
-        x.end != y.end || x.outcome != y.outcome) {
-      return fail("attempt " + std::to_string(i) + " differs");
-    }
-  }
+  const std::string diff = faults::first_difference(run_once(), run_once());
+  if (!diff.empty()) return fail("replays differ: " + diff);
   return {};
 }
 
@@ -215,7 +198,6 @@ OracleResult crash_recovery(const Instance& inst,
   const FaultPlan plan = fault_plan_from_params(inst, params);
   RunOptions opts;
   opts.faults = plan.empty() ? nullptr : &plan;
-  opts.record_events = true;  // the event log joins the byte comparison
   recovery::RecoveryOptions rec;
   rec.snapshot_every = static_cast<std::uint64_t>(
       param_int(params, "snapshot_every", 16));
@@ -224,7 +206,7 @@ OracleResult crash_recovery(const Instance& inst,
   const auto reports =
       faults::run_crash_sweep(inst, factory, opts, rec, pairs, seed, dir);
   for (const faults::CrashReplayReport& r : reports) {
-    if (!r.identical) {
+    if (!r.detail.empty()) {
       return fail(
           "crash at event " + std::to_string(r.trial.kill_after_events) +
           (r.trial.torn_write_bytes > 0 ? " (torn journal write)" : "") +
@@ -464,50 +446,6 @@ OracleResult ratio_makespan(const Instance& inst,
 
 // ---- streaming equivalence -----------------------------------------------
 
-/// Byte-compares two full runs: event stream, placements, and attempts.
-std::string diff_runs(const RunResult& a, const RunResult& b,
-                      std::size_t num_jobs) {
-  if (a.num_events != b.num_events) {
-    return "event counts differ: " + std::to_string(a.num_events) + " vs " +
-           std::to_string(b.num_events);
-  }
-  if (a.log.size() != b.log.size()) {
-    return "event log lengths differ: " + std::to_string(a.log.size()) +
-           " vs " + std::to_string(b.log.size());
-  }
-  for (std::size_t i = 0; i < a.log.size(); ++i) {
-    const EventRecord& x = a.log[i];
-    const EventRecord& y = b.log[i];
-    if (x.kind != y.kind || x.t != y.t || x.job != y.job ||
-        x.machine != y.machine || x.start != y.start) {
-      return "event " + std::to_string(i) + " differs: " +
-             event_kind_name(x.kind) + "@t" + fmt(x.t) + " vs " +
-             event_kind_name(y.kind) + "@t" + fmt(y.t);
-    }
-  }
-  for (std::size_t i = 0; i < num_jobs; ++i) {
-    const auto id = static_cast<JobId>(i);
-    const Assignment& x = a.schedule.assignment(id);
-    const Assignment& y = b.schedule.assignment(id);
-    if (x.machine != y.machine || x.start != y.start) {
-      return "job " + std::to_string(i) + " placed at (m" +
-             std::to_string(x.machine) + ", t" + fmt(x.start) +
-             ") in batch but (m" + std::to_string(y.machine) + ", t" +
-             fmt(y.start) + ") in the stream";
-    }
-  }
-  if (a.attempts.size() != b.attempts.size()) return "attempt counts differ";
-  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-    const Attempt& x = a.attempts[i];
-    const Attempt& y = b.attempts[i];
-    if (x.job != y.job || x.machine != y.machine || x.start != y.start ||
-        x.end != y.end || x.outcome != y.outcome) {
-      return "attempt " + std::to_string(i) + " differs";
-    }
-  }
-  return {};
-}
-
 /// Streaming-vs-batch oracle (docs/DAEMON.md): admitting an instance's
 /// jobs one frame at a time through StreamEngine — in release order, ties
 /// in id order, exactly as the daemon drives it — must reproduce
@@ -537,12 +475,16 @@ OracleResult streaming_equivalence(const Instance& inst,
                             inst.num_resources());
 
   RunOptions opts;
-  opts.record_events = true;
   opts.faults = plan.empty() ? nullptr : &plan;
 
   const auto batch_scheduler = exp::make_scheduler(spec, batch_inst);
-  const RunResult batch = run_online(batch_inst, *batch_scheduler, opts);
+  const faults::RecordedRun batch =
+      faults::run_recorded(batch_inst, *batch_scheduler, opts);
 
+  faults::RecordedRun stream;
+  opts.on_record = [&stream](const EventRecord& rec) {
+    stream.records.push_back(rec);
+  };
   Instance grow(std::vector<Job>{}, inst.num_machines(),
                 inst.num_resources());
   const auto stream_scheduler = exp::make_scheduler(spec, batch_inst);
@@ -552,9 +494,9 @@ OracleResult streaming_equivalence(const Instance& inst,
     engine.run_until_release(j.release);
     engine.admit(j);
   }
-  const RunResult stream = engine.finish();
+  stream.result = engine.finish();
 
-  const std::string diff = diff_runs(batch, stream, batch_inst.num_jobs());
+  const std::string diff = faults::first_difference(batch, stream);
   if (!diff.empty()) return fail("stream vs batch: " + diff);
   return {};
 }

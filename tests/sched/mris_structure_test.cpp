@@ -1,13 +1,15 @@
-// Structural invariants of MRIS observed through the engine event log:
+// Structural invariants of MRIS observed through the engine record stream:
 // the algorithm only acts at geometric interval boundaries (Algorithm 1),
 // and HYBRID's extra commits happen at arrivals instead.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "sched/hybrid.hpp"
 #include "sched/mris.hpp"
+#include "sim/faults/crash.hpp"
 #include "trace/generator.hpp"
 #include "util/rng.hpp"
 
@@ -34,11 +36,10 @@ bool is_gamma_boundary(Time t, double gamma0, double alpha) {
 TEST(MrisStructureTest, CommitsOnlyAtGammaBoundaries) {
   const Instance inst = random_instance(101, 60);
   MrisScheduler sched;
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  const std::vector<EventRecord> log =
+      faults::run_recorded(inst, sched, {}).records;
 
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : log) {
     if (e.kind != EventRecord::Kind::kCommit) continue;
     EXPECT_TRUE(is_gamma_boundary(e.t, sched.config().gamma0,
                                   sched.config().alpha))
@@ -51,12 +52,11 @@ TEST(MrisStructureTest, CommitsOnlyAtGammaBoundaries) {
 TEST(MrisStructureTest, WakeupTimesFormGeometricGrid) {
   const Instance inst = random_instance(103, 40);
   MrisScheduler sched;
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  const std::vector<EventRecord> log =
+      faults::run_recorded(inst, sched, {}).records;
 
   std::set<Time> wakeups;
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : log) {
     if (e.kind == EventRecord::Kind::kWakeup) wakeups.insert(e.t);
   }
   ASSERT_FALSE(wakeups.empty());
@@ -79,10 +79,9 @@ TEST(MrisStructureTest, AlphaConfigChangesTheGrid) {
   MrisConfig cfg;
   cfg.alpha = 3.0;
   MrisScheduler sched(cfg);
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
-  for (const EventRecord& e : r.log) {
+  const std::vector<EventRecord> log =
+      faults::run_recorded(inst, sched, {}).records;
+  for (const EventRecord& e : log) {
     if (e.kind != EventRecord::Kind::kCommit) continue;
     EXPECT_TRUE(is_gamma_boundary(e.t, 1.0, 3.0))
         << "commit at t=" << e.t << " is off the alpha=3 grid";
@@ -96,14 +95,13 @@ TEST(MrisStructureTest, NoBackfillCommitsNeverOverlapEarlierWindows) {
   MrisConfig cfg;
   cfg.backfill = false;
   MrisScheduler sched(cfg);
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  const std::vector<EventRecord> log =
+      faults::run_recorded(inst, sched, {}).records;
 
   Time frontier = 0.0;
   Time current_decision = -1.0;
   Time batch_frontier = 0.0;
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : log) {
     if (e.kind != EventRecord::Kind::kCommit) continue;
     if (e.t != current_decision) {
       // New iteration: the frontier from prior iterations is now binding.
@@ -124,11 +122,10 @@ TEST(HybridStructureTest, ImmediateCommitsHappenAtArrivals) {
   // instant (the PQ-at-idle path).
   const Instance inst = random_instance(113, 50);
   HybridScheduler sched;
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  const std::vector<EventRecord> log =
+      faults::run_recorded(inst, sched, {}).records;
 
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : log) {
     if (e.kind != EventRecord::Kind::kCommit) continue;
     if (is_gamma_boundary(e.t, 1.0, 2.0)) continue;  // MRIS path
     // Off-grid commit: must be this very job's release time (arrival).

@@ -5,8 +5,8 @@
 // row fits on no up machine.  ReferencePq below is the scan without any of
 // that: keys recomputed per comparison, linear membership search, every
 // queued job probed against every machine.  The two must agree byte for
-// byte (schedule, attempts, event log, saved state) on every class shape:
-// unique rows, a few rows, one row holding hundreds of jobs.  The
+// byte (schedule, attempts, record stream, saved state) on every class
+// shape: unique rows, a few rows, one row holding hundreds of jobs.  The
 // production scan's context reads per engine event must not grow with the
 // backlog, and its class table must follow the live backlog.
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include "sched/pq.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
+#include "sim/faults/crash.hpp"
 #include "sim/recovery/state_io.hpp"
 #include "testkit/generators.hpp"
 #include "trace/generator.hpp"
@@ -32,6 +33,8 @@
 
 namespace mris {
 namespace {
+
+using faults::first_difference;
 
 /// The plain PQ scan, kept only as an oracle.  With `collect_until` set it
 /// is CA-PQ: it collects silently until that time, then scans like PQ.
@@ -123,45 +126,11 @@ class ReferencePq : public OnlineScheduler {
   std::vector<JobId> queue_;
 };
 
-/// "" when the runs agree exactly, else the first difference.
-std::string diff_runs(const RunResult& a, const RunResult& b) {
-  if (a.num_events != b.num_events) return "event counts differ";
-  if (a.schedule.num_jobs() != b.schedule.num_jobs()) return "job counts";
-  for (std::size_t i = 0; i < a.schedule.num_jobs(); ++i) {
-    const Assignment& x = a.schedule.assignment(static_cast<JobId>(i));
-    const Assignment& y = b.schedule.assignment(static_cast<JobId>(i));
-    if (x.machine != y.machine || x.start != y.start) {
-      return "job " + std::to_string(i) + " placed differently";
-    }
-  }
-  if (a.attempts.size() != b.attempts.size()) return "attempt counts differ";
-  for (std::size_t i = 0; i < a.attempts.size(); ++i) {
-    const Attempt& x = a.attempts[i];
-    const Attempt& y = b.attempts[i];
-    if (x.job != y.job || x.machine != y.machine || x.start != y.start ||
-        x.end != y.end || x.outcome != y.outcome || x.restore != y.restore ||
-        x.progress_in != y.progress_in || x.progress_out != y.progress_out) {
-      return "attempt " + std::to_string(i) + " differs";
-    }
-  }
-  if (a.log.size() != b.log.size()) return "event logs differ in length";
-  for (std::size_t i = 0; i < a.log.size(); ++i) {
-    const EventRecord& x = a.log[i];
-    const EventRecord& y = b.log[i];
-    if (x.kind != y.kind || x.t != y.t || x.job != y.job ||
-        x.machine != y.machine || x.start != y.start) {
-      return "event " + std::to_string(i) + " differs";
-    }
-  }
-  return {};
-}
-
-RunResult run(const Instance& inst, OnlineScheduler& s,
-              const FaultPlan* plan) {
+faults::RecordedRun run(const Instance& inst, OnlineScheduler& s,
+                        const FaultPlan* plan) {
   RunOptions opts;
-  opts.record_events = true;
   opts.faults = plan;
-  return run_online(inst, s, opts);
+  return faults::run_recorded(inst, s, opts);
 }
 
 Time last_release(const Instance& inst) {
@@ -205,13 +174,13 @@ void expect_matches_reference(const Instance& inst, double time_scale,
     for (Heuristic h : all_heuristics()) {
       ReferencePq ref(h);
       PriorityQueueScheduler pq(h);
-      EXPECT_EQ("", diff_runs(run(inst, ref, p), run(inst, pq, p)))
+      EXPECT_EQ("", first_difference(run(inst, ref, p), run(inst, pq, p)))
           << where << " PQ-" << heuristic_name(h);
     }
     const Time t = last_release(inst);
     ReferencePq ref(Heuristic::kWsjf, t);
     CollectAllPqScheduler capq(t, Heuristic::kWsjf);
-    EXPECT_EQ("", diff_runs(run(inst, ref, p), run(inst, capq, p)))
+    EXPECT_EQ("", first_difference(run(inst, ref, p), run(inst, capq, p)))
         << where << " CA-PQ";
   }
 }
@@ -315,11 +284,14 @@ TEST(PqScanTest, StreamedRunMatchesBatchReference) {
       if (plan) plan->stretch.clear();  // a stream has no per-job table
       const FaultPlan* p = plan ? &*plan : nullptr;
       ReferencePq ref(Heuristic::kWsjf);
-      const RunResult batch = run(inst, ref, p);
+      const faults::RecordedRun batch = run(inst, ref, p);
 
+      faults::RecordedRun stream;
       RunOptions opts;
-      opts.record_events = true;
       opts.faults = p;
+      opts.on_record = [&](const EventRecord& e) {
+        stream.records.push_back(e);
+      };
       Instance grow(std::vector<Job>{}, inst.num_machines(),
                     inst.num_resources());
       PriorityQueueScheduler pq(Heuristic::kWsjf);
@@ -329,7 +301,8 @@ TEST(PqScanTest, StreamedRunMatchesBatchReference) {
         engine.run_until_release(j.release);
         engine.admit(j);
       }
-      EXPECT_EQ("", diff_runs(batch, engine.finish()))
+      stream.result = engine.finish();
+      EXPECT_EQ("", first_difference(batch, stream))
           << testkit::family_name(family) << (p ? " with faults" : "");
     }
   }
@@ -348,8 +321,8 @@ void expect_reuse_matches_fresh(const Pq& fresh, const Instance& first,
   Pq reused = fresh;
   run(first, reused, first_plan);
   Pq unused = fresh;
-  EXPECT_EQ("", diff_runs(run(second, unused, second_plan),
-                          run(second, reused, second_plan)))
+  EXPECT_EQ("", first_difference(run(second, unused, second_plan),
+                                 run(second, reused, second_plan)))
       << what;
 }
 
@@ -388,7 +361,7 @@ TEST(PqScanTest, ReusedSchedulerDoesNotMatchAVersionFromTheLastRun) {
   outage.outages.push_back({0, 0.5, 1.5});
 
   PriorityQueueScheduler fresh(Heuristic::kWsjf);
-  const RunResult expected = run(b, fresh, &outage);
+  const RunResult expected = run(b, fresh, &outage).result;
   ASSERT_EQ(expected.schedule.assignment(0).machine, 0);
   expect_reuse_matches_fresh(PriorityQueueScheduler(Heuristic::kWsjf), a,
                              nullptr, b, &outage, "PQ");
@@ -624,7 +597,8 @@ TEST(PqScanTest, MatchesReferenceWithGatedAndRefusedJobsInsideLiveClasses) {
       PriorityQueueScheduler pq(Heuristic::kWsjf);
       CountingScheduler gated_ref(ref, 3.0);
       CountingScheduler gated_pq(pq, 3.0);
-      EXPECT_EQ("", diff_runs(run(inst, gated_ref, p), run(inst, gated_pq, p)))
+      EXPECT_EQ("", first_difference(run(inst, gated_ref, p),
+                                     run(inst, gated_pq, p)))
           << where;
       EXPECT_GT(gated_pq.gated, 0u) << where;
       EXPECT_GT(gated_pq.refused, 0u) << where;
@@ -633,8 +607,8 @@ TEST(PqScanTest, MatchesReferenceWithGatedAndRefusedJobsInsideLiveClasses) {
       CollectAllPqScheduler capq(t, Heuristic::kWsjf);
       CountingScheduler gated_ref_ca(ref_ca, 3.0);
       CountingScheduler gated_capq(capq, 3.0);
-      EXPECT_EQ("", diff_runs(run(inst, gated_ref_ca, p),
-                              run(inst, gated_capq, p)))
+      EXPECT_EQ("", first_difference(run(inst, gated_ref_ca, p),
+                                     run(inst, gated_capq, p)))
           << where << " CA-PQ";
     }
   }
@@ -657,8 +631,8 @@ TEST(PqScanTest, MatchesReferenceWhenMachinesGoDownWithoutATimelineChange) {
       CountingScheduler flapping_ref(ref);
       CountingScheduler flapping_pq(pq);
       flapping_ref.flap = flapping_pq.flap = 3.0;
-      EXPECT_EQ("", diff_runs(run(inst, flapping_ref, p),
-                              run(inst, flapping_pq, p)))
+      EXPECT_EQ("", first_difference(run(inst, flapping_ref, p),
+                                     run(inst, flapping_pq, p)))
           << where;
     }
   }
@@ -784,12 +758,12 @@ std::size_t expect_handover_identical(const Instance& inst, const Pq& fresh,
                                       std::size_t step,
                                       const std::string& what) {
   Pq plain = fresh;
-  const RunResult reference = run(inst, plain, nullptr);
+  const faults::RecordedRun reference = run(inst, plain, nullptr);
   std::size_t mid_backlog = 0;
   for (std::size_t cut = step; cut < inst.num_jobs(); cut += step) {
     Handover<Pq> handover(fresh, Heuristic::kWsjf, cut);
     const std::string where = what + ", cut at arrival " + std::to_string(cut);
-    EXPECT_EQ("", diff_runs(reference, run(inst, handover, nullptr)))
+    EXPECT_EQ("", first_difference(reference, run(inst, handover, nullptr)))
         << where;
     // Fault-free, every pending job is queued.
     EXPECT_EQ(handover.expected, handover.saved) << where;

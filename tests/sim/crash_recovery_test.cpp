@@ -1,10 +1,11 @@
 // Crash-recovery verification (docs/RECOVERY.md): for seeded (trace, crash
 // point) pairs — including kills mid-journal-write that leave torn frames —
-// a run killed and resumed must produce a schedule, event log, and attempt
-// stream byte-identical to the uninterrupted run.  This is the acceptance
-// bar of the durability subsystem, exercised across schedulers with and
-// without faults/checkpoints, plus resume edge cases (fingerprint refusal,
-// journal-only replay, divergence detection).
+// a run killed and resumed must produce a schedule, record stream, and
+// attempt stream byte-identical to the uninterrupted run.  This is the
+// acceptance bar of the durability subsystem, exercised across schedulers
+// with and without faults/checkpoints, plus resume edge cases (fingerprint
+// refusal, journal-only and snapshot-only replay, divergence detection) and
+// the run comparison itself (first_difference names every field).
 #include "sim/faults/crash.hpp"
 
 #include <gtest/gtest.h>
@@ -47,10 +48,9 @@ Instance mixed_instance(std::uint64_t seed, int jobs = 40) {
 void expect_all_identical(const std::vector<CrashReplayReport>& reports) {
   int torn = 0;
   for (const CrashReplayReport& r : reports) {
-    EXPECT_TRUE(r.identical)
+    EXPECT_EQ("", r.detail)
         << "crash after event " << r.trial.kill_after_events
-        << (r.trial.torn_write_bytes > 0 ? " (torn write)" : "") << ": "
-        << r.detail;
+        << (r.trial.torn_write_bytes > 0 ? " (torn write)" : "");
     if (r.trial.torn_write_bytes > 0) ++torn;
   }
   EXPECT_GT(torn, 0) << "sweep exercised no mid-journal-write kills";
@@ -61,7 +61,6 @@ void expect_all_identical(const std::vector<CrashReplayReport>& reports) {
 TEST(CrashRecoveryTest, SweepPqScheduler) {
   const Instance inst = mixed_instance(11);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 8;  // PQ never wakes up; snapshot on cadence
   const auto reports = faults::run_crash_sweep(
@@ -74,7 +73,6 @@ TEST(CrashRecoveryTest, SweepPqScheduler) {
 TEST(CrashRecoveryTest, SweepMrisSchedulerSnapshotsAtWakeups) {
   const Instance inst = mixed_instance(22);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;  // default: snapshot at gamma_k wakeups only
   const auto reports = faults::run_crash_sweep(
       inst, [] { return std::make_unique<MrisScheduler>(); }, options, rec, 7,
@@ -97,7 +95,6 @@ TEST(CrashRecoveryTest, SweepMrisUnderFaultsAndCheckpoints) {
   const FaultPlan plan = make_fault_plan(spec, inst, 77);
   RunOptions options;
   options.faults = &plan;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 16;
   rec.journal_sync_every = 8;
@@ -118,7 +115,6 @@ TEST(CrashRecoveryTest, SweepMrisUnderFaultsAndCheckpoints) {
 TEST(CrashRecoveryTest, SweepDrfScheduler) {
   const Instance inst = mixed_instance(44, 30);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 6;
   rec.journal_sync_every = 4;
@@ -134,7 +130,6 @@ TEST(CrashRecoveryTest, SweepDrfScheduler) {
 TEST(CrashRecoveryTest, KillAfterVeryFirstEvent) {
   const Instance inst = mixed_instance(55, 20);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 4;
   CrashTrial trial;
@@ -142,13 +137,12 @@ TEST(CrashRecoveryTest, KillAfterVeryFirstEvent) {
   const CrashReplayReport r = faults::run_crash_trial(
       inst, [] { return std::make_unique<PriorityQueueScheduler>(); },
       options, rec, trial, temp_dir("first"));
-  EXPECT_TRUE(r.identical) << r.detail;
+  EXPECT_EQ("", r.detail);
 }
 
 TEST(CrashRecoveryTest, KillAfterLastEvent) {
   const Instance inst = mixed_instance(55, 20);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 4;
   // Learn the event count, then kill exactly at the end.
@@ -162,7 +156,7 @@ TEST(CrashRecoveryTest, KillAfterLastEvent) {
   const CrashReplayReport r = faults::run_crash_trial(
       inst, [] { return std::make_unique<PriorityQueueScheduler>(); },
       options, rec, trial, temp_dir("last"));
-  EXPECT_TRUE(r.identical) << r.detail;
+  EXPECT_EQ("", r.detail);
 }
 
 TEST(CrashRecoveryTest, TornWriteOfEverySingleFrameByte) {
@@ -170,7 +164,6 @@ TEST(CrashRecoveryTest, TornWriteOfEverySingleFrameByte) {
   // truncation rule must hold regardless of where the write was cut.
   const Instance inst = mixed_instance(66, 12);
   RunOptions options;
-  options.record_events = true;
   RecoveryOptions rec;
   rec.snapshot_every = 4;
   const std::string dir = temp_dir("torn_all");
@@ -181,7 +174,7 @@ TEST(CrashRecoveryTest, TornWriteOfEverySingleFrameByte) {
     const CrashReplayReport r = faults::run_crash_trial(
         inst, [] { return std::make_unique<PriorityQueueScheduler>(); },
         options, rec, trial, dir);
-    EXPECT_TRUE(r.identical) << "torn at byte " << keep << ": " << r.detail;
+    EXPECT_EQ("", r.detail) << "torn at byte " << keep;
     EXPECT_GT(r.resumed.journal_torn_bytes, 0u) << "keep=" << keep;
   }
 }
@@ -196,7 +189,6 @@ TEST(CrashRecoveryTest, JournalOnlyResumeReplaysFromTimeZero) {
   rec.journal_sync_every = 1;  // synchronous: the kill loses no records
   RunOptions options;
   options.recovery = &rec;
-  options.record_events = true;
 
   CrashPlan plan;
   plan.kill_after_events = 10;
@@ -214,19 +206,53 @@ TEST(CrashRecoveryTest, JournalOnlyResumeReplaysFromTimeZero) {
   RunOptions resume_options = options;
   resume_options.recovery = &resume;
   PriorityQueueScheduler s;
-  const RunResult r = run_online(inst, s, resume_options);
-  EXPECT_TRUE(r.recovery.resumed_journal_only);
-  EXPECT_FALSE(r.recovery.resumed_from_snapshot);
-  EXPECT_GT(r.recovery.resume_replayed_events, 0u);
+  const faults::RecordedRun r = faults::run_recorded(inst, s, resume_options);
+  EXPECT_TRUE(r.result.recovery.resumed_journal_only);
+  EXPECT_FALSE(r.result.recovery.resumed_from_snapshot);
+  EXPECT_GT(r.result.recovery.resume_replayed_events, 0u);
 
-  RunResult plain;
+  PriorityQueueScheduler s2;
+  EXPECT_EQ("", faults::first_difference(
+                    r, faults::run_recorded(inst, s2, RunOptions{})));
+}
+
+TEST(CrashRecoveryTest, SnapshotOnlyResumeRefiresTheTailOnly) {
+  // With no journal there is no pre-cut history to give: on_record fires
+  // for the re-executed tail alone, and the run still ends as the
+  // uninterrupted one does.
+  const Instance inst = mixed_instance(78, 16);
+  PriorityQueueScheduler s0;
+  const faults::RecordedRun full =
+      faults::run_recorded(inst, s0, RunOptions{});
+
+  const std::string dir = temp_dir("snapshot_only");
+  RecoveryOptions rec;
+  rec.snapshot_path = dir + "/engine.mrsn";  // no journal path at all
+  rec.snapshot_every = 4;
+  CrashPlan plan;
+  plan.kill_after_events = 10;
+  RecoveryOptions crashed = rec;
+  crashed.crash = &plan;
+  RunOptions crash_options;
+  crash_options.recovery = &crashed;
   {
-    PriorityQueueScheduler s2;
-    RunOptions plain_options;
-    plain_options.record_events = true;
-    plain = run_online(inst, s2, plain_options);
+    PriorityQueueScheduler s;
+    EXPECT_THROW(run_online(inst, s, crash_options), EngineKilled);
   }
-  EXPECT_EQ(faults::encode_run_result(r), faults::encode_run_result(plain));
+  RecoveryOptions resume = rec;
+  resume.resume = true;
+  RunOptions resume_options;
+  resume_options.recovery = &resume;
+  PriorityQueueScheduler s;
+  faults::RecordedRun resumed = faults::run_recorded(inst, s, resume_options);
+  EXPECT_TRUE(resumed.result.recovery.resumed_from_snapshot);
+  ASSERT_LT(resumed.records.size(), full.records.size());
+  // The records it gave are the uninterrupted run's tail: prepending the
+  // rest gives back the uninterrupted run exactly.
+  resumed.records.insert(
+      resumed.records.begin(), full.records.begin(),
+      full.records.end() - static_cast<std::ptrdiff_t>(resumed.records.size()));
+  EXPECT_EQ("", faults::first_difference(full, resumed));
 }
 
 TEST(CrashRecoveryTest, ResumeRefusesForeignFingerprint) {
@@ -306,6 +332,86 @@ TEST(CrashRecoveryTest, ResumeWithNothingOnDiskStartsFresh) {
   EXPECT_FALSE(r.recovery.resumed_journal_only);
   EXPECT_TRUE(validate_schedule(inst, r.schedule).ok);
 }
+
+// --- the run comparison itself ---------------------------------------------
+
+/// A change to exactly one field of a recorded run, and the name
+/// first_difference must give it.
+struct Mutation {
+  const char* name;
+  const char* expected;
+  void (*apply)(faults::RecordedRun&);
+};
+
+faults::RecordedRun sample_run() {
+  faults::RecordedRun run;
+  run.result.schedule = Schedule(2);
+  run.result.schedule.assign(0, 1, 4.0);
+  run.result.schedule.assign(1, 0, 2.5);
+  run.result.num_events = 6;
+  run.records = {{EventRecord::Kind::kArrival, 0.0, 0, kInvalidMachine, 0.0},
+                 {EventRecord::Kind::kCommit, 0.5, 0, 1, 4.0}};
+  run.result.attempts = {
+      {0, 0, 1.0, 3.0, Attempt::Outcome::kMachineFailure, 0.25, 0.0, 1.5},
+      {0, 1, 4.0, 6.0, Attempt::Outcome::kCompleted, 0.25, 1.5, 2.0}};
+  return run;
+}
+
+class FirstDifferenceTest : public ::testing::TestWithParam<Mutation> {};
+
+TEST_P(FirstDifferenceTest, NamesTheOneChangedField) {
+  faults::RecordedRun changed = sample_run();
+  GetParam().apply(changed);
+  EXPECT_EQ("", faults::first_difference(sample_run(), sample_run()));
+  EXPECT_NE(faults::encode_run_result(sample_run()),
+            faults::encode_run_result(changed));
+  const std::string diff = faults::first_difference(sample_run(), changed);
+  EXPECT_EQ(diff.rfind(GetParam().expected, 0), 0u) << diff;
+}
+
+#define MUTATION(name, expected, body) \
+  Mutation { name, expected, [](faults::RecordedRun& r) { body; } }
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryField, FirstDifferenceTest,
+    ::testing::Values(
+        MUTATION("event_count", "event count:", ++r.result.num_events),
+        MUTATION("placement", "job 1 start:",
+                 r.result.schedule.unassign(1);
+                 r.result.schedule.assign(1, 0, 3.0)),
+        MUTATION("record_count", "record count:", r.records.pop_back()),
+        MUTATION("record_kind", "record 1 kind:",
+                 r.records[1].kind = EventRecord::Kind::kWakeup),
+        MUTATION("record_t", "record 1 t:", r.records[1].t = 0.75),
+        MUTATION("record_job", "record 1 job:", r.records[1].job = 1),
+        MUTATION("record_machine", "record 1 machine:",
+                 r.records[1].machine = 0),
+        MUTATION("record_start", "record 1 start:", r.records[1].start = 5.0),
+        MUTATION("attempt_count", "attempt count:",
+                 r.result.attempts.pop_back()),
+        MUTATION("attempt_job", "attempt 1 job:", r.result.attempts[1].job = 1),
+        MUTATION("attempt_machine", "attempt 1 machine:",
+                 r.result.attempts[1].machine = 2),
+        MUTATION("attempt_start", "attempt 1 start:",
+                 r.result.attempts[1].start = 4.5),
+        MUTATION("attempt_end", "attempt 1 end:",
+                 r.result.attempts[1].end = 7.0),
+        MUTATION("attempt_outcome", "attempt 1 outcome:",
+                 r.result.attempts[1].outcome = Attempt::Outcome::kJobFailure),
+        MUTATION("attempt_restore", "attempt 1 restore:",
+                 r.result.attempts[1].restore = 0.5),
+        MUTATION("attempt_progress_in", "attempt 1 progress_in:",
+                 r.result.attempts[1].progress_in = 1.0),
+        MUTATION("attempt_progress_out", "attempt 1 progress_out:",
+                 r.result.attempts[1].progress_out = 2.5),
+        // Bitwise, as the encoding compares doubles: -0.0 differs from 0.0.
+        MUTATION("negative_zero", "attempt 0 progress_in:",
+                 r.result.attempts[0].progress_in = -0.0)),
+    [](const ::testing::TestParamInfo<Mutation>& info) {
+      return std::string(info.param.name);
+    });
+
+#undef MUTATION
 
 }  // namespace
 }  // namespace mris

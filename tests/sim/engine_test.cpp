@@ -333,18 +333,17 @@ TEST(EngineFaultOrderingTest, RepairProcessedBeforeSameTimeArrival) {
   FaultPlan plan;
   plan.outages = {{0, 1.0, 3.0}};
   Observer sched;
+  std::vector<EventRecord::Kind> at3;
   RunOptions opts;
   opts.faults = &plan;
-  opts.record_events = true;
+  opts.on_record = [&at3](const EventRecord& e) {
+    if (e.t == 3.0) at3.push_back(e.kind);
+  };
   const RunResult r = run_online(inst, sched, opts);
   EXPECT_TRUE(sched.saw_up);  // repair precedes the arrival at t=3
   EXPECT_DOUBLE_EQ(r.schedule.start_time(0), 3.0);
 
-  // The log confirms the order of the same-timestamp events.
-  std::vector<EventRecord::Kind> at3;
-  for (const EventRecord& e : r.log) {
-    if (e.t == 3.0) at3.push_back(e.kind);
-  }
+  // The record stream confirms the order of the same-timestamp events.
   ASSERT_GE(at3.size(), 2u);
   EXPECT_EQ(at3[0], EventRecord::Kind::kMachineUp);
   EXPECT_EQ(at3[1], EventRecord::Kind::kArrival);
@@ -491,7 +490,7 @@ TEST(StreamEngineTest, AdmitRejectsDecreasingRelease) {
   engine.admit(jobs.job(0));
   // Nothing is processed yet, so only the admission order catches this.
   EXPECT_THROW(engine.admit(jobs.job(1)), std::logic_error);
-  EXPECT_EQ(engine.jobs_admitted(), 1u);  // the rejected job was not stored
+  EXPECT_EQ(grow.num_jobs(), 1u);  // the rejected job was not stored
   const RunResult r = engine.finish();
   EXPECT_TRUE(r.schedule.complete());
 }

@@ -1,9 +1,12 @@
-// Tests of the optional engine event log (RunOptions::record_events).
+// Tests of the engine record stream (RunOptions::on_record).
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "sched/mris.hpp"
 #include "sched/pq.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults/crash.hpp"
 
 namespace mris {
 namespace {
@@ -15,26 +18,19 @@ Instance two_jobs() {
       .build();
 }
 
-TEST(EventLogTest, DisabledByDefault) {
-  const Instance inst = two_jobs();
-  PriorityQueueScheduler sched;
-  const RunResult r = run_online(inst, sched);
-  EXPECT_TRUE(r.log.empty());
-  EXPECT_GT(r.num_events, 0u);
-}
-
 TEST(EventLogTest, RecordsAllKindsInTimeOrder) {
   const Instance inst = two_jobs();
   MrisScheduler sched;  // uses wakeups, so all four kinds appear
+  std::vector<EventRecord> log;
   RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  opts.on_record = [&log](const EventRecord& e) { log.push_back(e); };
+  run_online(inst, sched, opts);
 
-  ASSERT_FALSE(r.log.empty());
+  ASSERT_FALSE(log.empty());
   bool saw_arrival = false, saw_completion = false, saw_wakeup = false,
        saw_commit = false;
   Time prev = 0.0;
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : log) {
     EXPECT_GE(e.t, prev);
     prev = e.t;
     switch (e.kind) {
@@ -63,16 +59,14 @@ TEST(EventLogTest, RecordsAllKindsInTimeOrder) {
 TEST(EventLogTest, CommitRecordsMatchSchedule) {
   const Instance inst = two_jobs();
   PriorityQueueScheduler sched;
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
+  const faults::RecordedRun run = faults::run_recorded(inst, sched, {});
 
   std::size_t commits = 0;
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : run.records) {
     if (e.kind != EventRecord::Kind::kCommit) continue;
     ++commits;
-    EXPECT_EQ(r.schedule.assignment(e.job).machine, e.machine);
-    EXPECT_DOUBLE_EQ(r.schedule.start_time(e.job), e.start);
+    EXPECT_EQ(run.result.schedule.assignment(e.job).machine, e.machine);
+    EXPECT_DOUBLE_EQ(run.result.schedule.start_time(e.job), e.start);
     EXPECT_GE(e.start, e.t);  // commits never start in the past
   }
   EXPECT_EQ(commits, inst.num_jobs());
@@ -81,12 +75,8 @@ TEST(EventLogTest, CommitRecordsMatchSchedule) {
 TEST(EventLogTest, ArrivalAndCompletionCountsMatchJobs) {
   const Instance inst = two_jobs();
   PriorityQueueScheduler sched;
-  RunOptions opts;
-  opts.record_events = true;
-  const RunResult r = run_online(inst, sched, opts);
-
   std::size_t arrivals = 0, completions = 0;
-  for (const EventRecord& e : r.log) {
+  for (const EventRecord& e : faults::run_recorded(inst, sched, {}).records) {
     arrivals += e.kind == EventRecord::Kind::kArrival;
     completions += e.kind == EventRecord::Kind::kCompletion;
   }

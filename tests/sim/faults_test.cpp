@@ -13,6 +13,7 @@
 #include "sched/mris.hpp"
 #include "sched/pq.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults/crash.hpp"
 
 namespace mris {
 namespace {
@@ -215,33 +216,21 @@ void expect_empty_plan_byte_identical() {
   const Instance inst = regression_instance();
 
   Scheduler s1;
-  const RunResult plain = run_online(inst, s1);
+  const faults::RecordedRun plain = faults::run_recorded(inst, s1, {});
 
   Scheduler s2;
   RunOptions null_opts;
   null_opts.faults = nullptr;
-  const RunResult with_null = run_online(inst, s2, null_opts);
+  EXPECT_EQ("", faults::first_difference(
+                    plain, faults::run_recorded(inst, s2, null_opts)));
 
   Scheduler s3;
   FaultPlan empty_plan;
   empty_plan.stretch.assign(inst.num_jobs(), 1.0);  // still empty()
   RunOptions empty_opts;
   empty_opts.faults = &empty_plan;
-  const RunResult with_empty = run_online(inst, s3, empty_opts);
-
-  EXPECT_EQ(plain.num_events, with_null.num_events);
-  EXPECT_EQ(plain.num_events, with_empty.num_events);
-  EXPECT_TRUE(with_empty.attempts.empty());
-  for (std::size_t i = 0; i < inst.num_jobs(); ++i) {
-    const auto id = static_cast<JobId>(i);
-    EXPECT_EQ(plain.schedule.assignment(id).machine,
-              with_null.schedule.assignment(id).machine);
-    EXPECT_EQ(plain.schedule.start_time(id), with_null.schedule.start_time(id));
-    EXPECT_EQ(plain.schedule.assignment(id).machine,
-              with_empty.schedule.assignment(id).machine);
-    EXPECT_EQ(plain.schedule.start_time(id),
-              with_empty.schedule.start_time(id));
-  }
+  EXPECT_EQ("", faults::first_difference(
+                    plain, faults::run_recorded(inst, s3, empty_opts)));
 }
 
 TEST(FaultFreeRegressionTest, EmptyPlanIsByteIdenticalForPq) {

@@ -73,14 +73,11 @@ TEST(PruneRequeueTest, ReplayIsDeterministicAcrossPrunes) {
   const FaultPlan plan = churn_plan(inst);
   RunOptions options;
   options.faults = &plan;
-  options.record_events = true;
   const auto run_once = [&] {
     PriorityQueueScheduler scheduler;
-    return run_online(inst, scheduler, options);
+    return faults::run_recorded(inst, scheduler, options);
   };
-  const RunResult a = run_once();
-  const RunResult b = run_once();
-  EXPECT_EQ(faults::encode_run_result(a), faults::encode_run_result(b));
+  EXPECT_EQ("", faults::first_difference(run_once(), run_once()));
 }
 
 TEST(PruneRequeueTest, SnapshotAfterPruneRestoresExactly) {
@@ -88,7 +85,6 @@ TEST(PruneRequeueTest, SnapshotAfterPruneRestoresExactly) {
   const FaultPlan plan = churn_plan(inst);
   RunOptions options;
   options.faults = &plan;
-  options.record_events = true;
   recovery::RecoveryOptions rec;
   // Snapshot on a cadence chosen to land shortly after prune points, and
   // crash late enough that requeued jobs and pruned timelines are both in
@@ -102,9 +98,8 @@ TEST(PruneRequeueTest, SnapshotAfterPruneRestoresExactly) {
   const auto reports = faults::run_crash_sweep(inst, factory, options, rec,
                                                5, 0x9121EULL, dir);
   for (const auto& report : reports) {
-    EXPECT_TRUE(report.identical)
-        << "crash after event " << report.trial.kill_after_events << ": "
-        << report.detail;
+    EXPECT_EQ("", report.detail)
+        << "crash after event " << report.trial.kill_after_events;
   }
 }
 

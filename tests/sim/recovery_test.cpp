@@ -17,6 +17,7 @@
 #include "sched/pq.hpp"
 #include "serve/daemon.hpp"
 #include "sim/engine.hpp"
+#include "sim/faults/crash.hpp"
 #include "sim/recovery/journal.hpp"
 #include "sim/recovery/snapshot.hpp"
 #include "sim/recovery/state_io.hpp"
@@ -360,6 +361,27 @@ TEST(SnapshotTest, TruncatedFileIsRejected) {
   fs::remove(path);
 }
 
+TEST(SnapshotTest, Version1IsRefused) {
+  // Version 1 payloads carried a copy of the run's event log; version 2
+  // leaves the history to the event journal.
+  const std::string path = temp_path("snap_v1.mrsn");
+  RecoveryOptions options;
+  options.snapshot_path = path;
+  RecoveryStats stats;
+  SnapshotStore store(options, &stats);
+  ASSERT_TRUE(store.write(SnapshotMeta{}, "payload"));
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(4);  // the u32 version follows the u32 magic
+    const char v1[4] = {1, 0, 0, 0};
+    f.write(v1, sizeof v1);
+  }
+  const SnapshotContents contents = recovery::read_snapshot(path);
+  EXPECT_FALSE(contents.ok);
+  EXPECT_EQ(contents.error, "unsupported snapshot version 1");
+  fs::remove(path);
+}
+
 // --- IO retry and degradation ladder --------------------------------------
 
 TEST(IoRetryTest, TransientWriteFailureRetriesAndSucceeds) {
@@ -483,13 +505,34 @@ TEST(RecoveryDegradationTest, TotalIoFailureDegradesToInMemory) {
   fs::remove(rec.journal_path);
 }
 
+TEST(RecoveryDegradationTest, ObserverDoesNotChangeSnapshotBytes) {
+  // Snapshots carry no record history, so watching the record stream must
+  // not change what a durable run writes.
+  const Instance inst = chain_instance(24);
+  RecoveryOptions rec;
+  rec.snapshot_path = temp_path("observed.mrsn");
+  rec.journal_path = temp_path("observed.mrjl");
+  rec.snapshot_every = 5;
+  RunOptions options;
+  options.recovery = &rec;
+  PriorityQueueScheduler s1;
+  PriorityQueueScheduler s2;
+  const RecoveryStats quiet = run_online(inst, s1, options).recovery;
+  const RecoveryStats observed =
+      faults::run_recorded(inst, s2, options).result.recovery;
+  EXPECT_GT(quiet.snapshots_taken, 0u);
+  EXPECT_EQ(observed.snapshots_taken, quiet.snapshots_taken);
+  EXPECT_EQ(observed.snapshot_bytes, quiet.snapshot_bytes);
+  EXPECT_EQ(observed.journal_bytes, quiet.journal_bytes);
+  fs::remove(rec.snapshot_path);
+  fs::remove(rec.journal_path);
+}
+
 TEST(RecoveryDegradationTest, RecoveryMachineryDoesNotChangeTheSchedule) {
   const Instance inst = chain_instance(16);
-  RunResult plain;
-  {
-    PriorityQueueScheduler scheduler;
-    plain = run_online(inst, scheduler);
-  }
+  PriorityQueueScheduler plain_scheduler;
+  const faults::RecordedRun plain =
+      faults::run_recorded(inst, plain_scheduler, {});
   RecoveryOptions rec;
   rec.snapshot_path = temp_path("noop.mrsn");
   rec.journal_path = temp_path("noop.mrjl");
@@ -497,16 +540,10 @@ TEST(RecoveryDegradationTest, RecoveryMachineryDoesNotChangeTheSchedule) {
   RunOptions options;
   options.recovery = &rec;
   PriorityQueueScheduler scheduler;
-  const RunResult durable = run_online(inst, scheduler, options);
-  ASSERT_EQ(durable.num_events, plain.num_events);
-  for (std::size_t i = 0; i < inst.num_jobs(); ++i) {
-    const auto id = static_cast<JobId>(i);
-    EXPECT_EQ(durable.schedule.assignment(id).machine,
-              plain.schedule.assignment(id).machine);
-    EXPECT_EQ(durable.schedule.assignment(id).start,
-              plain.schedule.assignment(id).start);
-  }
-  EXPECT_GT(durable.recovery.snapshots_taken, 0u);
+  const faults::RecordedRun durable =
+      faults::run_recorded(inst, scheduler, options);
+  EXPECT_EQ("", faults::first_difference(plain, durable));
+  EXPECT_GT(durable.result.recovery.snapshots_taken, 0u);
   fs::remove(rec.snapshot_path);
   fs::remove(rec.journal_path);
 }

@@ -172,6 +172,9 @@ int cmd_simulate(const util::Flags& flags) {
   Schedule sched;
   const exp::EvalResult r = exp::evaluate_with_schedule(
       inst, spec, sched, nullptr, durable ? &rec : nullptr);
+  // A run that threw (a refused resume, an infeasible schedule) has no
+  // metrics to print.
+  if (r.failed) throw std::runtime_error(r.error);
   std::printf("scheduler:     %s\n", spec.display_name().c_str());
   std::printf("jobs/machines: %zu / %d\n", r.num_jobs, machines);
   std::printf("AWCT:          %s\n", exp::format_num(r.awct).c_str());
@@ -209,26 +212,27 @@ int cmd_simulate(const util::Flags& flags) {
 
   const std::string log_path = flags.get("log-events", "");
   if (!log_path.empty()) {
-    // Re-run with event recording (runs are deterministic) and dump the
-    // full engine event log as CSV.
-    auto scheduler = exp::make_scheduler(spec, inst);
-    RunOptions run_opts;
-    run_opts.record_events = true;
-    const RunResult rr = run_online(inst, *scheduler, run_opts);
+    // Re-run (runs are deterministic), writing each engine record to the
+    // CSV as the engine emits it.
     std::ofstream log_file(log_path);
     if (!log_file) {
       throw std::runtime_error("cannot write " + log_path);
     }
     log_file << "t,kind,job,machine,start\n";
-    for (const EventRecord& e : rr.log) {
+    std::size_t written = 0;
+    RunOptions run_opts;
+    run_opts.on_record = [&](const EventRecord& e) {
       log_file << e.t << ',' << event_kind_name(e.kind) << ',' << e.job
                << ',' << e.machine << ','
                << (e.kind == EventRecord::Kind::kCommit
                        ? std::to_string(e.start)
                        : std::string())
                << '\n';
-    }
-    std::printf("%zu engine events written to %s\n", rr.log.size(),
+      ++written;
+    };
+    auto scheduler = exp::make_scheduler(spec, inst);
+    run_online(inst, *scheduler, run_opts);
+    std::printf("%zu engine events written to %s\n", written,
                 log_path.c_str());
   }
   return 0;
