@@ -6,8 +6,8 @@
 #include "bench_common.hpp"
 
 #include "sched/bounds.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace mris;
 
@@ -34,7 +34,7 @@ int main() {
     // Ratio per replication (bound depends on the sampled instance).
     std::vector<std::vector<double>> ratios(lineup.size(),
                                             std::vector<double>(reps));
-    util::global_pool().parallel_for(reps, [&](std::size_t rep) {
+    util::parallel_for(reps, [&](std::size_t rep) {
       const Instance inst = factory(rep);
       const double lb = awct_fluid_lower_bound(inst);
       for (std::size_t s = 0; s < lineup.size(); ++s) {

@@ -35,9 +35,8 @@ int main() {
       {"scheduler", "P(delay=0)", "median", "p90", "p99", "max"}};
 
   for (const auto& spec : lineup) {
-    Schedule sched;
-    exp::evaluate_with_schedule(inst, spec, sched);
-    const std::vector<double> delays = queuing_delays(inst, sched);
+    const std::vector<double> delays =
+        queuing_delays(inst, exp::evaluate(inst, spec).schedule);
 
     std::size_t zero = 0;
     for (double d : delays) {

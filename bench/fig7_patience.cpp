@@ -33,26 +33,23 @@ int main() {
   struct Run {
     exp::SchedulerSpec spec;
     exp::EvalResult result;
-    Schedule schedule;
   };
   std::vector<Run> runs;
   for (const auto& spec : lineup) {
-    Run run{spec, {}, {}};
-    run.result = exp::evaluate_with_schedule(inst, spec, run.schedule);
-    t_end = std::max(t_end, run.result.makespan);
-    runs.push_back(std::move(run));
+    runs.push_back({spec, exp::evaluate(inst, spec)});
+    t_end = std::max(t_end, runs.back().result.makespan);
   }
 
   for (const Run& run : runs) {
     if (mris_awct == 0.0) mris_awct = run.result.awct;
     table.push_back({run.spec.display_name(),
                      exp::format_num(run.result.awct),
-                     exp::format_num(run.schedule.start_time(0)),
+                     exp::format_num(run.result.schedule.start_time(0)),
                      exp::format_num(run.result.makespan),
                      exp::format_num(run.result.awct / mris_awct)});
     exp::Series s{run.spec.display_name(), {}, {}, {}};
     for (const auto& sample :
-         usage_over_time(inst, run.schedule, 0, trace::kCpu)) {
+         usage_over_time(inst, run.result.schedule, 0, trace::kCpu)) {
       s.x.push_back(sample.t);
       s.y.push_back(sample.usage);
     }
@@ -63,7 +60,8 @@ int main() {
   std::printf("CPU usage over time (0 .. %s) per scheduler:\n",
               exp::format_num(t_end).c_str());
   for (const Run& run : runs) {
-    const auto samples = usage_over_time(inst, run.schedule, 0, trace::kCpu);
+    const auto samples =
+        usage_over_time(inst, run.result.schedule, 0, trace::kCpu);
     std::printf("%s", exp::render_usage_strip(samples, t_end,
                                               run.spec.display_name())
                           .c_str());

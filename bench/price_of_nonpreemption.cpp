@@ -9,8 +9,8 @@
 #include "bench_common.hpp"
 
 #include "sched/fluid.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace mris;
 
@@ -45,7 +45,7 @@ int main() {
     std::vector<double> fluid_awct(reps);
     std::vector<std::vector<double>> alg_awct(lineup.size(),
                                               std::vector<double>(reps));
-    util::global_pool().parallel_for(reps, [&](std::size_t rep) {
+    util::parallel_for(reps, [&](std::size_t rep) {
       const Instance inst = factory(rep);
       fluid_awct[rep] = fluid_max_min_schedule(inst).awct;
       for (std::size_t s = 0; s < lineup.size(); ++s) {

@@ -36,9 +36,8 @@ int main(int argc, char** argv) {
   for (const auto& spec :
        {exp::SchedulerSpec::Pq(Heuristic::kSjf), exp::SchedulerSpec::Tetris(),
         exp::SchedulerSpec::BfExec(), exp::SchedulerSpec::Mris()}) {
-    Schedule sched;
-    const exp::EvalResult r = exp::evaluate_with_schedule(inst, spec, sched);
-    rows.push_back({spec, r, sched.start_time(0)});
+    const exp::EvalResult r = exp::evaluate(inst, spec);
+    rows.push_back({spec, r, r.schedule.start_time(0)});
   }
 
   std::vector<std::vector<std::string>> table = {

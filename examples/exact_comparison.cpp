@@ -51,14 +51,13 @@ int main(int argc, char** argv) {
   std::vector<exp::SchedulerSpec> lineup = exp::comparison_lineup();
   lineup.push_back(exp::SchedulerSpec::Hybrid());
   for (const auto& spec : lineup) {
-    Schedule sched;
-    const exp::EvalResult r = exp::evaluate_with_schedule(inst, spec, sched);
+    exp::EvalResult r = exp::evaluate(inst, spec);
     table.push_back({spec.display_name(), exp::format_num(r.twct),
                      exp::format_num(r.twct / opt_twct)});
     if (best_name.empty() || r.twct < best_twct) {
       best_twct = r.twct;
       best_name = spec.display_name();
-      best_online = std::move(sched);
+      best_online = std::move(r.schedule);
     }
   }
   std::printf("%s", exp::render_table(table).c_str());

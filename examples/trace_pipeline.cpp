@@ -68,9 +68,12 @@ int main(int argc, char** argv) {
   // Step 5: run and aggregate.
   std::vector<std::vector<std::string>> table = {
       {"scheduler", "AWCT (mean ± 95% CI)", "makespan", "mean delay"}};
-  for (const auto& spec : exp::comparison_lineup()) {
-    const exp::PointResult p = exp::replicate(reps, factory, spec);
-    table.push_back({spec.display_name(), exp::format_ci(p.awct),
+  const std::vector<exp::SchedulerSpec> lineup = exp::comparison_lineup();
+  const std::vector<exp::PointResult> points =
+      exp::replicate_lineup(reps, factory, lineup);
+  for (std::size_t s = 0; s < lineup.size(); ++s) {
+    const exp::PointResult& p = points[s];
+    table.push_back({lineup[s].display_name(), exp::format_ci(p.awct),
                      exp::format_ci(p.makespan), exp::format_ci(p.mean_delay)});
   }
   std::printf("\n%s", exp::render_table(table).c_str());

@@ -2,12 +2,12 @@
 // produced schedule, and replicates data points across downsample offsets
 // in parallel (10 replications per point, mean ± 95% CI — Section 7.1).
 //
-// Fault-aware evaluation: pass a FaultPlan to run a scheduler through the
-// engine's fault/recovery path; metrics are then computed from the *actual*
-// execution attempts (stretched runtimes, retries) and the run is checked
-// with the outage-aware validator.  A run that throws (scheduler bug,
-// validation failure) is recorded as failed instead of aborting the whole
-// replication batch.
+// Fault-aware evaluation: a FaultPlan in the RunOptions runs a scheduler
+// through the engine's fault/recovery path; metrics are then computed from
+// the *actual* execution attempts (stretched runtimes, retries) and the run
+// is checked with the outage-aware validator.  A run that throws (scheduler
+// bug, validation failure) is recorded as failed instead of aborting the
+// whole replication batch.
 #pragma once
 
 #include <functional>
@@ -15,6 +15,7 @@
 
 #include "core/metrics.hpp"
 #include "exp/schedulers.hpp"
+#include "sim/engine.hpp"
 #include "sim/faults.hpp"
 #include "sim/recovery/options.hpp"
 #include "util/stats.hpp"
@@ -38,8 +39,12 @@ struct EvalResult {
   double goodput = 1.0;  ///< useful / (useful + wasted + overhead) work
 
   /// Durability counters (all zero unless the run carried RecoveryOptions):
-  /// snapshots/journal volume, IO retries, degradation rungs, resume path.
+  /// snapshots/journal volume, degradation rungs, resume path.
   recovery::RecoveryStats recovery;
+
+  /// The run's schedule (for CDFs / Gantt / schedule files); empty when
+  /// the run failed.
+  Schedule schedule;
 
   /// True when the run threw (scheduler exception or validation failure);
   /// all metric fields are then meaningless and `error` holds the cause.
@@ -47,23 +52,16 @@ struct EvalResult {
   std::string error;
 };
 
-/// Runs `spec` online on `inst` and returns metrics.  A scheduler exception
-/// or validation failure is captured in the result (failed/error), never
-/// thrown, so one broken run cannot take down a replication batch.  With a
-/// non-null, non-empty `faults` plan the run goes through the engine's
-/// fault path and is checked with validate_fault_run().  A non-null
-/// `recovery` attaches the durability subsystem (snapshots + write-ahead
-/// journal, docs/RECOVERY.md) — including resume when it asks for it.
+/// Runs `spec` online on `inst` and returns metrics and schedule.  A
+/// scheduler exception or validation failure is captured in the result
+/// (failed/error), never thrown, so one broken run cannot take down a
+/// replication batch.  `options` goes to the engine as is: a non-empty
+/// `faults` plan runs the engine's fault path and is checked with
+/// validate_fault_run(); `recovery` attaches the durability subsystem
+/// (snapshots + write-ahead journal, docs/RECOVERY.md), resume included;
+/// `on_record` sees the run's record stream.
 EvalResult evaluate(const Instance& inst, const SchedulerSpec& spec,
-                    const FaultPlan* faults = nullptr,
-                    const recovery::RecoveryOptions* recovery = nullptr);
-
-/// Like evaluate() but also hands back the schedule (for CDFs / Gantt).
-/// On failure the schedule is left untouched.
-EvalResult evaluate_with_schedule(
-    const Instance& inst, const SchedulerSpec& spec, Schedule& schedule_out,
-    const FaultPlan* faults = nullptr,
-    const recovery::RecoveryOptions* recovery = nullptr);
+                    RunOptions options = {});
 
 /// Aggregated metrics of one (scheduler, parameter) data point.  Means are
 /// taken over successful runs only; failed_runs counts the rest.
@@ -81,17 +79,11 @@ struct PointResult {
 /// fault-free).
 using FaultFactory = std::function<FaultPlan(std::size_t)>;
 
-/// Runs `reps` replications in parallel on the global thread pool;
-/// `make_instance(rep)` builds the rep-th instance (typically a distinct
-/// downsample offset, as in the paper).
-PointResult replicate(std::size_t reps,
-                      const std::function<Instance(std::size_t)>& make_instance,
-                      const SchedulerSpec& spec,
-                      const FaultFactory& make_faults = {});
-
-/// Convenience: evaluates a whole lineup against the same instance factory.
-/// Instances (and fault plans) are built once per rep and shared across
-/// schedulers.
+/// Evaluates every scheduler of `lineup` on `reps` replications in
+/// parallel and returns one PointResult per scheduler.  `make_instance(rep)`
+/// builds the rep-th instance (typically a distinct downsample offset, as
+/// in the paper); instances and fault plans are built once per rep and
+/// shared across schedulers.
 std::vector<PointResult> replicate_lineup(
     std::size_t reps,
     const std::function<Instance(std::size_t)>& make_instance,

@@ -16,8 +16,8 @@
 // one frame per accepted Job whose payload is the wire Job payload
 // (serve/protocol.hpp, encode_job_payload).  Every append is fsync'd
 // before StreamEngine::admit runs, so the admission journal is always at
-// or ahead of the event journal; a write that fails after the writer's
-// retries makes serve_stream throw rather than admit.
+// or ahead of the event journal; a failed write or sync makes serve_stream
+// throw at once rather than admit (the writer does not retry).
 //
 // Restartability composes the engine's whole-engine snapshots + event
 // journal (docs/RECOVERY.md) with the admission journal:

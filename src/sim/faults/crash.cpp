@@ -108,9 +108,24 @@ std::string first_difference(const RecordedRun& a, const RecordedRun& b) {
   return {};
 }
 
-CrashReplayReport run_crash_trial(
-    const Instance& inst, const SchedulerFactory& make_scheduler,
-    const RunOptions& base_options,
+namespace {
+
+/// The pristine reference: an uninterrupted run with no durability
+/// machinery at all — recovery must reproduce THIS, so any bias the
+/// journaling layer introduced would also be caught.
+RecordedRun run_baseline(const Instance& inst,
+                         const SchedulerFactory& make_scheduler,
+                         const RunOptions& base_options) {
+  RunOptions plain = base_options;
+  plain.recovery = nullptr;
+  auto scheduler = make_scheduler();
+  return run_recorded(inst, *scheduler, plain);
+}
+
+/// Steps (2) and (3) of run_crash_trial, compared against `baseline`.
+CrashReplayReport run_trial_against(
+    const RecordedRun& baseline, const Instance& inst,
+    const SchedulerFactory& make_scheduler, const RunOptions& base_options,
     const recovery::RecoveryOptions& recovery_template, const CrashTrial& trial,
     const std::string& dir) {
   MRIS_EXPECT(trial.kill_after_events > 0,
@@ -126,17 +141,6 @@ CrashReplayReport run_crash_trial(
 
   CrashReplayReport report;
   report.trial = trial;
-
-  // (1) The pristine reference: an uninterrupted run with no durability
-  // machinery at all — recovery must reproduce THIS, so any bias the
-  // journaling layer introduced would also be caught.
-  RecordedRun baseline;
-  {
-    RunOptions plain = base_options;
-    plain.recovery = nullptr;
-    auto scheduler = make_scheduler();
-    baseline = run_recorded(inst, *scheduler, plain);
-  }
   if (trial.kill_after_events > baseline.result.num_events) {
     report.detail = "kill point " + std::to_string(trial.kill_after_events) +
                     " past the run's " +
@@ -185,6 +189,18 @@ CrashReplayReport run_crash_trial(
   return report;
 }
 
+}  // namespace
+
+CrashReplayReport run_crash_trial(
+    const Instance& inst, const SchedulerFactory& make_scheduler,
+    const RunOptions& base_options,
+    const recovery::RecoveryOptions& recovery_template, const CrashTrial& trial,
+    const std::string& dir) {
+  return run_trial_against(run_baseline(inst, make_scheduler, base_options),
+                           inst, make_scheduler, base_options,
+                           recovery_template, trial, dir);
+}
+
 std::vector<CrashReplayReport> run_crash_sweep(
     const Instance& inst, const SchedulerFactory& make_scheduler,
     const RunOptions& base_options,
@@ -192,14 +208,10 @@ std::vector<CrashReplayReport> run_crash_sweep(
     std::uint64_t seed, const std::string& dir) {
   MRIS_EXPECT(pairs > 0, "crash sweep needs at least one pair");
 
-  // Learn the crash-point range from one uninterrupted run.
-  std::uint64_t num_events = 0;
-  {
-    RunOptions plain = base_options;
-    plain.recovery = nullptr;
-    auto scheduler = make_scheduler();
-    num_events = run_online(inst, *scheduler, plain).num_events;
-  }
+  // One uninterrupted run gives the crash-point range and the reference
+  // every trial is compared against.
+  const RecordedRun baseline = run_baseline(inst, make_scheduler, base_options);
+  const std::uint64_t num_events = baseline.result.num_events;
 
   std::vector<CrashReplayReport> reports;
   reports.reserve(static_cast<std::size_t>(pairs));
@@ -214,8 +226,9 @@ std::vector<CrashReplayReport> run_crash_sweep(
       trial.torn_write_bytes =
           static_cast<std::uint32_t>(mix64(draw) % 32 + 1);
     }
-    reports.push_back(run_crash_trial(inst, make_scheduler, base_options,
-                                      recovery_template, trial, dir));
+    reports.push_back(run_trial_against(baseline, inst, make_scheduler,
+                                        base_options, recovery_template, trial,
+                                        dir));
   }
   return reports;
 }

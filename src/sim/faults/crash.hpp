@@ -110,10 +110,10 @@ CrashReplayReport run_crash_trial(
     const recovery::RecoveryOptions& recovery_template, const CrashTrial& trial,
     const std::string& dir);
 
-/// Seeded sweep: runs the baseline once to learn its event count, derives
+/// Seeded sweep: runs the baseline once, derives from its event count
 /// `pairs` deterministic (crash point, torn?) pairs covering early/mid/late
-/// kills and mid-journal-write tears, and runs each trial.  All files live
-/// under `dir`.
+/// kills and mid-journal-write tears, and runs each trial's crashed and
+/// resumed runs against that one baseline.  All files live under `dir`.
 std::vector<CrashReplayReport> run_crash_sweep(
     const Instance& inst, const SchedulerFactory& make_scheduler,
     const RunOptions& base_options,

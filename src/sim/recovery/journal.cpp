@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/recovery/io_retry.hpp"
 #include "sim/recovery/state_io.hpp"
 #include "util/contracts.hpp"
 
@@ -79,35 +78,13 @@ JournalWriter::~JournalWriter() { close(); }
 
 bool JournalWriter::open_fresh(std::uint64_t fingerprint) {
   MRIS_EXPECT(file_ == nullptr, "journal already open");
-  const bool opened = with_io_retries(options_, stats_, [&] {
-    if (options_.hooks != nullptr && options_.hooks->allow_open &&
-        !options_.hooks->allow_open(options_.journal_path)) {
-      return false;
-    }
-    file_ = std::fopen(options_.journal_path.c_str(), "wb");
-    return file_ != nullptr;
-  });
-  if (!opened) {
-    give_up();
-    return false;
-  }
+  if (!open_file("wb")) return false;
   return write_bytes(encode_header(format_, fingerprint)) && sync();
 }
 
 bool JournalWriter::open_append() {
   MRIS_EXPECT(file_ == nullptr, "journal already open");
-  const bool opened = with_io_retries(options_, stats_, [&] {
-    if (options_.hooks != nullptr && options_.hooks->allow_open &&
-        !options_.hooks->allow_open(options_.journal_path)) {
-      return false;
-    }
-    file_ = std::fopen(options_.journal_path.c_str(), "ab");
-    return file_ != nullptr;
-  });
-  if (!opened) {
-    give_up();
-    return false;
-  }
+  if (!open_file("ab")) return false;
   std::error_code ec;
   const auto size = std::filesystem::file_size(options_.journal_path, ec);
   bytes_written_ = synced_bytes_ = ec ? 0 : size;
@@ -138,9 +115,8 @@ void JournalWriter::append_torn(const EventRecord& rec,
   frame_into(encode_event_record(rec), frame_);
   std::string_view bytes = frame_.data();
   if (keep_bytes < bytes.size()) bytes = bytes.substr(0, keep_bytes);
-  // A crash mid-write takes no retry loop and no bookkeeping: just the
-  // partial bytes hitting the disk, flushed so the restarted process sees
-  // them.
+  // A crash mid-write takes no bookkeeping: just the partial bytes hitting
+  // the disk, flushed so the restarted process sees them.
   std::fwrite(bytes.data(), 1, bytes.size(), file_);
   std::fflush(file_);
   ::fsync(::fileno(file_));
@@ -165,14 +141,12 @@ bool JournalWriter::sync() {
     unsynced_ = 0;
     return true;
   }
-  const bool ok = with_io_retries(options_, stats_, [&] {
-    if (std::fflush(file_) != 0) return false;
-    if (options_.hooks != nullptr && options_.hooks->allow_sync &&
-        !options_.hooks->allow_sync(options_.journal_path)) {
-      return false;
-    }
-    return ::fsync(::fileno(file_)) == 0;
-  });
+  // No second try: a failed fsync may already have dropped the dirty
+  // pages, so a later fsync returning 0 would not mean they reached disk.
+  const bool ok = std::fflush(file_) == 0 &&
+                  (options_.hooks == nullptr || !options_.hooks->allow_sync ||
+                   options_.hooks->allow_sync(options_.journal_path)) &&
+                  ::fsync(::fileno(file_)) == 0;
   if (!ok) {
     give_up();
     return false;
@@ -194,19 +168,27 @@ void JournalWriter::close() {
 
 bool JournalWriter::write_bytes(std::string_view bytes) {
   if (dead_ || file_ == nullptr) return false;
-  const bool ok = with_io_retries(options_, stats_, [&] {
-    if (options_.hooks != nullptr && options_.hooks->allow_write &&
-        !options_.hooks->allow_write(options_.journal_path, bytes.size())) {
-      return false;
-    }
-    return std::fwrite(bytes.data(), 1, bytes.size(), file_) == bytes.size();
-  });
+  // No second try: a short write leaves part of the frame in the stream,
+  // and writing the whole frame again would garble the journal there.
+  const bool ok =
+      (options_.hooks == nullptr || !options_.hooks->allow_write ||
+       options_.hooks->allow_write(options_.journal_path, bytes.size())) &&
+      std::fwrite(bytes.data(), 1, bytes.size(), file_) == bytes.size();
   if (!ok) {
     give_up();
     return false;
   }
   bytes_written_ += bytes.size();
   return true;
+}
+
+bool JournalWriter::open_file(const char* mode) {
+  if (options_.hooks == nullptr || !options_.hooks->allow_open ||
+      options_.hooks->allow_open(options_.journal_path)) {
+    file_ = std::fopen(options_.journal_path.c_str(), mode);
+  }
+  if (file_ == nullptr) give_up();
+  return file_ != nullptr;
 }
 
 void JournalWriter::give_up() {

@@ -48,9 +48,9 @@ void encode_event_record(const EventRecord& rec, StateWriter& w);
 std::string encode_event_record(const EventRecord& rec);
 EventRecord decode_event_record(std::string_view payload);
 
-/// Append-only journal writer with batched fsync and IO retries.  All
-/// methods are failure-containing: a persistent IO failure (after
-/// `io_max_retries` attempts per operation) marks the writer dead, bumps
+/// Append-only journal writer with batched fsync.  All methods are
+/// failure-containing: the first failed open, write or sync marks the
+/// writer dead (no retry: see docs/RECOVERY.md), bumps
 /// stats->journal_failures, and every later call returns false or becomes
 /// a cheap no-op.  Writes go to options.journal_path.
 class JournalWriter {
@@ -94,6 +94,7 @@ class JournalWriter {
 
  private:
   bool write_bytes(std::string_view bytes);
+  bool open_file(const char* mode);  ///< fopen, or give_up() on failure
   void give_up();
 
   const RecoveryOptions& options_;

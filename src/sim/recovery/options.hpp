@@ -21,12 +21,13 @@
 // and aborts the resume loudly).  With no usable snapshot it degrades to
 // journal-only replay from t=0; with no journal either it starts fresh.
 //
-// Degradation ladder (stats record every rung taken): when snapshot IO
-// keeps failing after `io_max_retries` attempts the run downgrades to
-// journal-only mode and keeps scheduling; when journal IO also persistently
-// fails it downgrades to in-memory mode — the run still completes, it is
-// just no longer crash-durable.  Durability degrades before availability
-// does.
+// Degradation ladder (stats record every rung taken): the first failed
+// snapshot open, write or sync downgrades the run to journal-only mode and
+// it keeps scheduling; the first failed journal operation downgrades it to
+// in-memory mode — the run still completes, it is just no longer
+// crash-durable.  Durability degrades before availability does.  Failed IO
+// is never retried: a failed fsync may already have dropped the dirty
+// pages, and a short write leaves part of a frame behind.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +44,7 @@ struct SnapshotContents;  // sim/recovery/snapshot.hpp
 
 /// Injectable IO fault hooks (tests only; nullptr members are "always
 /// allow").  Each callback returns true to let the operation through and
-/// false to fail it — the writer then retries up to RecoveryOptions::
-/// io_max_retries times before degrading.
+/// false to fail it — the writer then degrades at once.
 struct IoHooks {
   std::function<bool(const std::string& path)> allow_open;
   std::function<bool(const std::string& path, std::size_t bytes)> allow_write;
@@ -79,10 +79,6 @@ struct RecoveryOptions {
   /// batches trade bounded loss for throughput.
   std::uint32_t journal_sync_every = 64;
 
-  /// Transient-IO retry budget per operation before degrading (retries
-  /// run back to back, with no backoff).
-  int io_max_retries = 3;
-
   /// Test hooks for IO fault injection (not owned; may be nullptr).
   const IoHooks* hooks = nullptr;
 
@@ -98,11 +94,10 @@ struct RecoveryStats {
   std::uint64_t snapshot_bytes = 0;  ///< size of the newest snapshot
   std::uint64_t journal_records = 0;
   std::uint64_t journal_bytes = 0;
-  std::uint64_t io_retries = 0;  ///< transient failures that later succeeded
 
   // Degradation ladder.
-  std::uint64_t snapshot_failures = 0;  ///< persistent; snapshotting stopped
-  std::uint64_t journal_failures = 0;   ///< persistent; journaling stopped
+  std::uint64_t snapshot_failures = 0;  ///< snapshotting stopped
+  std::uint64_t journal_failures = 0;   ///< journaling stopped
   bool degraded_journal_only = false;
   bool degraded_in_memory = false;
 

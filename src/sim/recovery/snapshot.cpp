@@ -7,7 +7,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "sim/recovery/io_retry.hpp"
 #include "sim/recovery/state_io.hpp"
 
 namespace mris::recovery {
@@ -42,9 +41,9 @@ bool SnapshotStore::write(const SnapshotMeta& meta, std::string_view payload) {
   const std::string tmp = path + ".tmp";
   const IoHooks* hooks = options_.hooks;
 
-  // Each attempt writes the whole file from scratch, so a retry after a
-  // partial write starts clean.
-  const bool ok = with_io_retries(options_, stats_, [&] {
+  // One attempt: the first failure takes the ladder rung at once, like the
+  // journal's.
+  const bool ok = [&] {
     if (hooks != nullptr && hooks->allow_open && !hooks->allow_open(path)) {
       return false;
     }
@@ -74,7 +73,7 @@ bool SnapshotStore::write(const SnapshotMeta& meta, std::string_view payload) {
       return false;
     }
     return std::rename(tmp.c_str(), path.c_str()) == 0;
-  });
+  }();
 
   if (!ok) {
     dead_ = true;

@@ -15,7 +15,7 @@
 //
 // Writes are atomic: the snapshot is written to `<path>.tmp`, fsync'd, and
 // renamed over the target — a crash mid-snapshot leaves the previous valid
-// snapshot untouched.  Persistent write failure (after retries) marks the
+// snapshot untouched.  The first failed open, write or sync marks the
 // store dead and bumps stats->snapshot_failures; the engine then degrades
 // to journal-only mode rather than aborting.
 #pragma once
@@ -39,9 +39,9 @@ struct SnapshotMeta {
   double now = 0.0;                    ///< simulation clock at this cut
 };
 
-/// Atomic snapshot writer with retry/backoff and the same
-/// failure-containment contract as JournalWriter: after a persistent
-/// failure every later write() is a no-op returning false.
+/// Atomic snapshot writer with the same failure-containment contract as
+/// JournalWriter: the first failed open, write or sync marks the store
+/// dead, and every later write() is a no-op returning false.
 class SnapshotStore {
  public:
   SnapshotStore(const RecoveryOptions& options, RecoveryStats* stats);

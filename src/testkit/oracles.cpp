@@ -152,8 +152,7 @@ Instance with_machines(const Instance& inst, int machines) {
 
 OracleResult validator_clean(const Instance& inst,
                              const exp::SchedulerSpec& spec, const Params&) {
-  Schedule schedule;
-  const exp::EvalResult r = exp::evaluate_with_schedule(inst, spec, schedule);
+  const exp::EvalResult r = exp::evaluate(inst, spec);
   if (r.failed) return fail("run failed validation: " + r.error);
   double trivial = 0.0;
   for (const Job& j : inst.jobs()) trivial += j.weight * (j.release + j.processing);
@@ -168,7 +167,9 @@ OracleResult validator_clean_faults(const Instance& inst,
                                     const exp::SchedulerSpec& spec,
                                     const Params& params) {
   const FaultPlan plan = fault_plan_from_params(inst, params);
-  const exp::EvalResult r = exp::evaluate(inst, spec, &plan);
+  RunOptions options;
+  options.faults = &plan;
+  const exp::EvalResult r = exp::evaluate(inst, spec, options);
   if (r.failed) return fail("faulty run failed validation: " + r.error);
   return {};
 }
@@ -272,22 +273,18 @@ OracleResult engine_chaos(const Instance& inst, const exp::SchedulerSpec&,
 
 OracleResult weight_scaling(const Instance& inst,
                             const exp::SchedulerSpec& spec, const Params&) {
-  Schedule base_schedule;
-  const exp::EvalResult base =
-      exp::evaluate_with_schedule(inst, spec, base_schedule);
+  const exp::EvalResult base = exp::evaluate(inst, spec);
   if (base.failed) return fail("base run failed: " + base.error);
 
   std::vector<Job> jobs = inst.jobs();
   for (Job& j : jobs) j.weight *= 2.0;  // exact in IEEE
   const Instance scaled(std::move(jobs), inst.num_machines(),
                         inst.num_resources());
-  Schedule scaled_schedule;
-  const exp::EvalResult doubled =
-      exp::evaluate_with_schedule(scaled, spec, scaled_schedule);
+  const exp::EvalResult doubled = exp::evaluate(scaled, spec);
   if (doubled.failed) return fail("scaled run failed: " + doubled.error);
 
   const std::string diff =
-      diff_schedules(base_schedule, scaled_schedule, 1.0);
+      diff_schedules(base.schedule, doubled.schedule, 1.0);
   if (!diff.empty()) {
     return fail("doubling all weights changed the schedule: " + diff);
   }
@@ -300,9 +297,7 @@ OracleResult weight_scaling(const Instance& inst,
 
 OracleResult time_scaling(const Instance& inst,
                           const exp::SchedulerSpec& spec, const Params&) {
-  Schedule base_schedule;
-  const exp::EvalResult base =
-      exp::evaluate_with_schedule(inst, spec, base_schedule);
+  const exp::EvalResult base = exp::evaluate(inst, spec);
   if (base.failed) return fail("base run failed: " + base.error);
 
   std::vector<Job> jobs = inst.jobs();
@@ -314,13 +309,11 @@ OracleResult time_scaling(const Instance& inst,
                         inst.num_resources());
   exp::SchedulerSpec scaled_spec = spec;
   scaled_spec.mris.gamma0 *= 2.0;  // the interval grid scales with time
-  Schedule scaled_schedule;
-  const exp::EvalResult doubled =
-      exp::evaluate_with_schedule(scaled, scaled_spec, scaled_schedule);
+  const exp::EvalResult doubled = exp::evaluate(scaled, scaled_spec);
   if (doubled.failed) return fail("scaled run failed: " + doubled.error);
 
   const std::string diff =
-      diff_schedules(base_schedule, scaled_schedule, 2.0);
+      diff_schedules(base.schedule, doubled.schedule, 2.0);
   if (!diff.empty()) {
     return fail("doubling the time axis did not double the schedule: " +
                 diff);
@@ -355,17 +348,13 @@ OracleResult resource_permutation(const Instance& inst,
   const Instance permuted(std::move(jobs), base.num_machines(),
                           base.num_resources());
 
-  Schedule base_schedule;
-  const exp::EvalResult a =
-      exp::evaluate_with_schedule(base, spec, base_schedule);
+  const exp::EvalResult a = exp::evaluate(base, spec);
   if (a.failed) return fail("base run failed: " + a.error);
-  Schedule permuted_schedule;
-  const exp::EvalResult b =
-      exp::evaluate_with_schedule(permuted, spec, permuted_schedule);
+  const exp::EvalResult b = exp::evaluate(permuted, spec);
   if (b.failed) return fail("permuted run failed: " + b.error);
 
   const std::string diff =
-      diff_schedules(base_schedule, permuted_schedule, 1.0);
+      diff_schedules(a.schedule, b.schedule, 1.0);
   if (!diff.empty()) {
     return fail("reversing the resource axes changed the schedule: " + diff);
   }

@@ -87,10 +87,10 @@ void contract_failed(const char* kind, const char* condition,
 
 // --- thread-safety annotations ---------------------------------------------
 //
-// Clang-style capability annotations for state shared across ThreadPool
-// workers.  They are contracts in the same spirit
-// as MRIS_EXPECT: a field declared MRIS_GUARDED_BY(m) documents — and lets
-// tooling enforce — that `m` must be held to touch it.
+// Clang-style capability annotations for state shared across threads.
+// They are contracts in the same spirit as MRIS_EXPECT: a field declared
+// MRIS_GUARDED_BY(m) documents — and lets tooling enforce — that `m` must
+// be held to touch it.
 //
 // Two independent checkers consume them:
 //   * mris_analyze (tools/mris_analyze, always on in CI) checks lexically

@@ -56,8 +56,7 @@ TEST_P(MrisCompetitive, MakespanWithinLemmaBound) {
 
   exp::SchedulerSpec spec = exp::SchedulerSpec::Mris();
   spec.mris.eps = eps;
-  Schedule sched;
-  exp::evaluate_with_schedule(inst, spec, sched);
+  const Schedule sched = exp::evaluate(inst, spec).schedule;
 
   const Schedule opt = optimal_makespan_schedule(inst);
   const double bound = 8.0 * inst.num_resources() * (1.0 + eps);

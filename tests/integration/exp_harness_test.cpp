@@ -82,12 +82,12 @@ TEST(EvaluateTest, MetricsConsistent) {
 }
 
 TEST(ReplicateTest, AggregatesAcrossReplications) {
-  const PointResult p = replicate(
+  const PointResult p = replicate_lineup(
       6,
       [](std::size_t rep) {
         return trace::make_patience_instance(20, 2, 10.0, rep + 1);
       },
-      SchedulerSpec::Pq(Heuristic::kWsjf));
+      {SchedulerSpec::Pq(Heuristic::kWsjf)})[0];
   EXPECT_EQ(p.awct.n, 6u);
   EXPECT_GT(p.awct.mean, 0.0);
   EXPECT_GT(p.awct.half_width, 0.0);  // distinct seeds -> non-zero CI
@@ -98,8 +98,9 @@ TEST(ReplicateTest, DeterministicAcrossCalls) {
   auto factory = [](std::size_t rep) {
     return trace::make_patience_instance(15, 2, 8.0, rep + 10);
   };
-  const PointResult a = replicate(4, factory, SchedulerSpec::Mris());
-  const PointResult b = replicate(4, factory, SchedulerSpec::Mris());
+  const std::vector<SchedulerSpec> mris = {SchedulerSpec::Mris()};
+  const PointResult a = replicate_lineup(4, factory, mris)[0];
+  const PointResult b = replicate_lineup(4, factory, mris)[0];
   EXPECT_DOUBLE_EQ(a.awct.mean, b.awct.mean);
   EXPECT_DOUBLE_EQ(a.awct.half_width, b.awct.half_width);
 }
@@ -112,8 +113,13 @@ TEST(ReplicateLineupTest, MatchesIndividualReplicates) {
       SchedulerSpec::Pq(Heuristic::kWsjf), SchedulerSpec::Tetris()};
   const auto combined = replicate_lineup(4, factory, lineup);
   ASSERT_EQ(combined.size(), 2u);
-  const PointResult solo = replicate(4, factory, lineup[0]);
-  EXPECT_DOUBLE_EQ(combined[0].awct.mean, solo.awct.mean);
+  // Sharing a rep's instance across schedulers changes no scheduler's runs.
+  for (std::size_t s = 0; s < lineup.size(); ++s) {
+    const PointResult solo = replicate_lineup(4, factory, {lineup[s]})[0];
+    EXPECT_DOUBLE_EQ(combined[s].awct.mean, solo.awct.mean);
+    EXPECT_DOUBLE_EQ(combined[s].awct.half_width, solo.awct.half_width);
+    EXPECT_DOUBLE_EQ(combined[s].makespan.mean, solo.makespan.mean);
+  }
 }
 
 TEST(AsciiTest, FormatNum) {

@@ -92,9 +92,8 @@ TEST(GanttTest, LaneCapElidesOverflow) {
 
 TEST(GanttTest, RendersRealScheduleWithoutChoking) {
   const Instance inst = trace::make_patience_instance(40, 2, 10.0, 3);
-  Schedule sched;
-  evaluate_with_schedule(inst, SchedulerSpec::Mris(), sched);
-  const std::string out = render_gantt(inst, sched);
+  const std::string out =
+      render_gantt(inst, evaluate(inst, SchedulerSpec::Mris()).schedule);
   EXPECT_GT(out.size(), 100u);
   EXPECT_NE(out.find("time 0 .."), std::string::npos);
 }

@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <filesystem>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 
@@ -123,6 +125,25 @@ TEST(CrashRecoveryTest, SweepDrfScheduler) {
       0xD2Full, temp_dir("drf"));
   ASSERT_EQ(reports.size(), 6u);
   expect_all_identical(reports);
+}
+
+TEST(CrashRecoveryTest, SweepRunsOneBaselineForAllPairs) {
+  // One plain baseline for the sweep, then a crashed and a resumed run per
+  // pair: 1 + 2P schedulers.
+  const Instance inst = mixed_instance(55, 20);
+  RecoveryOptions rec;
+  rec.snapshot_every = 5;
+  int built = 0;
+  const auto reports = faults::run_crash_sweep(
+      inst,
+      [&built] {
+        ++built;
+        return std::make_unique<PriorityQueueScheduler>();
+      },
+      RunOptions{}, rec, 3, 0x5EEDull, temp_dir("one_baseline"));
+  ASSERT_EQ(reports.size(), 3u);
+  expect_all_identical(reports);
+  EXPECT_EQ(built, 1 + 2 * 3);
 }
 
 // --- targeted crash points ------------------------------------------------
@@ -357,61 +378,67 @@ faults::RecordedRun sample_run() {
   return run;
 }
 
-class FirstDifferenceTest : public ::testing::TestWithParam<Mutation> {};
+#define MUTATION(name, expected, body) \
+  Mutation { name, expected, [](faults::RecordedRun& r) { body; } }
+
+const Mutation kMutations[] = {
+    MUTATION("event_count", "event count:", ++r.result.num_events),
+    MUTATION("placement", "job 1 start:",
+             r.result.schedule.unassign(1);
+             r.result.schedule.assign(1, 0, 3.0)),
+    MUTATION("record_count", "record count:", r.records.pop_back()),
+    MUTATION("record_kind", "record 1 kind:",
+             r.records[1].kind = EventRecord::Kind::kWakeup),
+    MUTATION("record_t", "record 1 t:", r.records[1].t = 0.75),
+    MUTATION("record_job", "record 1 job:", r.records[1].job = 1),
+    MUTATION("record_machine", "record 1 machine:",
+             r.records[1].machine = 0),
+    MUTATION("record_start", "record 1 start:", r.records[1].start = 5.0),
+    MUTATION("attempt_count", "attempt count:",
+             r.result.attempts.pop_back()),
+    MUTATION("attempt_job", "attempt 1 job:", r.result.attempts[1].job = 1),
+    MUTATION("attempt_machine", "attempt 1 machine:",
+             r.result.attempts[1].machine = 2),
+    MUTATION("attempt_start", "attempt 1 start:",
+             r.result.attempts[1].start = 4.5),
+    MUTATION("attempt_end", "attempt 1 end:",
+             r.result.attempts[1].end = 7.0),
+    MUTATION("attempt_outcome", "attempt 1 outcome:",
+             r.result.attempts[1].outcome = Attempt::Outcome::kJobFailure),
+    MUTATION("attempt_restore", "attempt 1 restore:",
+             r.result.attempts[1].restore = 0.5),
+    MUTATION("attempt_progress_in", "attempt 1 progress_in:",
+             r.result.attempts[1].progress_in = 1.0),
+    MUTATION("attempt_progress_out", "attempt 1 progress_out:",
+             r.result.attempts[1].progress_out = 2.5),
+    // Bitwise, as the encoding compares doubles: -0.0 differs from 0.0.
+    MUTATION("negative_zero", "attempt 0 progress_in:",
+             r.result.attempts[0].progress_in = -0.0)};
+
+#undef MUTATION
+
+// The parameter is an index into kMutations rather than a Mutation: gtest
+// writes the parameter into each case's listed name, and a Mutation prints
+// as its raw pointer bytes, which move with every build.
+class FirstDifferenceTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FirstDifferenceTest, NamesTheOneChangedField) {
+  const Mutation& mutation = kMutations[GetParam()];
   faults::RecordedRun changed = sample_run();
-  GetParam().apply(changed);
+  mutation.apply(changed);
   EXPECT_EQ("", faults::first_difference(sample_run(), sample_run()));
   EXPECT_NE(faults::encode_run_result(sample_run()),
             faults::encode_run_result(changed));
   const std::string diff = faults::first_difference(sample_run(), changed);
-  EXPECT_EQ(diff.rfind(GetParam().expected, 0), 0u) << diff;
+  EXPECT_EQ(diff.rfind(mutation.expected, 0), 0u) << diff;
 }
-
-#define MUTATION(name, expected, body) \
-  Mutation { name, expected, [](faults::RecordedRun& r) { body; } }
 
 INSTANTIATE_TEST_SUITE_P(
     EveryField, FirstDifferenceTest,
-    ::testing::Values(
-        MUTATION("event_count", "event count:", ++r.result.num_events),
-        MUTATION("placement", "job 1 start:",
-                 r.result.schedule.unassign(1);
-                 r.result.schedule.assign(1, 0, 3.0)),
-        MUTATION("record_count", "record count:", r.records.pop_back()),
-        MUTATION("record_kind", "record 1 kind:",
-                 r.records[1].kind = EventRecord::Kind::kWakeup),
-        MUTATION("record_t", "record 1 t:", r.records[1].t = 0.75),
-        MUTATION("record_job", "record 1 job:", r.records[1].job = 1),
-        MUTATION("record_machine", "record 1 machine:",
-                 r.records[1].machine = 0),
-        MUTATION("record_start", "record 1 start:", r.records[1].start = 5.0),
-        MUTATION("attempt_count", "attempt count:",
-                 r.result.attempts.pop_back()),
-        MUTATION("attempt_job", "attempt 1 job:", r.result.attempts[1].job = 1),
-        MUTATION("attempt_machine", "attempt 1 machine:",
-                 r.result.attempts[1].machine = 2),
-        MUTATION("attempt_start", "attempt 1 start:",
-                 r.result.attempts[1].start = 4.5),
-        MUTATION("attempt_end", "attempt 1 end:",
-                 r.result.attempts[1].end = 7.0),
-        MUTATION("attempt_outcome", "attempt 1 outcome:",
-                 r.result.attempts[1].outcome = Attempt::Outcome::kJobFailure),
-        MUTATION("attempt_restore", "attempt 1 restore:",
-                 r.result.attempts[1].restore = 0.5),
-        MUTATION("attempt_progress_in", "attempt 1 progress_in:",
-                 r.result.attempts[1].progress_in = 1.0),
-        MUTATION("attempt_progress_out", "attempt 1 progress_out:",
-                 r.result.attempts[1].progress_out = 2.5),
-        // Bitwise, as the encoding compares doubles: -0.0 differs from 0.0.
-        MUTATION("negative_zero", "attempt 0 progress_in:",
-                 r.result.attempts[0].progress_in = -0.0)),
-    [](const ::testing::TestParamInfo<Mutation>& info) {
-      return std::string(info.param.name);
+    ::testing::Range<std::size_t>(0, std::size(kMutations)),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      return std::string(kMutations[info.param].name);
     });
-
-#undef MUTATION
 
 }  // namespace
 }  // namespace mris

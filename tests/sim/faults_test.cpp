@@ -504,7 +504,9 @@ TEST(FaultRunnerTest, EvaluateCapturesBadPlanInsteadOfThrowing) {
   spec.kind = exp::SchedulerKind::kPq;
   FaultPlan bad;
   bad.failure_prob = 1.5;  // rejected by FaultPlan::validate
-  const exp::EvalResult r = exp::evaluate(inst, spec, &bad);
+  RunOptions options;
+  options.faults = &bad;
+  const exp::EvalResult r = exp::evaluate(inst, spec, options);
   EXPECT_TRUE(r.failed);
   EXPECT_NE(r.error.find("failure_prob"), std::string::npos) << r.error;
 }
@@ -514,22 +516,22 @@ TEST(FaultRunnerTest, ReplicateCountsFailedRunsAndKeepsGoingAlive) {
   spec.kind = exp::SchedulerKind::kPq;
   const auto make_instance = [](std::size_t) { return runner_instance(); };
 
-  const exp::PointResult broken = exp::replicate(
-      4, make_instance, spec, [](std::size_t) {
+  const exp::PointResult broken = exp::replicate_lineup(
+      4, make_instance, {spec}, [](std::size_t) {
         FaultPlan bad;
         bad.failure_prob = 1.5;
         return bad;
-      });
+      })[0];
   EXPECT_EQ(broken.failed_runs, 4u);
   EXPECT_EQ(broken.awct.n, 0u);
 
-  const exp::PointResult healthy = exp::replicate(
-      4, make_instance, spec, [](std::size_t rep) {
+  const exp::PointResult healthy = exp::replicate_lineup(
+      4, make_instance, {spec}, [](std::size_t rep) {
         FaultPlan plan;
         plan.failure_prob = 0.2;
         plan.seed = rep;
         return plan;
-      });
+      })[0];
   EXPECT_EQ(healthy.failed_runs, 0u);
   EXPECT_EQ(healthy.awct.n, 4u);
   EXPECT_GT(healthy.awct.mean, 0.0);

@@ -382,26 +382,56 @@ TEST(SnapshotTest, Version1IsRefused) {
   fs::remove(path);
 }
 
-// --- IO retry and degradation ladder --------------------------------------
+// --- IO failure and degradation ladder ------------------------------------
 
-TEST(IoRetryTest, TransientWriteFailureRetriesAndSucceeds) {
-  const std::string path = temp_path("snap_retry.mrsn");
-  int failures_left = 2;
+TEST(IoRetryTest, OneWriteFailureKillsTheStoreAtOnce) {
+  // No retry: the first failed write takes the ladder rung, even when the
+  // next attempt would have gone through.
+  const std::string path = temp_path("snap_once.mrsn");
+  int writes = 0;
   recovery::IoHooks hooks;
   hooks.allow_write = [&](const std::string&, std::size_t) {
-    return failures_left-- <= 0;
+    return ++writes > 1;
   };
   RecoveryOptions options;
   options.snapshot_path = path;
-  options.io_max_retries = 3;
   options.hooks = &hooks;
   RecoveryStats stats;
   SnapshotStore store(options, &stats);
-  ASSERT_TRUE(store.write(SnapshotMeta{}, "payload"));
-  EXPECT_FALSE(store.dead());
-  EXPECT_EQ(stats.io_retries, 2u);
-  EXPECT_EQ(stats.snapshot_failures, 0u);
-  EXPECT_TRUE(recovery::read_snapshot(path).ok);
+  EXPECT_FALSE(store.write(SnapshotMeta{}, "payload"));
+  EXPECT_TRUE(store.dead());
+  EXPECT_EQ(writes, 1);
+  EXPECT_EQ(stats.snapshot_failures, 1u);
+  EXPECT_EQ(stats.snapshots_taken, 0u);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::exists(path + ".tmp"));
+}
+
+TEST(IoRetryTest, OneJournalWriteFailureKeepsTheValidPrefix) {
+  // The failed frame is not written again, so the records before it stay
+  // readable and no torn tail is left behind.
+  const std::string path = temp_path("journal_once.mrjl");
+  int writes = 0;  // header, first frame, then the failing second frame
+  recovery::IoHooks hooks;
+  hooks.allow_write = [&](const std::string&, std::size_t) {
+    return ++writes != 3;
+  };
+  RecoveryOptions options;
+  options.journal_path = path;
+  options.hooks = &hooks;
+  RecoveryStats stats;
+  JournalWriter writer(options, &stats);
+  ASSERT_TRUE(writer.open_fresh(1));
+  EXPECT_TRUE(writer.append(sample_record(1.0)));
+  EXPECT_FALSE(writer.append(sample_record(2.0)));
+  EXPECT_TRUE(writer.dead());
+  EXPECT_FALSE(writer.append(sample_record(3.0)));
+  EXPECT_EQ(writes, 3);
+  EXPECT_EQ(stats.journal_failures, 1u);
+  const JournalContents contents = read_events(path);
+  ASSERT_TRUE(contents.ok);
+  ASSERT_EQ(contents.payloads.size(), 1u);
+  EXPECT_EQ(contents.torn_bytes, 0u);
   fs::remove(path);
 }
 
@@ -411,14 +441,13 @@ TEST(IoRetryTest, PersistentSnapshotFailureKillsTheStoreOnly) {
   hooks.allow_write = [](const std::string&, std::size_t) { return false; };
   RecoveryOptions options;
   options.snapshot_path = path;
-  options.io_max_retries = 2;
   options.hooks = &hooks;
   RecoveryStats stats;
   SnapshotStore store(options, &stats);
   EXPECT_FALSE(store.write(SnapshotMeta{}, "payload"));
   EXPECT_TRUE(store.dead());
   EXPECT_EQ(stats.snapshot_failures, 1u);
-  // Dead store: later writes are cheap no-ops, not fresh retry storms.
+  // Dead store: later writes are cheap no-ops.
   EXPECT_FALSE(store.write(SnapshotMeta{}, "payload"));
   EXPECT_EQ(stats.snapshot_failures, 1u);
   EXPECT_FALSE(fs::exists(path));
@@ -433,7 +462,6 @@ TEST(IoRetryTest, PersistentJournalFailureMarksWriterDead) {
   RecoveryOptions options;
   options.journal_path = path;
   options.journal_sync_every = 1;  // sync (and fail) on the first append
-  options.io_max_retries = 1;
   options.hooks = &hooks;
   RecoveryStats stats;
   JournalWriter writer(options, &stats);
@@ -464,7 +492,6 @@ TEST(RecoveryDegradationTest, SnapshotFailureDegradesToJournalOnly) {
   rec.snapshot_path = temp_path("degrade.mrsn");
   rec.journal_path = temp_path("degrade.mrjl");
   rec.snapshot_every = 4;
-  rec.io_max_retries = 1;
   rec.hooks = &hooks;
   RunOptions options;
   options.recovery = &rec;
@@ -493,7 +520,6 @@ TEST(RecoveryDegradationTest, TotalIoFailureDegradesToInMemory) {
   rec.journal_path = temp_path("dead.mrjl");
   rec.snapshot_every = 2;
   rec.journal_sync_every = 1;
-  rec.io_max_retries = 1;
   rec.hooks = &hooks;
   RunOptions options;
   options.recovery = &rec;

@@ -50,6 +50,7 @@ int usage() {
       "  stats      characterize a workload (load factor, distributions)\n"
       "  simulate   run one scheduler online; print metrics\n"
       "             --scheduler NAME [--gantt] [--out-schedule F]\n"
+      "             [--log-events F] (engine record stream as CSV)\n"
       "             durability: --state-dir D [--snapshot-every N]\n"
       "             [--resume-from D] (snapshot + write-ahead journal in D)\n"
       "  compare    run the full paper lineup (+ DRF, HYBRID) side by side\n"
@@ -169,9 +170,30 @@ int cmd_simulate(const util::Flags& flags) {
     rec.resume = !resume_from.empty();
   }
 
-  Schedule sched;
-  const exp::EvalResult r = exp::evaluate_with_schedule(
-      inst, spec, sched, nullptr, durable ? &rec : nullptr);
+  // --log-events writes each engine record to its CSV as the run emits it.
+  RunOptions options;
+  if (durable) options.recovery = &rec;
+  const std::string log_path = flags.get("log-events", "");
+  std::ofstream log_file;
+  std::size_t logged = 0;
+  if (!log_path.empty()) {
+    log_file.open(log_path);
+    if (!log_file) {
+      throw std::runtime_error("cannot write " + log_path);
+    }
+    log_file << "t,kind,job,machine,start\n";
+    options.on_record = [&](const EventRecord& e) {
+      log_file << e.t << ',' << event_kind_name(e.kind) << ',' << e.job
+               << ',' << e.machine << ','
+               << (e.kind == EventRecord::Kind::kCommit
+                       ? std::to_string(e.start)
+                       : std::string())
+               << '\n';
+      ++logged;
+    };
+  }
+
+  const exp::EvalResult r = exp::evaluate(inst, spec, std::move(options));
   // A run that threw (a refused resume, an infeasible schedule) has no
   // metrics to print.
   if (r.failed) throw std::runtime_error(r.error);
@@ -202,37 +224,16 @@ int cmd_simulate(const util::Flags& flags) {
   }
 
   if (flags.get_bool("gantt", false)) {
-    std::printf("\n%s", exp::render_gantt(inst, sched).c_str());
+    std::printf("\n%s", exp::render_gantt(inst, r.schedule).c_str());
   }
   const std::string out = flags.get("out-schedule", "");
   if (!out.empty()) {
-    write_schedule_csv_file(out, inst, sched);
+    write_schedule_csv_file(out, inst, r.schedule);
     std::printf("schedule written to %s\n", out.c_str());
   }
 
-  const std::string log_path = flags.get("log-events", "");
   if (!log_path.empty()) {
-    // Re-run (runs are deterministic), writing each engine record to the
-    // CSV as the engine emits it.
-    std::ofstream log_file(log_path);
-    if (!log_file) {
-      throw std::runtime_error("cannot write " + log_path);
-    }
-    log_file << "t,kind,job,machine,start\n";
-    std::size_t written = 0;
-    RunOptions run_opts;
-    run_opts.on_record = [&](const EventRecord& e) {
-      log_file << e.t << ',' << event_kind_name(e.kind) << ',' << e.job
-               << ',' << e.machine << ','
-               << (e.kind == EventRecord::Kind::kCommit
-                       ? std::to_string(e.start)
-                       : std::string())
-               << '\n';
-      ++written;
-    };
-    auto scheduler = exp::make_scheduler(spec, inst);
-    run_online(inst, *scheduler, run_opts);
-    std::printf("%zu engine events written to %s\n", written,
+    std::printf("%zu engine events written to %s\n", logged,
                 log_path.c_str());
   }
   return 0;
